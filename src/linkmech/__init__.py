@@ -19,20 +19,13 @@ from .core import (
     validate_problem,
 )
 from .truthfulness import (
-    CyclePartition,
-    GraphEdge,
-    LinkGraph,
     PermutationWitness,
-    balance_graph,
-    build_link_graph,
     canonical_minimal_message,
     compute_quota,
     count_minimal_lie_messages,
-    cycle_partition,
     is_approx_truthful,
     is_approx_truthful_star,
     is_permutation_truthful,
-    is_permutation_truthful_naive,
     lie_count,
     min_lie_count,
     minimal_lie_messages,
@@ -57,7 +50,6 @@ from .sim import (
     SimConfig,
     SimStats,
     apply_mechanism,
-    efficiency_gap,
     exhaustive_expected_lie_count,
     run_convergence,
     sample_type_vector,

@@ -224,7 +224,10 @@ def cmd_simulate(args) -> int:
     seed = args.seed
     if seed is None:
         env = os.environ.get("LINKED_SEED")
-        seed = int(env) if env is not None else 0
+        try:
+            seed = int(env) if env is not None else 0
+        except ValueError:
+            raise ValidationError(f"LINKED_SEED must be an integer, got {env!r}") from None
     cfg = SimConfig(
         problem=problem,
         k_values=k_values,

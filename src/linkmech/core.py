@@ -14,6 +14,7 @@ broken deterministically, the canonical order is lexicographic on the label.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,6 +155,8 @@ def validate_problem(spec: Mapping) -> Problem:
             val = row[d]
             if isinstance(val, bool) or not isinstance(val, (int, float, Fraction)):
                 raise ValidationError(f"utility[{t}][{d}]: not a number: {val!r}")
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ValidationError(f"utility[{t}][{d}]: not finite")
             utility[t][d] = val
     return Problem(decisions=decisions, types=types, utility=utility, prior=weights)
 

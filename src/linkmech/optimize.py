@@ -25,8 +25,6 @@ from .core import (
     ValidationError,
 )
 from .truthfulness import (
-    VectorLike,
-    _entries,
     compute_quota,
     is_approx_truthful,
     is_approx_truthful_star,
@@ -83,9 +81,9 @@ class SocialChoiceFunction:
         return sum(w * problem.utility[true_type][d] for d, w in self.lotteries[reported].items())
 
 
-def payoff(u: PreferenceVector, m: VectorLike, f: SocialChoiceFunction, p: Problem):
+def payoff(u: PreferenceVector, m: Union[Message, PreferenceVector], f: SocialChoiceFunction, p: Problem):
     """Total payoff: sum over slots of the truth's expected utility at the report."""
-    me = _entries(m)
+    me = m.entries
     if len(me) != u.K:
         raise ValidationError(f"report length {len(me)} != truth length {u.K}")
     return sum(f.expected_utility(r, t, p) for t, r in zip(u.entries, me))

@@ -319,16 +319,6 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     return tuple(out)
 
 
-def efficiency_gap(cfg: SimConfig) -> dict[int, float]:
-    """Per-K worst-slot probability that the implemented decision differs
-    from what the truth would have gotten.
-
-    Equals the worst-slot lie probability whenever the outcome function maps
-    distinct types to distinct lotteries; never exceeds it otherwise.
-    """
-    return {s.K: s.efficiency_gap for s in run_convergence(cfg)}
-
-
 def exhaustive_expected_lie_count(problem: Problem, K: int, cap: int = 10**6) -> Fraction:
     """Exact expected minimum lie count by enumerating all type vectors.
 

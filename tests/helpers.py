@@ -2,7 +2,10 @@
 
 The oracles here are deliberately independent of the library paths they
 check: minimal Hamming distance by full enumeration, subset scans, and
-hand-rolled random instances driven by ``random.Random`` seeds.
+hand-rolled random instances driven by ``random.Random`` seeds.  The
+link-graph pipeline below is a frozen copy of the object-based witness
+construction that ``permutation_witness`` replaced with a flat pass; the
+two must return identical witnesses.
 """
 
 from __future__ import annotations
@@ -10,14 +13,21 @@ from __future__ import annotations
 import io
 import json
 import random
+from collections import defaultdict
 from contextlib import redirect_stdout
+from dataclasses import dataclass
+from typing import Union
 
 from linkmech import (
     Message,
+    PermutationWitness,
     PreferenceVector,
     Quota,
+    ValidationError,
     enumerate_messages,
     lie_count,
+    marginal,
+    tv_distance,
 )
 from linkmech.cli import main
 
@@ -65,3 +75,210 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
 def run_cli_json(argv: list[str]) -> tuple[int, dict]:
     code, out = run_cli(argv)
     return code, json.loads(out)
+
+
+VectorLike = Union[Message, PreferenceVector]
+
+
+def _entries(v: VectorLike) -> tuple[str, ...]:
+    return v.entries
+
+
+def _vector(v: VectorLike) -> PreferenceVector:
+    return v.vector if isinstance(v, Message) else v
+
+
+def is_permutation_truthful_naive(u: PreferenceVector, m: VectorLike, max_k: int = 12) -> bool:
+    """Subset-scan reference checker, exponential in K.
+
+    A report fails when some nonempty slot subset carries the same multiset
+    of labels in truth and report without being slotwise equal (i.e. the
+    report shuffles true types around).  Only for K <= ``max_k``.
+    """
+    me = _entries(m)
+    k = u.K
+    if len(me) != k:
+        raise ValidationError(f"report length {len(me)} != truth length {k}")
+    if k > max_k:
+        raise ValidationError(f"naive subset scan refused for K={k} > {max_k}")
+    ue = u.entries
+    for mask in range(1, 1 << k):
+        idx = [i for i in range(k) if mask >> i & 1]
+        if sorted(ue[i] for i in idx) == sorted(me[i] for i in idx):
+            if any(ue[i] != me[i] for i in idx):
+                return False
+    return True
+
+
+# --- frozen balanced-multigraph witness pipeline ---
+
+
+@dataclass(frozen=True)
+class GraphEdge:
+    label: int
+    tail: str
+    head: str
+    is_new: bool = False
+
+
+@dataclass(frozen=True)
+class LinkGraph:
+    """Directed multigraph pairing truth slots with report slots.
+
+    Edge k (labels 1..K) runs from the true type in slot k to the reported
+    type in slot k; balancing edges, when present, carry labels above K and
+    ``is_new``.
+    """
+
+    nodes: tuple[str, ...]
+    edges: tuple[GraphEdge, ...]
+    original_count: int
+
+    def out_degree(self, v: str) -> int:
+        return sum(e.tail == v for e in self.edges)
+
+    def in_degree(self, v: str) -> int:
+        return sum(e.head == v for e in self.edges)
+
+    def is_balanced(self) -> bool:
+        return all(self.out_degree(v) == self.in_degree(v) for v in self.nodes)
+
+    @property
+    def new_edge_count(self) -> int:
+        return sum(e.is_new for e in self.edges)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "nodes": list(self.nodes),
+            "original_count": self.original_count,
+            "edges": [
+                {"label": e.label, "tail": e.tail, "head": e.head, "is_new": e.is_new}
+                for e in self.edges
+            ],
+        }
+
+
+@dataclass(frozen=True)
+class CyclePartition:
+    """Edge-disjoint cycles covering every edge, as lists of edge labels."""
+
+    cycles: tuple[tuple[int, ...], ...]
+
+    def to_json_dict(self) -> dict:
+        return {"cycles": [list(c) for c in self.cycles]}
+
+
+def build_link_graph(u: PreferenceVector, reported: VectorLike) -> LinkGraph:
+    """One labeled edge per slot, truth type -> reported type."""
+    re = _entries(reported)
+    if len(re) != u.K:
+        raise ValidationError(f"report length {len(re)} != truth length {u.K}")
+    rv = _vector(reported)
+    if rv.types != u.types:
+        raise ValidationError(f"type sets differ: {u.types} vs {rv.types}")
+    edges = tuple(
+        GraphEdge(label=k + 1, tail=a, head=b) for k, (a, b) in enumerate(zip(u.entries, re))
+    )
+    return LinkGraph(nodes=u.types, edges=edges, original_count=u.K)
+
+
+def balance_graph(g: LinkGraph) -> LinkGraph:
+    """Add edges until every node has equal in- and out-degree.
+
+    Each added edge leaves a node that currently receives more than it
+    sends and enters a node that sends more than it receives; surpluses are
+    matched in canonical node order.  The number of added edges equals
+    K * tv_distance between the tail marginal and the head marginal.
+    """
+    if any(e.is_new for e in g.edges):
+        raise ValidationError("balance_graph expects a freshly built graph")
+    net = {v: g.out_degree(v) - g.in_degree(v) for v in g.nodes}
+    senders = [v for v in g.nodes for _ in range(-net[v]) if net[v] < 0]
+    receivers = [v for v in g.nodes for _ in range(net[v]) if net[v] > 0]
+    assert len(senders) == len(receivers)
+    label = g.original_count
+    new_edges = []
+    for tail, head in zip(senders, receivers):
+        label += 1
+        new_edges.append(GraphEdge(label=label, tail=tail, head=head, is_new=True))
+    return LinkGraph(nodes=g.nodes, edges=g.edges + tuple(new_edges), original_count=g.original_count)
+
+
+def cycle_partition(g: LinkGraph) -> CyclePartition:
+    """Peel a balanced graph into edge-disjoint cycles covering every edge.
+
+    Walks always consume the lowest available edge label, so the partition
+    is deterministic; each walk is cut at the first repeated node, which
+    also keeps every cycle's nodes distinct.
+    """
+    if not g.is_balanced():
+        raise ValidationError("cycle_partition requires a balanced graph")
+    by_label = {e.label: e for e in g.edges}
+    outgoing: dict[str, list[int]] = defaultdict(list)
+    for e in sorted(g.edges, key=lambda e: e.label):
+        outgoing[e.tail].append(e.label)
+    alive = set(by_label)
+    cycles: list[tuple[int, ...]] = []
+
+    def next_edge(node: str, in_path: set[int]) -> int:
+        for lab in outgoing[node]:
+            if lab in alive and lab not in in_path:
+                return lab
+        raise RuntimeError("internal: balanced graph ran out of outgoing edges")
+
+    while alive:
+        start = min(alive)
+        e = by_label[start]
+        path = [e]
+        in_path = {start}
+        node_pos = {e.tail: 0}
+        cur = e.head
+        while cur not in node_pos:
+            node_pos[cur] = len(path)
+            lab = next_edge(cur, in_path)
+            e = by_label[lab]
+            path.append(e)
+            in_path.add(lab)
+            cur = e.head
+        cycle = [edge.label for edge in path[node_pos[cur]:]]
+        pivot = cycle.index(min(cycle))
+        cycles.append(tuple(cycle[pivot:] + cycle[:pivot]))
+        alive.difference_update(cycle)
+    return CyclePartition(tuple(cycles))
+
+
+def oracle_witness(u: PreferenceVector, reported: VectorLike) -> PermutationWitness:
+    """Certify the largest slot subset on which the report permutes truths.
+
+    Builds the slot graph, balances it, peels cycles, and drops every cycle
+    touching a balancing edge.  The surviving slot labels form S with the
+    in-cycle successor map as the bijection; S covers at least
+    K - (#types - 1) * K * tv(marginal(u), marginal(report)) slots.  Both
+    guarantees are re-checked before returning.
+    """
+    g = balance_graph(build_link_graph(u, reported))
+    part = cycle_partition(g)
+    K = u.K
+    slots: list[int] = []
+    pairs: list[tuple[int, int]] = []
+    for cycle in part.cycles:
+        if any(lab > K for lab in cycle):
+            continue
+        slots.extend(cycle)
+        for i, lab in enumerate(cycle):
+            pairs.append((lab, cycle[(i + 1) % len(cycle)]))
+    slots.sort()
+    pairs.sort()
+    witness = PermutationWitness(tuple(slots), tuple(pairs))
+
+    re = _entries(reported)
+    pi = witness.mapping()
+    if sorted(pi) != slots or sorted(pi.values()) != slots:
+        raise RuntimeError("internal: witness mapping is not a bijection on S")
+    for k, pk in pi.items():
+        if re[k - 1] != u.entries[pk - 1]:
+            raise RuntimeError("internal: witness pairing does not map reports to truths")
+    floor = K - (len(u.types) - 1) * K * tv_distance(marginal(u), marginal(_vector(reported)))
+    if len(slots) < floor:
+        raise RuntimeError("internal: witness covers fewer slots than guaranteed")
+    return witness

@@ -16,17 +16,14 @@ from linkmech import (
     PreferenceVector,
     SimConfig,
     SocialChoiceFunction,
-    balance_graph,
     best_response_bruteforce,
     best_response_transport,
-    build_link_graph,
     canonical_minimal_message,
     compute_quota,
     enumerate_messages,
     is_approx_truthful,
     is_approx_truthful_star,
     is_permutation_truthful,
-    is_permutation_truthful_naive,
     lie_count,
     marginal,
     min_lie_count,
@@ -38,7 +35,16 @@ from linkmech import (
 )
 from linkmech.core import Problem
 from linkmech.cli import bundled_spec_path, load_bundled_problem
-from helpers import random_quota, random_quota_message, random_vector, run_cli, run_cli_json
+from helpers import (
+    balance_graph,
+    build_link_graph,
+    is_permutation_truthful_naive,
+    random_quota,
+    random_quota_message,
+    random_vector,
+    run_cli,
+    run_cli_json,
+)
 
 BIN_SPEC = bundled_spec_path("binary")
 

@@ -20,6 +20,13 @@ CE_SPEC = bundled_spec_path("counterexample")
 BIN_SPEC = bundled_spec_path("binary")
 
 
+def assert_clean_failure(argv, capsys, message):
+    """The run exits 1 with a single ``error:`` line on stderr, no traceback."""
+    capsys.readouterr()
+    assert run_cli(argv)[0] == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestQuotaCommand:
     def test_counterexample_spec(self):
         code, out = run_cli_json(["quota", "--spec", CE_SPEC, "--K", "3"])
@@ -149,6 +156,19 @@ class TestBestResponseCommand:
             assert brute["payoff"] == trans["payoff"]
             assert trans["message"] in brute["messages"]
 
+    def test_nan_utility_spec_rejected(self, tmp_path, capsys):
+        with open(CE_SPEC, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["utility"]["B"]["c"] = float("nan")
+        spec = tmp_path / "nan.json"
+        spec.write_text(json.dumps(raw))  # json writes the bare NaN token
+        assert "NaN" in spec.read_text()
+        for argv in (
+            ["best-response", "--spec", str(spec), "--truth", "A,A,B"],
+            ["simulate", "--spec", str(spec), "--K", "3", "--reps", "2", "--strategy", "best-response"],
+        ):
+            assert_clean_failure(argv, capsys, "utility[B][c]: not finite")
+
     def test_cap_exceeded_exit_code(self):
         code = run_cli(
             ["best-response", "--spec", CE_SPEC, "--truth", "A,A,B", "--method", "bruteforce", "--cap", "2"]
@@ -171,6 +191,11 @@ class TestCounterexampleCommand:
         assert out["passed"] is True
         assert out["deviation_strictly_preferred"] is False
         assert any(c["name"] == "no_deviation_incentive" and c["passed"] for c in out["checks"])
+
+    def test_non_finite_override_rejected(self, capsys):
+        for value in ("nan", "inf", "-inf"):
+            argv = ["counterexample", "--utility", f"u_aA={value}"]
+            assert_clean_failure(argv, capsys, "utility[A][a]: not finite")
 
     def test_malformed_override(self):
         code = run_cli(["counterexample", "--utility", "u_zQ=1"])[0]
@@ -226,6 +251,11 @@ class TestSimulateCommand:
         _, via_env = run_cli(["simulate", "--spec", BIN_SPEC, "--K", "2,4,8", "--reps", "300"])
         _, via_flag = run_cli(self.ARGS)
         assert via_env == via_flag
+
+    def test_env_seed_must_be_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("LINKED_SEED", "abc")
+        argv = ["simulate", "--spec", BIN_SPEC, "--K", "2", "--reps", "5"]
+        assert_clean_failure(argv, capsys, "LINKED_SEED must be an integer, got 'abc'")
 
     def test_bad_k_list(self):
         code = run_cli(["simulate", "--spec", BIN_SPEC, "--K", "4,oops", "--reps", "10"])[0]

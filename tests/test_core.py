@@ -56,6 +56,12 @@ class TestValidateProblem:
         with pytest.raises(ValidationError, match=r"utility\[B\]\[c\]"):
             validate_problem(bad)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_utility_names_pair(self, value):
+        bad = dict(UNIFORM3, utility={**UNIFORM3["utility"], "B": {"a": 0, "b": 2, "c": value}})
+        with pytest.raises(ValidationError, match=r"^utility\[B\]\[c\]: not finite$"):
+            validate_problem(bad)
+
     def test_empty_types(self):
         bad = dict(UNIFORM3, types=[], prior=[])
         with pytest.raises(ValidationError, match="types"):

@@ -16,7 +16,6 @@ from linkmech import (
     apply_mechanism,
     canonical_minimal_message,
     compute_quota,
-    efficiency_gap,
     exhaustive_expected_lie_count,
     run_convergence,
     sample_type_vector,
@@ -178,10 +177,8 @@ class TestRunConvergence:
 class TestEfficiencyGap:
     def test_injective_outcome_gap_equals_max_slot_lie_prob(self, binary_problem):
         cfg = cfg_for(binary_problem, k_values=(2, 4), replications=300)
-        stats = run_convergence(cfg)
-        gaps = efficiency_gap(cfg)
-        for s in stats:
-            assert gaps[s.K] == s.max_slot_lie_prob == s.efficiency_gap
+        for s in run_convergence(cfg):
+            assert s.max_slot_lie_prob == s.efficiency_gap
 
     def test_constant_outcome_has_zero_gap(self, binary_problem):
         f = SocialChoiceFunction.point_mass({"A": "x", "B": "x"})

@@ -19,7 +19,6 @@ from linkmech import (
     is_approx_truthful,
     is_approx_truthful_star,
     is_permutation_truthful,
-    is_permutation_truthful_naive,
     lie_count,
     min_lie_count,
     minimal_lie_messages,
@@ -30,6 +29,7 @@ from linkmech import (
 from helpers import (
     brute_min_hamming,
     brute_minimal_set,
+    is_permutation_truthful_naive,
     random_quota,
     random_quota_message,
     random_vector,

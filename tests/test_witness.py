@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 from linkmech import (
     PreferenceVector,
     ValidationError,
-    balance_graph,
-    build_link_graph,
-    cycle_partition,
     is_permutation_truthful,
     lie_count,
     marginal,
     permutation_witness,
     tv_distance,
 )
-from helpers import random_vector
+from helpers import balance_graph, build_link_graph, cycle_partition, oracle_witness, random_vector
 
 ABC = ("A", "B", "C")
 
@@ -149,6 +146,30 @@ class TestPermutationWitness:
         w = permutation_witness(vec("ABC"), vec("BCA"))
         assert w.slots == (1, 2, 3)
         assert w.mapping() == {1: 2, 2: 3, 3: 1}
+
+    def test_rejects_report_with_unknown_type(self):
+        with pytest.raises(ValidationError, match=r"unknown types \['D'\]"):
+            permutation_witness(vec("ABC"), vec("ABD", ("A", "B", "D")))
+
+    def test_matches_frozen_oracle(self):
+        # independent, shuffled-truth and lightly edited reports, so long
+        # cycles, pure permutations and mostly truthful pairs all occur
+        rnd = random.Random(2205)
+        for i in range(12_000):
+            n = rnd.randint(1, 6)
+            K = rnd.randint(1, 40)
+            types = tuple(sorted({f"t{j}" for j in range(n)}))
+            u = random_vector(rnd, types, K)
+            if i % 3 == 0:
+                w = random_vector(rnd, types, K)
+            elif i % 3 == 1:
+                w = u.permuted(rnd.sample(range(K), K))
+            else:
+                entries = list(u.entries)
+                for k in rnd.sample(range(K), rnd.randint(0, K // 4)):
+                    entries[k] = rnd.choice(types)
+                w = PreferenceVector(tuple(entries), types)
+            assert permutation_witness(u, w) == oracle_witness(u, w)
 
     def test_soundness_on_random_pairs(self):
         rnd = random.Random(4321)
