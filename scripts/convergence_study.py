@@ -26,7 +26,6 @@ def main() -> int:
     ap.add_argument("--K", default="4,16,64,256")
     ap.add_argument("--reps", type=int, default=5000)
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", default="-")
     args = ap.parse_args()
 
@@ -42,7 +41,6 @@ def main() -> int:
             replications=args.reps,
             seed=args.seed,
             strategy=strategy,
-            workers=args.workers,
         )
         rows.extend(run_convergence(cfg))
         print(f"done: {strategy}", file=sys.stderr)

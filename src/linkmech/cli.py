@@ -5,8 +5,10 @@ Problem specs are JSON objects with ``decisions``, ``types``, ``prior``
 decision -> number).  Two specs ship with the package: ``counterexample.json``
 (three single-peaked types, uniform prior) and ``binary.json``.
 
-Exit codes: 0 success, 1 validation error, 2 regression/assertion failure,
-3 resource cap exceeded.
+Exit codes: 0 success, 1 validation error or unwritable output, 2
+regression/assertion failure, 3 resource cap exceeded.  A reader that closes
+stdout early (``linkmech simulate ... | head -1``) ends the run quietly with
+exit code 1, since the output it got is incomplete.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def _load_problem(path: str) -> Problem:
             raw = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read spec {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, oversized integer literals
         raise ValidationError(f"spec {path} is not valid JSON: {exc}") from exc
     return validate_problem(raw)
 
@@ -93,9 +95,13 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()  # a closed pipe must fail here, inside main
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {output}: {exc}") from exc
 
 
 def _emit_json(obj, output: Optional[str]) -> None:
@@ -234,7 +240,6 @@ def cmd_simulate(args) -> int:
         replications=args.reps,
         seed=seed,
         strategy=args.strategy,
-        workers=args.workers,
     )
     stats = run_convergence(cfg)
     if args.format == "json":
@@ -295,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, default=1000)
     p_sim.add_argument("--seed", type=int, default=None, help="defaults to $LINKED_SEED or 0")
     p_sim.add_argument("--strategy", choices=STRATEGY_NAMES[:3], default="canonical-min-lie")
-    p_sim.add_argument("--workers", type=int, default=1)
     p_sim.set_defaults(fn=cmd_simulate)
 
     return parser
@@ -315,6 +319,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CAP
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_VALIDATION
 
 

@@ -53,6 +53,8 @@ def as_fraction(value: Union[int, str, float, Fraction], field: str = "value") -
 
 
 def _check_labels(labels: Sequence[str], field: str) -> tuple[str, ...]:
+    if not isinstance(labels, (list, tuple)):
+        raise ValidationError(f"{field}: must be a list of labels")
     if not labels:
         raise ValidationError(f"{field}: must be nonempty")
     out = []

@@ -25,6 +25,7 @@ from .core import (
     ValidationError,
 )
 from .truthfulness import (
+    _check_shapes,
     compute_quota,
     is_approx_truthful,
     is_approx_truthful_star,
@@ -242,10 +243,7 @@ def best_response_transport(
     filling each true type's slots with its reported types in canonical
     order.
     """
-    if u.types != q.types:
-        raise ValidationError(f"type sets differ: {u.types} vs {q.types}")
-    if u.K != q.K:
-        raise ValidationError(f"vector length {u.K} != quota total {q.K}")
+    _check_shapes(u, q)
     types = q.types
     n = len(types)
     counts = u.counts()

@@ -3,15 +3,14 @@
 Each replication draws an i.i.d. type vector from the prior, applies a
 reporting strategy, and records which slots lie and which slots change the
 implemented decision.  Replications own independent RNG substreams derived
-from (seed, K, replication index), and aggregation folds results in
-replication order, so output is bit-identical for any worker count.
+from (seed, K, replication index), and each episode is audited and folded
+into the per-K totals on integer type counts, so memory stays O(K) in the
+number of replications and output is bit-identical across runs.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -27,7 +26,6 @@ from .core import (
     Quota,
     ValidationError,
     Weights,
-    marginal,
     tv_distance,
 )
 from .truthfulness import (
@@ -91,7 +89,6 @@ class SimConfig:
     strategy: str = "canonical-min-lie"
     scf: Optional[SocialChoiceFunction] = None
     custom_strategy: Optional[StrategyFn] = None
-    workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "k_values", tuple(self.k_values))
@@ -107,8 +104,6 @@ class SimConfig:
             )
         if self.strategy == "custom-permutation-truthful" and not callable(self.custom_strategy):
             raise ValidationError("custom-permutation-truthful requires a custom_strategy callable")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ValidationError("workers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -243,14 +238,27 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     # against the default argmax outcome function.
     enforce_star = exact_min or cfg.strategy == "custom-permutation-truthful" or cfg.scf is None
 
+    # Prior as integers P_t / D over its common denominator D, so that
+    # K * D * tv(marginal, prior) = sum_t max(c_t * D - K * P_t, 0) stays in
+    # Python ints (D may reach 2**62).
+    denom = math.lcm(*(Fraction(prior[t]).denominator for t in types))
+    prior_num = [int(Fraction(prior[t]) * denom) for t in types]
+
     out = []
     seed = cfg.seed & _SEED_MASK
     for K in cfg.k_values:
         quota = compute_quota(prior, K)
-        qdist = quota.distribution()
-        d_prior_quota = tv_distance(prior, qdist)
+        d_prior_quota = tv_distance(prior, quota.distribution())
+        quota_counts = np.array(quota.counts, dtype=np.int64)
+        prior_scaled = [K * p for p in prior_num]
 
-        def episode(rep: int, K=K, quota=quota, qdist=qdist):
+        slot_lies = np.zeros(K, dtype=np.int64)
+        slot_gaps = np.zeros(K, dtype=np.int64)
+        sum_lies = 0
+        sum_lies_sq = 0
+        sum_excess_q = 0  # sum over episodes of K * tv(marginal, quota)
+        sum_excess_p = 0  # sum over episodes of K * D * tv(marginal, prior)
+        for rep in range(cfg.replications):
             rng = np.random.default_rng(np.random.SeedSequence([seed, K, rep]))
             u = sample_type_vector(prior, K, rng)
             m = strategy(u, quota, rng)
@@ -258,34 +266,20 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
             me = np.fromiter((type_index[t] for t in m.entries), dtype=np.int64, count=K)
             lie_slots = ue != me
             lies = int(lie_slots.sum())
-            tvq = tv_distance(marginal(u), qdist)
-            tvp = tv_distance(marginal(u), prior)
-            if exact_min and lies != K * tvq:
+            counts = np.bincount(ue, minlength=n_types)
+            excess_q = int(np.maximum(counts - quota_counts, 0).sum())
+            if exact_min and lies != excess_q:
                 raise RuntimeError("internal: minimal-lie strategy missed the minimum")
-            if enforce_star and lies > (n_types - 1) * K * tvq:
+            if enforce_star and lies > (n_types - 1) * excess_q:
                 raise RuntimeError("internal: strategy exceeded the relaxed lie budget")
-            gap_slots = lotid[ue] != lotid[me]
-            return lies, lie_slots, gap_slots, tvq, tvp
-
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as ex:
-                results = list(ex.map(episode, range(cfg.replications)))
-        else:
-            results = [episode(rep) for rep in range(cfg.replications)]
-
-        slot_lies = np.zeros(K, dtype=np.int64)
-        slot_gaps = np.zeros(K, dtype=np.int64)
-        sum_lies = 0
-        sum_lies_sq = 0
-        sum_tvq = Fraction(0)
-        sum_tvp = Fraction(0)
-        for lies, lie_slots, gap_slots, tvq, tvp in results:
             slot_lies += lie_slots
-            slot_gaps += gap_slots
+            slot_gaps += lotid[ue] != lotid[me]
             sum_lies += lies
             sum_lies_sq += lies * lies
-            sum_tvq += tvq
-            sum_tvp += tvp
+            sum_excess_q += excess_q
+            sum_excess_p += sum(
+                max(c * denom - p, 0) for c, p in zip(counts.tolist(), prior_scaled)
+            )
 
         reps = cfg.replications
         assert sum_lies <= K * int(slot_lies.max())  # mean over slots <= max slot
@@ -295,7 +289,8 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
             se = math.sqrt(max(var_lies, 0.0) / reps) / K
         else:
             se = None
-        mean_tvq = sum_tvq / reps
+        mean_tvq = Fraction(sum_excess_q, reps * K)
+        mean_tvp = Fraction(sum_excess_p, reps * K * denom)
         if exact_min or cfg.strategy == "custom-permutation-truthful":
             slack = 3 * se if se is not None else 0.0
             if lie_fraction > (n_types - 1) * float(mean_tvq) + slack:
@@ -310,9 +305,9 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
                 lie_fraction_se=se,
                 max_slot_lie_prob=int(slot_lies.max()) / reps,
                 mean_tv_to_quota=float(mean_tvq),
-                mean_tv_to_prior=float(sum_tvp / reps),
+                mean_tv_to_prior=float(mean_tvp),
                 quota_tv_to_prior=float(d_prior_quota),
-                star_bound=float((n_types - 1) * (sum_tvp / reps + d_prior_quota)),
+                star_bound=float((n_types - 1) * (mean_tvp + d_prior_quota)),
                 efficiency_gap=int(slot_gaps.max()) / reps,
             )
         )

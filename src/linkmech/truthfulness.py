@@ -60,21 +60,24 @@ def lie_count(u: PreferenceVector, m: Union[Message, PreferenceVector]) -> int:
     return sum(a != b for a, b in zip(u.entries, me))
 
 
-def min_lie_count(u: PreferenceVector, q: Quota) -> int:
-    """Minimum number of lies over all quota-feasible messages.
-
-    Equals K * tv_distance(marginal(u), quota distribution): with 0/1 slot
-    costs, the cheapest way to meet the quota keeps min(count, budget)
-    truthful slots per type and rewrites the rest.
-    """
+def _check_shapes(u: PreferenceVector, q: Quota) -> None:
     if u.types != q.types:
         raise ValidationError(f"type sets differ: {u.types} vs {q.types}")
     if u.K != q.K:
         raise ValidationError(f"vector length {u.K} != quota total {q.K}")
-    d = tv_distance(marginal(u), q)
-    lies = u.K * d
-    assert lies.denominator == 1
-    return int(lies)
+
+
+def min_lie_count(u: PreferenceVector, q: Quota) -> int:
+    """Minimum number of lies over all quota-feasible messages.
+
+    Equals K * tv_distance(marginal(u), quota distribution), the sum over
+    types of (count - budget)_+: with 0/1 slot costs, the cheapest way to
+    meet the quota keeps min(count, budget) truthful slots per type and
+    rewrites the rest.
+    """
+    _check_shapes(u, q)
+    counts = u.counts()
+    return sum(max(counts[t] - b, 0) for t, b in zip(q.types, q.counts))
 
 
 def star_lie_bound(u: PreferenceVector, q: Quota) -> int:
@@ -171,34 +174,27 @@ def minimal_lie_messages(u: PreferenceVector, q: Quota, cap: int = 10**6) -> set
 def canonical_minimal_message(u: PreferenceVector, q: Quota) -> Message:
     """First minimal-lie message in canonical (lexicographic) order.
 
-    Greedy over slots: pick the smallest label that still allows the suffix
-    to finish at the global minimum lie count.  No enumeration involved.
+    Only slots of over-supplied types lie, and each lie reports the smallest
+    deficit type still owed.  Scanning left to right, a slot of an
+    over-supplied type with lies left lies when that label sorts before its
+    truth, or when its type has no truthful slots left; every other slot
+    keeps its truth.  Linear in K; no enumeration involved.
     """
-    target = min_lie_count(u, q)
-    remaining_truth = Counter(u.entries)
-    remaining_quota = dict(zip(q.types, q.counts))
-    types = q.types
-    lies = 0
+    _check_shapes(u, q)
+    counts = u.counts()
+    keep = {t: min(counts[t], b) for t, b in zip(q.types, q.counts)}
+    lies = {t: counts[t] - keep[t] for t in q.types}
+    owed = [t for t, b in zip(q.types, q.counts) for _ in range(b - counts[t])]
+    j = 0
     out: list[str] = []
-    for tru in u.entries:
-        remaining_truth[tru] -= 1
-        for r in types:
-            if remaining_quota[r] == 0:
-                continue
-            remaining_quota[r] -= 1
-            new_lies = lies + (r != tru)
-            suffix_min = sum(
-                c - remaining_quota[t]
-                for t, c in remaining_truth.items()
-                if c > remaining_quota[t]
-            )
-            if new_lies + suffix_min == target:
-                out.append(r)
-                lies = new_lies
-                break
-            remaining_quota[r] += 1
-        else:  # pragma: no cover - minimum is always attainable
-            raise RuntimeError("internal: no feasible label for slot")
+    for t in u.entries:
+        if lies[t] and (not keep[t] or owed[j] < t):
+            lies[t] -= 1
+            out.append(owed[j])
+            j += 1
+        else:
+            keep[t] -= 1
+            out.append(t)
     return Message(PreferenceVector(tuple(out), u.types), q)
 
 
@@ -210,7 +206,7 @@ def sample_minimal_message(u: PreferenceVector, q: Quota, rng) -> Message:
     slots.  ``rng`` is a ``numpy.random.Generator``; a fixed generator state
     yields a fixed message.
     """
-    min_lie_count(u, q)  # validates shapes
+    _check_shapes(u, q)
     counts = u.counts()
     entries = list(u.entries)
     free: list[int] = []

@@ -5,7 +5,9 @@ check: minimal Hamming distance by full enumeration, subset scans, and
 hand-rolled random instances driven by ``random.Random`` seeds.  The
 link-graph pipeline below is a frozen copy of the object-based witness
 construction that ``permutation_witness`` replaced with a flat pass; the
-two must return identical witnesses.
+two must return identical witnesses.  Likewise the lookahead greedy at the
+end is a frozen copy of the slot-by-slot search that
+``canonical_minimal_message`` replaced with a closed rule.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import io
 import json
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 from typing import Union
@@ -27,6 +29,7 @@ from linkmech import (
     enumerate_messages,
     lie_count,
     marginal,
+    min_lie_count,
     tv_distance,
 )
 from linkmech.cli import main
@@ -282,3 +285,40 @@ def oracle_witness(u: PreferenceVector, reported: VectorLike) -> PermutationWitn
     if len(slots) < floor:
         raise RuntimeError("internal: witness covers fewer slots than guaranteed")
     return witness
+
+
+# --- frozen lookahead canonical pick ---
+
+
+def oracle_canonical_minimal_message(u: PreferenceVector, q: Quota) -> Message:
+    """First minimal-lie message in canonical (lexicographic) order.
+
+    Greedy over slots: pick the smallest label that still allows the suffix
+    to finish at the global minimum lie count.  No enumeration involved.
+    """
+    target = min_lie_count(u, q)
+    remaining_truth = Counter(u.entries)
+    remaining_quota = dict(zip(q.types, q.counts))
+    types = q.types
+    lies = 0
+    out: list[str] = []
+    for tru in u.entries:
+        remaining_truth[tru] -= 1
+        for r in types:
+            if remaining_quota[r] == 0:
+                continue
+            remaining_quota[r] -= 1
+            new_lies = lies + (r != tru)
+            suffix_min = sum(
+                c - remaining_quota[t]
+                for t, c in remaining_truth.items()
+                if c > remaining_quota[t]
+            )
+            if new_lies + suffix_min == target:
+                out.append(r)
+                lies = new_lies
+                break
+            remaining_quota[r] += 1
+        else:  # pragma: no cover - minimum is always attainable
+            raise RuntimeError("internal: no feasible label for slot")
+    return Message(PreferenceVector(tuple(out), u.types), q)

@@ -1,7 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import linkmech
 
 from linkmech import (
     Message,
@@ -49,6 +55,37 @@ class TestQuotaCommand:
     def test_missing_spec_file(self, capsys):
         code = run_cli(["quota", "--spec", "/no/such/file.json", "--K", "3"])[0]
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "content", [b'{"decisions": ["\xe9"]}', b'{"decisions": [' + b"1" * 5000 + b"]}"]
+    )
+    def test_undecodable_spec_file(self, tmp_path, capsys, content):
+        # latin-1 bytes, and an integer literal past Python's digit limit
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(content)
+        capsys.readouterr()
+        assert run_cli(["quota", "--spec", str(spec), "--K", "3"])[0] == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: spec {spec} is not valid JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "field, value", [("types", 5), ("decisions", "ab"), ("types", {"A": 1, "B": 2})]
+    )
+    def test_label_lists_must_be_lists(self, tmp_path, capsys, field, value):
+        with open(BIN_SPEC, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw[field] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(raw), encoding="utf-8")
+        argv = ["quota", "--spec", str(spec), "--K", "3"]
+        assert_clean_failure(argv, capsys, f"{field}: must be a list of labels")
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        capsys.readouterr()
+        assert run_cli(["quota", "--spec", CE_SPEC, "--K", "3", "--output", str(target)])[0] == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
 class TestAuditCommand:
@@ -231,11 +268,6 @@ class TestSimulateCommand:
         )
         assert len(out1.splitlines()) == 4
 
-    def test_worker_count_invisible_in_output(self):
-        _, lone = run_cli(self.ARGS + ["--workers", "1"])
-        _, pooled = run_cli(self.ARGS + ["--workers", "4"])
-        assert lone.encode() == pooled.encode()
-
     def test_json_format(self):
         code, out = run_cli_json(self.ARGS + ["--format", "json"])
         assert code == 0
@@ -266,6 +298,22 @@ class TestSimulateCommand:
         code, out = run_cli(self.ARGS + ["--output", str(target)])
         assert code == 0 and out == ""
         assert target.read_text().startswith("K,strategy")
+
+    def test_closed_stdout_exits_quietly(self):
+        # about 250 KB of JSON, well past a pipe buffer, so writing must hit
+        # the closed pipe after the reader leaves
+        k_values = ",".join(str(k) for k in range(1, 601))
+        env = dict(os.environ)
+        src = str(Path(linkmech.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "linkmech", "simulate", "--spec", BIN_SPEC,
+                "--K", k_values, "--reps", "1", "--format", "json"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
 
 
 class TestParser:

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from linkmech import (
     canonical_minimal_message,
     compute_quota,
     exhaustive_expected_lie_count,
+    marginal,
     run_convergence,
     sample_type_vector,
     stats_to_csv,
@@ -104,14 +107,41 @@ class TestRunConvergence:
         stats = run_convergence(cfg_for(p, k_values=(3, 5), replications=100))
         assert all(s.lie_fraction == 0 and s.max_slot_lie_prob == 0 for s in stats)
 
-    def test_worker_count_does_not_change_output(self, binary_problem):
-        lone = run_convergence(cfg_for(binary_problem, workers=1))
-        pooled = run_convergence(cfg_for(binary_problem, workers=3))
-        assert lone == pooled
-        assert stats_to_csv(lone).encode() == stats_to_csv(pooled).encode()
-
     def test_repeat_run_identical(self, binary_problem):
         assert run_convergence(cfg_for(binary_problem)) == run_convergence(cfg_for(binary_problem))
+
+    def test_tv_statistics_match_per_episode_fractions(self, counterexample_problem):
+        # the same truths, re-drawn from each replication's stream, measured
+        # with exact Fraction distances
+        prior = {"A": Fraction(1, 6), "B": Fraction(1, 3), "C": Fraction(1, 2)}
+        p = dataclasses.replace(counterexample_problem, prior=prior)
+        cfg = cfg_for(p, k_values=(5, 12), replications=60, strategy="uniform-min-lie")
+        for s in run_convergence(cfg):
+            quota = compute_quota(p, s.K)
+            tvq = tvp = Fraction(0)
+            for rep in range(cfg.replications):
+                rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, s.K, rep]))
+                u = sample_type_vector(p, s.K, rng)
+                tvq += tv_distance(marginal(u), quota)
+                tvp += tv_distance(marginal(u), prior)
+            mean_tvp = tvp / cfg.replications
+            assert s.mean_tv_to_quota == float(tvq / cfg.replications)
+            assert s.mean_tv_to_prior == float(mean_tvp)
+            assert s.star_bound == float(2 * (mean_tvp + tv_distance(prior, quota)))
+
+    def test_peak_memory_flat_in_reps(self, binary_problem):
+        # episodes fold into O(K) totals; keeping each replication's slot
+        # arrays would cost about 2.6 KB per replication at K=1024
+        def peak(reps):
+            cfg = cfg_for(binary_problem, k_values=(1024,), replications=reps, strategy="uniform-min-lie")
+            tracemalloc.start()
+            try:
+                run_convergence(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2000) < peak(200) + 512 * 1024
 
     def test_uniform_strategy_matches_exhaustive_oracle(self, counterexample_problem):
         cfg = cfg_for(

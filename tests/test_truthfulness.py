@@ -30,6 +30,7 @@ from helpers import (
     brute_min_hamming,
     brute_minimal_set,
     is_permutation_truthful_naive,
+    oracle_canonical_minimal_message,
     random_quota,
     random_quota_message,
     random_vector,
@@ -165,10 +166,26 @@ class TestCanonicalAndSampler:
             assert canonical_minimal_message(u, q).entries == expected.entries
 
     def test_canonical_prefers_small_labels_over_keeping(self):
-        # replacing the first B with A is lexicographically better than (B, A)
+        # replacing the first B with A is lexicographically better than (B, A);
+        # for truth (A, A) the first slot keeps A and the last slot lies
         q = Quota(("A", "B"), (1, 1))
-        u = PreferenceVector(("B", "B"), ("A", "B"))
-        assert canonical_minimal_message(u, q).entries == ("A", "B")
+        for truth in (("B", "B"), ("A", "A")):
+            u = PreferenceVector(truth, ("A", "B"))
+            assert canonical_minimal_message(u, q).entries == ("A", "B")
+            assert oracle_canonical_minimal_message(u, q).entries == ("A", "B")
+
+    def test_canonical_matches_frozen_oracle(self):
+        # quotas are drawn independently of the truth, and every other truth
+        # uses only a random subset of the types, so absent types are common
+        rnd = random.Random(3352)
+        for i in range(12_000):
+            n = rnd.randint(1, 6)
+            K = rnd.randint(1, 40)
+            types = tuple(f"t{j}" for j in range(n))
+            drawn = types if i % 2 else tuple(rnd.sample(types, rnd.randint(1, n)))
+            u = PreferenceVector(tuple(rnd.choice(drawn) for _ in range(K)), types)
+            q = random_quota(rnd, types, K)
+            assert canonical_minimal_message(u, q) == oracle_canonical_minimal_message(u, q)
 
     def test_sampler_uniform_over_pair(self):
         q = Quota(ABC, (1, 1, 1))
