@@ -167,16 +167,20 @@ class TransportResult:
 
 
 class _MinCostFlow:
-    """Successive shortest paths with lexicographic (cost, lies) edge weights."""
+    """Successive shortest paths on integer weights with the lie bit folded in.
+
+    Exact weights leave no negative cycle in the residual graph; the path
+    walk in ``run`` is bounded anyway, so a broken invariant fails loudly.
+    """
 
     def __init__(self, n_nodes: int):
         self.n = n_nodes
         self.head: list[list[int]] = [[] for _ in range(n_nodes)]
         self.to: list[int] = []
         self.cap: list[int] = []
-        self.cost: list[tuple] = []
+        self.cost: list[int] = []
 
-    def add_edge(self, a: int, b: int, cap: int, cost: tuple) -> None:
+    def add_edge(self, a: int, b: int, cap: int, cost: int) -> None:
         self.head[a].append(len(self.to))
         self.to.append(b)
         self.cap.append(cap)
@@ -184,22 +188,24 @@ class _MinCostFlow:
         self.head[b].append(len(self.to))
         self.to.append(a)
         self.cap.append(0)
-        self.cost.append(tuple(-c for c in cost))
+        self.cost.append(-cost)
 
     def _shortest_path(self, s: int, t: int):
-        dist: list[Optional[tuple]] = [None] * self.n
+        head, to, cap, cost = self.head, self.to, self.cap, self.cost
+        dist: list[Optional[int]] = [None] * self.n
         prev_edge = [-1] * self.n
-        dist[s] = (0, 0)
+        dist[s] = 0
         for _ in range(self.n - 1):
             changed = False
             for v in range(self.n):
-                if dist[v] is None:
+                dv = dist[v]
+                if dv is None:
                     continue
-                for eid in self.head[v]:
-                    if self.cap[eid] == 0:
+                for eid in head[v]:
+                    if cap[eid] == 0:
                         continue
-                    w = self.to[eid]
-                    cand = (dist[v][0] + self.cost[eid][0], dist[v][1] + self.cost[eid][1])
+                    w = to[eid]
+                    cand = dv + cost[eid]
                     if dist[w] is None or cand < dist[w]:
                         dist[w] = cand
                         prev_edge[w] = eid
@@ -214,18 +220,18 @@ class _MinCostFlow:
             d, prev_edge = self._shortest_path(s, t)
             if d is None:  # pragma: no cover - supplies always match demands here
                 raise RuntimeError("internal: transportation network infeasible")
-            bottleneck = amount - sent
+            path: list[int] = []
             v = t
             while v != s:
+                if len(path) == self.n:
+                    raise RuntimeError("internal: shortest-path tree has a cycle")
                 eid = prev_edge[v]
-                bottleneck = min(bottleneck, self.cap[eid])
+                path.append(eid)
                 v = self.to[eid ^ 1]
-            v = t
-            while v != s:
-                eid = prev_edge[v]
+            bottleneck = min(amount - sent, *(self.cap[eid] for eid in path))
+            for eid in path:
                 self.cap[eid] -= bottleneck
                 self.cap[eid ^ 1] += bottleneck
-                v = self.to[eid ^ 1]
             sent += bottleneck
 
 
@@ -236,9 +242,14 @@ def best_response_transport(
 
     The payoff of a message depends only on how many slots of each true type
     report each type, so the argmax reduces to a transportation problem with
-    row sums equal to slot counts and column sums equal to the quota.  Costs
-    are negated utilities shifted to be nonnegative, with the lie indicator
-    as an exact secondary objective: among payoff-optimal plans the solver
+    row sums equal to slot counts and column sums equal to the quota.  Each
+    (true, reported) payoff is summed exactly over the lottery, floats read
+    as their exact binary value, and ``top - value`` is scaled to integers
+    over the common denominator.  The lie indicator is folded in below one
+    payoff unit as ``cost * M + lie``.  ``M`` exceeds K (the most lies a plan
+    holds) and 4n + 2 (the widest gap between the lie sums of two paths of
+    at most 2n + 1 edges), so int comparisons order paths and plans exactly
+    as ``(cost, lies)`` pairs would: among payoff-optimal plans the solver
     returns one with the fewest lies.  The plan is realized slot by slot,
     filling each true type's slots with its reported types in canonical
     order.
@@ -250,22 +261,31 @@ def best_response_transport(
     supply = [counts.get(t, 0) for t in types]
     demand = list(q.counts)
 
-    value = [[f.expected_utility(r, t, p) for r in types] for t in types]
-    top = max(max(row) for row in value)
+    exact = [
+        [
+            sum(Fraction(w) * Fraction(p.utility[t][d]) for d, w in f.lottery(r).items())
+            for r in types
+        ]
+        for t in types
+    ]
+    denom = math.lcm(*(v.denominator for row in exact for v in row))
+    scaled = [[v.numerator * (denom // v.denominator) for v in row] for row in exact]
+    top = max(max(row) for row in scaled)
+    lie_scale = q.K + 4 * n + 3
     source, sink = 2 * n, 2 * n + 1
     net = _MinCostFlow(2 * n + 2)
     pair_eid: dict[tuple[int, int], int] = {}
     for i in range(n):
-        net.add_edge(source, i, supply[i], (0, 0))
+        net.add_edge(source, i, supply[i], 0)
     for j in range(n):
-        net.add_edge(n + j, sink, demand[j], (0, 0))
+        net.add_edge(n + j, sink, demand[j], 0)
     for i in range(n):
         for j in range(n):
             c = min(supply[i], demand[j])
             if c == 0:
                 continue
             pair_eid[(i, j)] = len(net.to)
-            net.add_edge(i, n + j, c, (top - value[i][j], int(i != j)))
+            net.add_edge(i, n + j, c, (top - scaled[i][j]) * lie_scale + (i != j))
     net.run(source, sink, q.K)
 
     flows = [[0] * n for _ in range(n)]
@@ -284,7 +304,10 @@ def best_response_transport(
             entries[slot] = r
     message = Message(PreferenceVector(tuple(entries), u.types), q)
     total = sum(
-        flows[i][j] * value[i][j] for i in range(n) for j in range(n) if flows[i][j]
+        flows[i][j] * f.expected_utility(types[j], types[i], p)
+        for i in range(n)
+        for j in range(n)
+        if flows[i][j]
     )
     return TransportResult(plan=plan, message=message, payoff=total)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -46,12 +47,30 @@ STRATEGY_NAMES = (
 
 _SEED_MASK = (1 << 64) - 1
 
+# Largest K a simulation accepts: each episode holds O(K) arrays and lists.
+MAX_K = 10**7
+
 StrategyFn = Callable[[PreferenceVector, Quota, np.random.Generator], Message]
 
 
 def apply_mechanism(m: Message, f: SocialChoiceFunction) -> tuple[Mapping[str, Fraction], ...]:
     """Per-slot outcome lotteries: component k is f applied to report k."""
     return tuple(f.lottery(r) for r in m.entries)
+
+
+@lru_cache(maxsize=64)
+def _sampling_table(prior_items: tuple) -> tuple[tuple[str, ...], np.ndarray, int]:
+    """Sorted labels, cumulative integer thresholds and common denominator."""
+    types = tuple(t for t, _ in prior_items)
+    weights = [Fraction(w) for _, w in prior_items]
+    if sum(weights) != 1 or any(w < 0 for w in weights):
+        raise ValidationError("prior must be a distribution")
+    denom = math.lcm(*(w.denominator for w in weights))
+    if denom > 1 << 62:
+        raise ValidationError("prior denominator too large for exact integer sampling")
+    cum = np.cumsum([int(w * denom) for w in weights])
+    cum.flags.writeable = False  # shared by every caller of the cache
+    return types, cum, denom
 
 
 def sample_type_vector(prior: Union[Problem, Weights], K: int, rng: np.random.Generator) -> PreferenceVector:
@@ -65,17 +84,10 @@ def sample_type_vector(prior: Union[Problem, Weights], K: int, rng: np.random.Ge
         prior = prior.prior
     if K < 1:
         raise ValidationError("K must be at least 1")
-    types = sorted(prior)
-    weights = [Fraction(prior[t]) for t in types]
-    if sum(weights) != 1 or any(w < 0 for w in weights):
-        raise ValidationError("prior must be a distribution")
-    denom = math.lcm(*(w.denominator for w in weights))
-    if denom > 1 << 62:
-        raise ValidationError("prior denominator too large for exact integer sampling")
-    cum = np.cumsum([int(w * denom) for w in weights])
+    types, cum, denom = _sampling_table(tuple(sorted(prior.items())))
     draws = rng.integers(0, denom, size=K)
     idx = np.searchsorted(cum, draws, side="right")
-    return PreferenceVector(tuple(types[int(i)] for i in idx), tuple(types))
+    return PreferenceVector(tuple(types[i] for i in idx.tolist()), types)
 
 
 @dataclass(frozen=True)
@@ -96,6 +108,8 @@ class SimConfig:
             raise ValidationError("k_values must be positive integers")
         if any(a >= b for a, b in zip(self.k_values, self.k_values[1:])):
             raise ValidationError("k_values must be strictly increasing")
+        if self.k_values[-1] > MAX_K:
+            raise EnumerationCapError(f"K={self.k_values[-1]} exceeds the simulation cap {MAX_K}")
         if not isinstance(self.replications, int) or self.replications < 1:
             raise ValidationError("replications must be at least 1")
         if self.strategy not in STRATEGY_NAMES:

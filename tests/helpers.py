@@ -5,9 +5,12 @@ check: minimal Hamming distance by full enumeration, subset scans, and
 hand-rolled random instances driven by ``random.Random`` seeds.  The
 link-graph pipeline below is a frozen copy of the object-based witness
 construction that ``permutation_witness`` replaced with a flat pass; the
-two must return identical witnesses.  Likewise the lookahead greedy at the
-end is a frozen copy of the slot-by-slot search that
-``canonical_minimal_message`` replaced with a closed rule.
+two must return identical witnesses.  Likewise the lookahead greedy is a
+frozen copy of the slot-by-slot search that ``canonical_minimal_message``
+replaced with a closed rule, and the transport solver at the end is a
+frozen copy of the successive-shortest-paths solve on ``(cost, lies)``
+tuple weights that ``best_response_transport`` replaced with exact integer
+weights; wherever the tuple sums are exact the two return identical plans.
 """
 
 from __future__ import annotations
@@ -18,13 +21,17 @@ import random
 from collections import Counter, defaultdict
 from contextlib import redirect_stdout
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from linkmech import (
     Message,
     PermutationWitness,
     PreferenceVector,
+    Problem,
     Quota,
+    SocialChoiceFunction,
+    TransportPlan,
+    TransportResult,
     ValidationError,
     enumerate_messages,
     lie_count,
@@ -33,6 +40,7 @@ from linkmech import (
     tv_distance,
 )
 from linkmech.cli import main
+from linkmech.truthfulness import _check_shapes
 
 LABELS = ("A", "B", "C", "D", "E", "F")
 
@@ -322,3 +330,129 @@ def oracle_canonical_minimal_message(u: PreferenceVector, q: Quota) -> Message:
         else:  # pragma: no cover - minimum is always attainable
             raise RuntimeError("internal: no feasible label for slot")
     return Message(PreferenceVector(tuple(out), u.types), q)
+
+
+# --- frozen lexicographic transport solver ---
+
+
+class _MinCostFlow:
+    """Successive shortest paths with lexicographic (cost, lies) edge weights."""
+
+    def __init__(self, n_nodes: int):
+        self.n = n_nodes
+        self.head: list[list[int]] = [[] for _ in range(n_nodes)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+        self.cost: list[tuple] = []
+
+    def add_edge(self, a: int, b: int, cap: int, cost: tuple) -> None:
+        self.head[a].append(len(self.to))
+        self.to.append(b)
+        self.cap.append(cap)
+        self.cost.append(cost)
+        self.head[b].append(len(self.to))
+        self.to.append(a)
+        self.cap.append(0)
+        self.cost.append(tuple(-c for c in cost))
+
+    def _shortest_path(self, s: int, t: int):
+        dist: list[Optional[tuple]] = [None] * self.n
+        prev_edge = [-1] * self.n
+        dist[s] = (0, 0)
+        for _ in range(self.n - 1):
+            changed = False
+            for v in range(self.n):
+                if dist[v] is None:
+                    continue
+                for eid in self.head[v]:
+                    if self.cap[eid] == 0:
+                        continue
+                    w = self.to[eid]
+                    cand = (dist[v][0] + self.cost[eid][0], dist[v][1] + self.cost[eid][1])
+                    if dist[w] is None or cand < dist[w]:
+                        dist[w] = cand
+                        prev_edge[w] = eid
+                        changed = True
+            if not changed:
+                break
+        return dist[t], prev_edge
+
+    def run(self, s: int, t: int, amount: int) -> None:
+        sent = 0
+        while sent < amount:
+            d, prev_edge = self._shortest_path(s, t)
+            if d is None:  # pragma: no cover - supplies always match demands here
+                raise RuntimeError("internal: transportation network infeasible")
+            bottleneck = amount - sent
+            v = t
+            while v != s:
+                eid = prev_edge[v]
+                bottleneck = min(bottleneck, self.cap[eid])
+                v = self.to[eid ^ 1]
+            v = t
+            while v != s:
+                eid = prev_edge[v]
+                self.cap[eid] -= bottleneck
+                self.cap[eid ^ 1] += bottleneck
+                v = self.to[eid ^ 1]
+            sent += bottleneck
+
+
+def oracle_best_response_transport(
+    u: PreferenceVector, f: SocialChoiceFunction, p: Problem, q: Quota
+) -> TransportResult:
+    """Payoff-maximizing message via an integral transportation solve.
+
+    The payoff of a message depends only on how many slots of each true type
+    report each type, so the argmax reduces to a transportation problem with
+    row sums equal to slot counts and column sums equal to the quota.  Costs
+    are negated utilities shifted to be nonnegative, with the lie indicator
+    as an exact secondary objective: among payoff-optimal plans the solver
+    returns one with the fewest lies.  The plan is realized slot by slot,
+    filling each true type's slots with its reported types in canonical
+    order.
+    """
+    _check_shapes(u, q)
+    types = q.types
+    n = len(types)
+    counts = u.counts()
+    supply = [counts.get(t, 0) for t in types]
+    demand = list(q.counts)
+
+    value = [[f.expected_utility(r, t, p) for r in types] for t in types]
+    top = max(max(row) for row in value)
+    source, sink = 2 * n, 2 * n + 1
+    net = _MinCostFlow(2 * n + 2)
+    pair_eid: dict[tuple[int, int], int] = {}
+    for i in range(n):
+        net.add_edge(source, i, supply[i], (0, 0))
+    for j in range(n):
+        net.add_edge(n + j, sink, demand[j], (0, 0))
+    for i in range(n):
+        for j in range(n):
+            c = min(supply[i], demand[j])
+            if c == 0:
+                continue
+            pair_eid[(i, j)] = len(net.to)
+            net.add_edge(i, n + j, c, (top - value[i][j], int(i != j)))
+    net.run(source, sink, q.K)
+
+    flows = [[0] * n for _ in range(n)]
+    for (i, j), eid in pair_eid.items():
+        flows[i][j] = net.cap[eid ^ 1]  # reverse capacity == shipped units
+    plan = TransportPlan(types, tuple(tuple(row) for row in flows))
+    plan.verify(u, q)
+
+    slots_by_type: dict[str, list[int]] = {t: [] for t in types}
+    for k, t in enumerate(u.entries):
+        slots_by_type[t].append(k)
+    entries = [""] * u.K
+    for i, t in enumerate(types):
+        reports = [r for j, r in enumerate(types) for _ in range(flows[i][j])]
+        for slot, r in zip(slots_by_type[t], reports):
+            entries[slot] = r
+    message = Message(PreferenceVector(tuple(entries), u.types), q)
+    total = sum(
+        flows[i][j] * value[i][j] for i in range(n) for j in range(n) if flows[i][j]
+    )
+    return TransportResult(plan=plan, message=message, payoff=total)

@@ -289,6 +289,13 @@ class TestSimulateCommand:
         argv = ["simulate", "--spec", BIN_SPEC, "--K", "2", "--reps", "5"]
         assert_clean_failure(argv, capsys, "LINKED_SEED must be an integer, got 'abc'")
 
+    def test_k_above_cap_exits_3(self, capsys):
+        capsys.readouterr()
+        code = run_cli(["simulate", "--spec", BIN_SPEC, "--K", "1000000000000000", "--reps", "2"])[0]
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_k_list(self):
         code = run_cli(["simulate", "--spec", BIN_SPEC, "--K", "4,oops", "--reps", "10"])[0]
         assert code == 1

@@ -1,6 +1,12 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -24,14 +30,55 @@ from linkmech import (
     validate_problem,
     verify_counterexample,
 )
-from helpers import random_quota, random_vector
+from linkmech.optimize import _MinCostFlow
+from helpers import oracle_best_response_transport, random_quota, random_vector
 
 ABC = ("A", "B", "C")
 Q3 = Quota(ABC, (1, 1, 1))
+CYCLE_SPEC = Path(__file__).parent / "data" / "transport_cycle.json"
 
 
 def vec(entries, types=ABC):
     return PreferenceVector(tuple(entries), types)
+
+
+def exact_values(f, p, types):
+    """value[i][j]: exact payoff to true type i reporting j, floats read exactly."""
+    return [
+        [sum(Fraction(w) * Fraction(p.utility[t][d]) for d, w in f.lottery(r).items()) for r in types]
+        for t in types
+    ]
+
+
+def best_plan_value(supply, demand, value):
+    """Exact maximum of sum(flow * value) over all integer plans with these margins.
+
+    Every quota-feasible message has the payoff of its (true, reported) count
+    plan, so this bounds the exact payoff of every message.  Row-by-row
+    dynamic program over the remaining column capacity.
+    """
+    n = len(supply)
+
+    def rows(total, left):
+        if len(left) == 1:
+            if total <= left[0]:
+                yield (total,)
+            return
+        for x in range(min(total, left[0]) + 1):
+            for rest in rows(total - x, left[1:]):
+                yield (x, *rest)
+
+    @lru_cache(maxsize=None)
+    def best(i, left):
+        if i == n:
+            return 0
+        return max(
+            sum(x * v for x, v in zip(row, value[i]) if x)
+            + best(i + 1, tuple(c - x for c, x in zip(left, row)))
+            for row in rows(supply[i], left)
+        )
+
+    return best(0, tuple(demand))
 
 
 def make_problem(utility, types=ABC, decisions=("a", "b", "c")):
@@ -232,6 +279,116 @@ class TestBestResponse:
             fewest = min(lie_count(u, m) for m in best)
             got = best_response_transport(u, f, p, q)
             assert lie_count(u, got.message) == fewest
+
+
+def random_oracle_case(rnd):
+    """An instance on which the tuple-weight solver's sums are exact."""
+    kind = rnd.choice(("int", "fraction", "dyadic"))
+    n = rnd.randint(1, 5)
+    K = rnd.randint(1, 30)
+    types = tuple(f"t{i}" for i in range(n))
+    decisions = tuple(f"d{i}" for i in range(rnd.randint(1, 4)))
+    if kind == "int":
+        draw = lambda: rnd.randint(-5, 9)
+    elif kind == "fraction":
+        draw = lambda: Fraction(rnd.randint(-20, 20), rnd.randint(1, 12))
+    else:
+        draw = lambda: rnd.randint(-64, 64) / 2 ** rnd.randint(0, 4)
+    utility = {t: {d: draw() for d in decisions} for t in types}
+    p = Problem(decisions, types, utility, {t: Fraction(1, n) for t in types})
+    if kind == "dyadic" or rnd.random() < 0.5:
+        f = SocialChoiceFunction.utility_argmax(p)
+    else:
+        lotteries = {}
+        for t in types:
+            raw = [rnd.randint(0, 3) for _ in decisions]
+            if not any(raw):
+                raw[rnd.randrange(len(raw))] = 1
+            lotteries[t] = {d: Fraction(w, sum(raw)) for d, w in zip(decisions, raw) if w}
+        f = SocialChoiceFunction(lotteries)
+    return p, f, random_vector(rnd, types, K), random_quota(rnd, types, K)
+
+
+class TestIntegerTransport:
+    def test_matches_frozen_oracle(self):
+        rnd = random.Random(44)
+        for _ in range(10_000):
+            p, f, u, q = random_oracle_case(rnd)
+            got = best_response_transport(u, f, p, q)
+            want = oracle_best_response_transport(u, f, p, q)
+            assert got.plan.flows == want.plan.flows
+            assert got.message.entries == want.message.entries
+            assert got.payoff == want.payoff
+
+    def test_rounded_float_utilities_reach_exact_optimum(self):
+        rnd = random.Random(6151)
+        for _ in range(5_000):
+            n = rnd.randint(2, 4)
+            K = rnd.randint(1, 12)
+            types = tuple(f"t{i}" for i in range(n))
+            decisions = tuple(f"d{i}" for i in range(n))
+            digits = rnd.randint(1, 3)
+            utility = {t: {d: round(rnd.uniform(0, 2), digits) for d in decisions} for t in types}
+            p = Problem(decisions, types, utility, {t: Fraction(1, n) for t in types})
+            f = SocialChoiceFunction.utility_argmax(p)
+            u = random_vector(rnd, types, K)
+            q = random_quota(rnd, types, K)
+            result = best_response_transport(u, f, p, q)
+            value = exact_values(f, p, types)
+            got = sum(x * v for row, vrow in zip(result.plan.flows, value) for x, v in zip(row, vrow))
+            counts = u.counts()
+            best = best_plan_value([counts.get(t, 0) for t in types], list(q.counts), value)
+            assert got == best  # >= every message's exact payoff, and attained
+
+    def test_plan_dynamic_program_matches_message_enumeration(self):
+        rnd = random.Random(97)
+        for _ in range(300):
+            n = rnd.randint(1, 4)
+            K = rnd.randint(1, 6)
+            types = tuple(f"t{i}" for i in range(n))
+            decisions = tuple(f"d{i}" for i in range(n))
+            utility = {t: {d: round(rnd.uniform(0, 2), 2) for d in decisions} for t in types}
+            p = Problem(decisions, types, utility, {t: Fraction(1, n) for t in types})
+            f = SocialChoiceFunction.utility_argmax(p)
+            u = random_vector(rnd, types, K)
+            q = random_quota(rnd, types, K)
+            value = exact_values(f, p, types)
+            index = {t: i for i, t in enumerate(types)}
+            enumerated = max(
+                sum(value[index[t]][index[r]] for t, r in zip(u.entries, m.entries))
+                for m in enumerate_messages(q)
+            )
+            counts = u.counts()
+            assert best_plan_value([counts.get(t, 0) for t in types], list(q.counts), value) == enumerated
+
+    def test_float_cycle_spec_returns_through_cli(self):
+        # Float sums of (top - value) once closed a negative residual cycle on
+        # this spec and truth, and the augmenting-path walk never ended.
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        payoffs = {}
+        for method in ("transport", "bruteforce"):
+            argv = [sys.executable, "-m", "linkmech", "best-response", "--spec", str(CYCLE_SPEC),
+                    "--truth", "t1,t1,t2,t2,t2,t2,t2,t1,t2,t1", "--method", method]
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            payoffs[method] = json.loads(proc.stdout)["payoff"]
+        assert payoffs == {"transport": 7.552, "bruteforce": 7.552}
+
+    def test_weights_are_plain_ints(self, monkeypatch, counterexample_problem):
+        p = counterexample_problem
+        f = SocialChoiceFunction.utility_argmax(p)
+        seen = []
+        real_add_edge = _MinCostFlow.add_edge
+
+        def spy(self, a, b, cap, cost):
+            seen.append(cost)
+            return real_add_edge(self, a, b, cap, cost)
+
+        monkeypatch.setattr(_MinCostFlow, "add_edge", spy)
+        best_response_transport(vec("AAB"), f, p, Q3)
+        assert seen and all(type(c) is int for c in seen)
 
 
 class TestVerifyCounterexample:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from linkmech import (
+    EnumerationCapError,
     Message,
     PreferenceVector,
     Problem,
@@ -25,6 +26,7 @@ from linkmech import (
     stats_to_csv,
     tv_distance,
 )
+from linkmech import sim
 from linkmech.sim import CSV_COLUMNS
 
 ABC = ("A", "B", "C")
@@ -75,6 +77,29 @@ class TestSampleTypeVector:
         assert "B" not in v.entries
 
 
+    @pytest.mark.parametrize(
+        "prior, message",
+        [
+            ({"A": Fraction(1, 2), "B": Fraction(1, 3)}, "must be a distribution"),
+            ({"A": Fraction(1, 2**63), "B": 1 - Fraction(1, 2**63)}, "denominator too large"),
+        ],
+    )
+    def test_bad_prior_fails_on_every_call(self, prior, message):
+        cached = sim._sampling_table.cache_info().currsize
+        for seed in range(3):
+            with pytest.raises(ValidationError, match=message):
+                sample_type_vector(prior, 4, np.random.default_rng(seed))
+        assert sim._sampling_table.cache_info().currsize == cached
+
+    def test_cached_table_gives_same_draws(self):
+        prior = {"B": Fraction(2, 7), "A": Fraction(5, 7)}
+        first = sample_type_vector(prior, 64, np.random.default_rng(8)).entries
+        again = sample_type_vector(dict(sorted(prior.items())), 64, np.random.default_rng(8)).entries
+        assert first == again
+        draws = np.random.default_rng(8).integers(0, 7, size=64)
+        assert first == tuple("A" if d < 5 else "B" for d in draws)
+
+
 class TestSimConfig:
     def test_rejects_unknown_strategy(self, binary_problem):
         with pytest.raises(ValidationError, match="unknown strategy"):
@@ -87,6 +112,11 @@ class TestSimConfig:
     def test_rejects_zero_reps(self, binary_problem):
         with pytest.raises(ValidationError, match="replications"):
             cfg_for(binary_problem, replications=0)
+
+    def test_rejects_k_above_cap_before_allocating(self, binary_problem):
+        with pytest.raises(EnumerationCapError, match="cap"):
+            cfg_for(binary_problem, k_values=(4, sim.MAX_K + 1))
+        assert cfg_for(binary_problem, k_values=(4, sim.MAX_K)).k_values[-1] == sim.MAX_K
 
     def test_custom_requires_callable(self, binary_problem):
         with pytest.raises(ValidationError, match="custom_strategy"):
