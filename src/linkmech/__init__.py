@@ -49,7 +49,6 @@ from .sim import (
     STRATEGY_NAMES,
     SimConfig,
     SimStats,
-    apply_mechanism,
     exhaustive_expected_lie_count,
     run_convergence,
     sample_type_vector,

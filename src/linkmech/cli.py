@@ -5,8 +5,8 @@ Problem specs are JSON objects with ``decisions``, ``types``, ``prior``
 decision -> number).  Two specs ship with the package: ``counterexample.json``
 (three single-peaked types, uniform prior) and ``binary.json``.
 
-Exit codes: 0 success, 1 validation error or unwritable output, 2
-regression/assertion failure, 3 resource cap exceeded.  A reader that closes
+Exit codes: 0 success, 1 usage or validation error or unwritable output,
+2 regression/assertion failure, 3 resource cap exceeded.  A reader that closes
 stdout early (``linkmech simulate ... | head -1``) ends the run quietly with
 exit code 1, since the output it got is incomplete.
 """
@@ -31,6 +31,7 @@ from .core import (
     validate_problem,
 )
 from .truthfulness import (
+    _report_entries,
     compute_quota,
     is_approx_truthful,
     is_approx_truthful_star,
@@ -141,8 +142,7 @@ def cmd_audit(args) -> int:
     report = _parse_vector(args.report, problem, "report")
     if args.K is not None and args.K != truth.K:
         raise ValidationError(f"--K {args.K} does not match truth length {truth.K}")
-    if report.K != truth.K:
-        raise ValidationError(f"report length {report.K} != truth length {truth.K}")
+    _report_entries(truth, report)
     quota = compute_quota(problem, truth.K)
     message = Message(report, quota)  # names over/under-represented types on failure
     witness = permutation_witness(truth, message)
@@ -249,19 +249,24 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a ``ValidationError``: exit code 1, one line."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="linkmech",
         description="Quota-linked reporting: quotas, truthfulness audits, best responses, simulations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec_required=True, formats=("json",)):
+    def add_common(p, spec_required=True):
         if spec_required:
             p.add_argument("--spec", required=True, help="path to a problem-spec JSON file")
         p.add_argument("--output", default="-", help="output path, or - for stdout")
-        p.add_argument("--format", choices=("json", "csv"), default=formats[0])
-        p.set_defaults(allowed_formats=formats)
 
     p_quota = sub.add_parser("quota", help="rounded report budget for K linked copies")
     add_common(p_quota)
@@ -295,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ce.set_defaults(fn=cmd_counterexample)
 
     p_sim = sub.add_parser("simulate", help="seeded convergence experiment over a K grid")
-    add_common(p_sim, formats=("csv", "json"))
+    add_common(p_sim)
+    p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--K", required=True, help="comma-separated K values, strictly increasing")
     p_sim.add_argument("--reps", type=int, default=1000)
     p_sim.add_argument("--seed", type=int, default=None, help="defaults to $LINKED_SEED or 0")
@@ -306,13 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.format not in args.allowed_formats:
-            raise ValidationError(
-                f"{args.command}: only {'/'.join(args.allowed_formats)} output is available"
-            )
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -87,9 +87,6 @@ class Problem:
     def canonical_types(self) -> tuple[str, ...]:
         return tuple(sorted(self.types))
 
-    def utility_of(self, decision: str, typ: str) -> float:
-        return self.utility[typ][decision]
-
     def vector(self, entries: Iterable[str]) -> "PreferenceVector":
         """Build a type vector over this problem's type universe."""
         return PreferenceVector(tuple(entries), self.canonical_types)

@@ -25,7 +25,9 @@ from .core import (
     ValidationError,
 )
 from .truthfulness import (
-    _check_shapes,
+    _report_entries,
+    _shortfall,
+    _slots_by_type,
     compute_quota,
     is_approx_truthful,
     is_approx_truthful_star,
@@ -84,10 +86,7 @@ class SocialChoiceFunction:
 
 def payoff(u: PreferenceVector, m: Union[Message, PreferenceVector], f: SocialChoiceFunction, p: Problem):
     """Total payoff: sum over slots of the truth's expected utility at the report."""
-    me = m.entries
-    if len(me) != u.K:
-        raise ValidationError(f"report length {len(me)} != truth length {u.K}")
-    return sum(f.expected_utility(r, t, p) for t, r in zip(u.entries, me))
+    return sum(f.expected_utility(r, t, p) for t, r in zip(u.entries, _report_entries(u, m)))
 
 
 def message_count(q: Quota) -> int:
@@ -136,10 +135,6 @@ class TransportPlan:
 
     def flow(self, true_type: str, reported: str) -> int:
         return self.flows[self.types.index(true_type)][self.types.index(reported)]
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.flows)
 
     def verify(self, u: PreferenceVector, q: Quota) -> None:
         counts = u.counts()
@@ -254,11 +249,10 @@ def best_response_transport(
     filling each true type's slots with its reported types in canonical
     order.
     """
-    _check_shapes(u, q)
+    counts, _ = _shortfall(u, q)
     types = q.types
     n = len(types)
-    counts = u.counts()
-    supply = [counts.get(t, 0) for t in types]
+    supply = [counts[t] for t in types]
     demand = list(q.counts)
 
     exact = [
@@ -294,13 +288,11 @@ def best_response_transport(
     plan = TransportPlan(types, tuple(tuple(row) for row in flows))
     plan.verify(u, q)
 
-    slots_by_type: dict[str, list[int]] = {t: [] for t in types}
-    for k, t in enumerate(u.entries):
-        slots_by_type[t].append(k)
+    slots = _slots_by_type(u)
     entries = [""] * u.K
     for i, t in enumerate(types):
         reports = [r for j, r in enumerate(types) for _ in range(flows[i][j])]
-        for slot, r in zip(slots_by_type[t], reports):
+        for slot, r in zip(slots[t], reports):
             entries[slot] = r
     message = Message(PreferenceVector(tuple(entries), u.types), q)
     total = sum(

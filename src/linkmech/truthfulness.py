@@ -12,6 +12,7 @@ decomposition.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -26,8 +27,6 @@ from .core import (
     Quota,
     ValidationError,
     Weights,
-    marginal,
-    tv_distance,
 )
 
 def compute_quota(prior: Union[Problem, Weights], K: int) -> Quota:
@@ -52,12 +51,17 @@ def compute_quota(prior: Union[Problem, Weights], K: int) -> Quota:
     return Quota(types, tuple(counts[t] for t in types))
 
 
-def lie_count(u: PreferenceVector, m: Union[Message, PreferenceVector]) -> int:
-    """Number of slots where the report differs from the truth."""
+def _report_entries(u: PreferenceVector, m: Union[Message, PreferenceVector]) -> tuple[str, ...]:
+    """The report's entries, after checking that it is as long as the truth."""
     me = m.entries
     if len(me) != u.K:
         raise ValidationError(f"report length {len(me)} != truth length {u.K}")
-    return sum(a != b for a, b in zip(u.entries, me))
+    return me
+
+
+def lie_count(u: PreferenceVector, m: Union[Message, PreferenceVector]) -> int:
+    """Number of slots where the report differs from the truth."""
+    return sum(a != b for a, b in zip(u.entries, _report_entries(u, m)))
 
 
 def _check_shapes(u: PreferenceVector, q: Quota) -> None:
@@ -65,6 +69,26 @@ def _check_shapes(u: PreferenceVector, q: Quota) -> None:
         raise ValidationError(f"type sets differ: {u.types} vs {q.types}")
     if u.K != q.K:
         raise ValidationError(f"vector length {u.K} != quota total {q.K}")
+
+
+def _shortfall(u: PreferenceVector, q: Quota) -> tuple[Counter, list[str]]:
+    """The truth's type counts, and each under-supplied type once per missing slot.
+
+    Every minimal-lie message keeps min(count, budget) slots of each type
+    and fills the freed slots with ``owed``, which lists the deficit types
+    in canonical order.
+    """
+    _check_shapes(u, q)
+    counts = u.counts()
+    return counts, [t for t, b in zip(q.types, q.counts) for _ in range(b - counts[t])]
+
+
+def _slots_by_type(u: PreferenceVector) -> dict[str, list[int]]:
+    """0-based slot indices of each type, in slot order."""
+    slots: dict[str, list[int]] = {t: [] for t in u.types}
+    for k, t in enumerate(u.entries):
+        slots[t].append(k)
+    return slots
 
 
 def min_lie_count(u: PreferenceVector, q: Quota) -> int:
@@ -75,9 +99,7 @@ def min_lie_count(u: PreferenceVector, q: Quota) -> int:
     meet the quota keeps min(count, budget) truthful slots per type and
     rewrites the rest.
     """
-    _check_shapes(u, q)
-    counts = u.counts()
-    return sum(max(counts[t] - b, 0) for t, b in zip(q.types, q.counts))
+    return len(_shortfall(u, q)[1])
 
 
 def star_lie_bound(u: PreferenceVector, q: Quota) -> int:
@@ -112,18 +134,12 @@ def iter_multiset_arrangements(counts: Mapping[str, int]) -> Iterator[tuple[str,
 
 def count_minimal_lie_messages(u: PreferenceVector, q: Quota) -> int:
     """Size of the minimal-lie message set, without enumerating it."""
-    counts = u.counts()
-    total = 1
-    deficit_slots = 0
-    deficit_fact = 1
-    for t in q.types:
-        have = counts.get(t, 0)
-        budget = q.count(t)
-        total *= math.comb(have, min(have, budget))
-        if budget > have:
-            deficit_slots += budget - have
-            deficit_fact *= math.factorial(budget - have)
-    total *= math.factorial(deficit_slots) // deficit_fact
+    counts, owed = _shortfall(u, q)
+    total = math.factorial(len(owed))
+    for c in Counter(owed).values():
+        total //= math.factorial(c)
+    for t, b in zip(q.types, q.counts):
+        total *= math.comb(counts[t], min(counts[t], b))
     return total
 
 
@@ -135,39 +151,25 @@ def minimal_lie_messages(u: PreferenceVector, q: Quota, cap: int = 10**6) -> set
     set would exceed ``cap`` elements; use ``canonical_minimal_message`` or
     ``sample_minimal_message`` in that regime, neither of which enumerates.
     """
-    target = min_lie_count(u, q)  # validates shapes
-    n = count_minimal_lie_messages(u, q)
+    n = count_minimal_lie_messages(u, q)  # validates shapes
     if n > cap:
         raise EnumerationCapError(
             f"{n} minimal-lie messages exceed cap {cap}; "
             "use canonical_minimal_message or sample_minimal_message instead"
         )
-    counts = u.counts()
-    positions = defaultdict(list)
-    for k, t in enumerate(u.entries):
-        positions[t].append(k)
-    surplus_types = [t for t in q.types if counts.get(t, 0) > q.count(t)]
-    deficit = {t: q.count(t) - counts.get(t, 0) for t in q.types if q.count(t) > counts.get(t, 0)}
-
-    import itertools
-
-    keep_choices = [
-        list(itertools.combinations(positions[t], q.count(t))) for t in surplus_types
-    ]
+    counts, owed = _shortfall(u, q)
+    slots = _slots_by_type(u)
+    surplus = [(slots[t], b) for t, b in zip(q.types, q.counts) if counts[t] > b]
     out: set[Message] = set()
-    for keeps in itertools.product(*keep_choices):
-        base = list(u.entries)
-        free: list[int] = []
-        for t, kept in zip(surplus_types, keeps):
-            kept_set = set(kept)
-            free.extend(p for p in positions[t] if p not in kept_set)
-        free.sort()
-        for arrangement in iter_multiset_arrangements(deficit):
-            entries = base.copy()
+    for keeps in itertools.product(*(itertools.combinations(pos, b) for pos, b in surplus)):
+        kept = set().union(*keeps)
+        free = sorted(k for pos, _ in surplus for k in pos if k not in kept)
+        for arrangement in iter_multiset_arrangements(Counter(owed)):
+            entries = list(u.entries)
             for slot, label in zip(free, arrangement):
                 entries[slot] = label
             out.add(Message(PreferenceVector(tuple(entries), u.types), q))
-    assert len(out) == n and all(lie_count(u, m) == target for m in out)
+    assert len(out) == n and all(lie_count(u, m) == len(owed) for m in out)
     return out
 
 
@@ -180,11 +182,9 @@ def canonical_minimal_message(u: PreferenceVector, q: Quota) -> Message:
     truth, or when its type has no truthful slots left; every other slot
     keeps its truth.  Linear in K; no enumeration involved.
     """
-    _check_shapes(u, q)
-    counts = u.counts()
+    counts, owed = _shortfall(u, q)
     keep = {t: min(counts[t], b) for t, b in zip(q.types, q.counts)}
     lies = {t: counts[t] - keep[t] for t in q.types}
-    owed = [t for t, b in zip(q.types, q.counts) for _ in range(b - counts[t])]
     j = 0
     out: list[str] = []
     for t in u.entries:
@@ -206,25 +206,17 @@ def sample_minimal_message(u: PreferenceVector, q: Quota, rng) -> Message:
     slots.  ``rng`` is a ``numpy.random.Generator``; a fixed generator state
     yields a fixed message.
     """
-    _check_shapes(u, q)
-    counts = u.counts()
-    entries = list(u.entries)
+    counts, owed = _shortfall(u, q)
+    slots = _slots_by_type(u)
     free: list[int] = []
-    for t in q.types:
-        pos = [k for k, x in enumerate(u.entries) if x == t]
-        budget = q.count(t)
-        if counts.get(t, 0) > budget:
-            picked = rng.choice(len(pos), size=budget, replace=False)
-            kept = {pos[int(i)] for i in picked}
-            free.extend(p for p in pos if p not in kept)
-    deficit: list[str] = []
-    for t in q.types:
-        deficit.extend([t] * max(q.count(t) - counts.get(t, 0), 0))
+    for t, b in zip(q.types, q.counts):
+        if counts[t] > b:
+            kept = set(rng.choice(counts[t], size=b, replace=False).tolist())
+            free.extend(k for i, k in enumerate(slots[t]) if i not in kept)
     free.sort()
-    if deficit:
-        order = rng.permutation(len(deficit))
-        for slot, j in zip(free, order):
-            entries[slot] = deficit[int(j)]
+    entries = list(u.entries)
+    for slot, j in zip(free, rng.permutation(len(owed)).tolist()):
+        entries[slot] = owed[j]
     return Message(PreferenceVector(tuple(entries), u.types), q)
 
 
@@ -245,13 +237,10 @@ def is_permutation_truthful(u: PreferenceVector, m: Union[Message, PreferenceVec
     truths on some subset exactly when these arcs contain a directed cycle.
     The test suite checks this against an exponential subset scan.
     """
-    me = m.entries
-    if len(me) != u.K:
-        raise ValidationError(f"report length {len(me)} != truth length {u.K}")
     succ: dict[str, set[str]] = defaultdict(set)
     indeg: Counter = Counter()
     nodes: set[str] = set()
-    for a, b in zip(u.entries, me):
+    for a, b in zip(u.entries, _report_entries(u, m)):
         if a == b:
             continue
         nodes.update((a, b))
@@ -305,14 +294,13 @@ def permutation_witness(
     cut at the first repeated node, so every cycle's nodes are distinct.
     Cycles through a balancing edge are dropped; the rest form S, with the
     in-cycle successor as the bijection.  S covers at least
-    K - (#types - 1) * K * tv(marginal(u), marginal(report)) slots.  The
+    K - (#types - 1) * K * tv(marginal(u), marginal(report)) slots, that is
+    K - (#types - 1) * sum_t (truth count - report count)_+.  The
     bijection, the report-to-truth pairing and that floor are re-checked
     before returning.
     """
-    re = reported.entries
+    re = _report_entries(u, reported)
     K = u.K
-    if len(re) != K:
-        raise ValidationError(f"report length {len(re)} != truth length {K}")
     node = {t: i for i, t in enumerate(u.types)}
     unknown = sorted(set(re) - node.keys())
     if unknown:
@@ -362,9 +350,8 @@ def permutation_witness(
     for k, pk in pi.items():
         if re[k - 1] != u.entries[pk - 1]:
             raise RuntimeError("internal: witness pairing does not map reports to truths")
-    report_counts = Counter(re)
-    report_marginal = {t: Fraction(report_counts[t], K) for t in u.types}
-    floor = K - (len(u.types) - 1) * K * tv_distance(marginal(u), report_marginal)
-    if len(slots) < floor:
+    truth_counts, report_counts = u.counts(), Counter(re)
+    excess = sum(max(truth_counts[t] - report_counts[t], 0) for t in u.types)
+    if len(slots) < K - (len(u.types) - 1) * excess:
         raise RuntimeError("internal: witness covers fewer slots than guaranteed")
     return witness

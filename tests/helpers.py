@@ -11,6 +11,10 @@ replaced with a closed rule, and the transport solver at the end is a
 frozen copy of the successive-shortest-paths solve on ``(cost, lies)``
 tuple weights that ``best_response_transport`` replaced with exact integer
 weights; wherever the tuple sums are exact the two return identical plans.
+The minimal-lie counter, enumerator and sampler after it are frozen copies
+of the per-function keep/deficit code that the shared shortfall split
+replaced; they must return equal counts, equal sets and, under equal
+generator seeds, identical samples.
 """
 
 from __future__ import annotations
@@ -18,12 +22,15 @@ from __future__ import annotations
 import io
 import json
 import random
+import itertools
+import math
 from collections import Counter, defaultdict
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from linkmech import (
+    EnumerationCapError,
     Message,
     PermutationWitness,
     PreferenceVector,
@@ -40,7 +47,7 @@ from linkmech import (
     tv_distance,
 )
 from linkmech.cli import main
-from linkmech.truthfulness import _check_shapes
+from linkmech.truthfulness import _check_shapes, iter_multiset_arrangements
 
 LABELS = ("A", "B", "C", "D", "E", "F")
 
@@ -456,3 +463,95 @@ def oracle_best_response_transport(
         flows[i][j] * value[i][j] for i in range(n) for j in range(n) if flows[i][j]
     )
     return TransportResult(plan=plan, message=message, payoff=total)
+
+
+# --- frozen per-function minimal-lie counter, enumerator and sampler ---
+
+
+def oracle_count_minimal_lie_messages(u: PreferenceVector, q: Quota) -> int:
+    """Size of the minimal-lie message set, without enumerating it."""
+    counts = u.counts()
+    total = 1
+    deficit_slots = 0
+    deficit_fact = 1
+    for t in q.types:
+        have = counts.get(t, 0)
+        budget = q.count(t)
+        total *= math.comb(have, min(have, budget))
+        if budget > have:
+            deficit_slots += budget - have
+            deficit_fact *= math.factorial(budget - have)
+    total *= math.factorial(deficit_slots) // deficit_fact
+    return total
+
+
+def oracle_minimal_lie_messages(u: PreferenceVector, q: Quota, cap: int = 10**6) -> set[Message]:
+    """All quota-feasible messages at the minimum Hamming distance from u.
+
+    Every returned message keeps exactly min(count, budget) truthful slots
+    per type; the remaining slots carry the deficit types.  Refuses when the
+    set would exceed ``cap`` elements; use ``canonical_minimal_message`` or
+    ``sample_minimal_message`` in that regime, neither of which enumerates.
+    """
+    target = min_lie_count(u, q)  # validates shapes
+    n = oracle_count_minimal_lie_messages(u, q)
+    if n > cap:
+        raise EnumerationCapError(
+            f"{n} minimal-lie messages exceed cap {cap}; "
+            "use canonical_minimal_message or sample_minimal_message instead"
+        )
+    counts = u.counts()
+    positions = defaultdict(list)
+    for k, t in enumerate(u.entries):
+        positions[t].append(k)
+    surplus_types = [t for t in q.types if counts.get(t, 0) > q.count(t)]
+    deficit = {t: q.count(t) - counts.get(t, 0) for t in q.types if q.count(t) > counts.get(t, 0)}
+
+    keep_choices = [
+        list(itertools.combinations(positions[t], q.count(t))) for t in surplus_types
+    ]
+    out: set[Message] = set()
+    for keeps in itertools.product(*keep_choices):
+        base = list(u.entries)
+        free: list[int] = []
+        for t, kept in zip(surplus_types, keeps):
+            kept_set = set(kept)
+            free.extend(p for p in positions[t] if p not in kept_set)
+        free.sort()
+        for arrangement in iter_multiset_arrangements(deficit):
+            entries = base.copy()
+            for slot, label in zip(free, arrangement):
+                entries[slot] = label
+            out.add(Message(PreferenceVector(tuple(entries), u.types), q))
+    assert len(out) == n and all(lie_count(u, m) == target for m in out)
+    return out
+
+
+def oracle_sample_minimal_message(u: PreferenceVector, q: Quota, rng) -> Message:
+    """Draw uniformly from the minimal-lie message set without enumerating it.
+
+    Independently keeps a uniform budget-sized subset of each over-supplied
+    type's slots and scatters the deficit multiset uniformly over the freed
+    slots.  ``rng`` is a ``numpy.random.Generator``; a fixed generator state
+    yields a fixed message.
+    """
+    _check_shapes(u, q)
+    counts = u.counts()
+    entries = list(u.entries)
+    free: list[int] = []
+    for t in q.types:
+        pos = [k for k, x in enumerate(u.entries) if x == t]
+        budget = q.count(t)
+        if counts.get(t, 0) > budget:
+            picked = rng.choice(len(pos), size=budget, replace=False)
+            kept = {pos[int(i)] for i in picked}
+            free.extend(p for p in pos if p not in kept)
+    deficit: list[str] = []
+    for t in q.types:
+        deficit.extend([t] * max(q.count(t) - counts.get(t, 0), 0))
+    free.sort()
+    if deficit:
+        order = rng.permutation(len(deficit))
+        for slot, j in zip(free, order):
+            entries[slot] = deficit[int(j)]
+    return Message(PreferenceVector(tuple(entries), u.types), q)

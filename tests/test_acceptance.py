@@ -70,7 +70,7 @@ def test_criterion_01_counterexample_reproduction(counterexample_problem):
     }
 
     # the paper's strict-preference inequality holds for the bundled table
-    assert p.utility_of("b", "A") + p.utility_of("c", "B") > p.utility_of("c", "A") + p.utility_of("b", "B")
+    assert p.utility["A"]["b"] + p.utility["B"]["c"] > p.utility["A"]["c"] + p.utility["B"]["b"]
 
     best = best_response_bruteforce(u, f, p, quota)
     best_pay = payoff(u, best[0], f, p)

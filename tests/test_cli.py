@@ -324,9 +324,36 @@ class TestSimulateCommand:
 
 
 class TestParser:
-    def test_unknown_subcommand(self):
-        with pytest.raises(SystemExit):
-            run_cli(["frobnicate"])
+    def test_unknown_subcommand(self, capsys):
+        capsys.readouterr()
+        assert run_cli(["frobnicate"])[0] == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["quota", "--spec", CE_SPEC],
+            ["quota", "--spec", CE_SPEC, "--K", "x"],
+            ["quota", "--spec", CE_SPEC, "--K", "2", "--format", "json"],
+            ["simulate", "--spec", BIN_SPEC, "--K", "4", "--format", "xml"],
+            ["simulate", "--spec", BIN_SPEC, "--K", "4", "--reps", "many"],
+            ["audit", "--spec", CE_SPEC, "--truth", "A,B"],
+            ["best-response", "--spec", CE_SPEC, "--truth", "A", "--method", "guess"],
+        ],
+    )
+    def test_usage_error_exits_1_with_one_line(self, argv, capsys):
+        capsys.readouterr()
+        assert run_cli(argv) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["-h"], ["simulate", "--help"]])
+    def test_help_exits_0(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 0
 
     def test_version_of_outputs_are_json(self):
         code, out = run_cli(["quota", "--spec", CE_SPEC, "--K", "2"])

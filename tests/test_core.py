@@ -33,7 +33,7 @@ class TestValidateProblem:
         p = validate_problem(UNIFORM3)
         assert p.types == ("A", "B", "C")
         assert p.prior["B"] == Fraction(1, 3)
-        assert p.utility_of("c", "B") == 1.5
+        assert p.utility["B"]["c"] == 1.5
 
     def test_prior_not_summing_to_one(self):
         bad = dict(UNIFORM3, prior=["1/2", "1/2", "1/2"])

@@ -12,11 +12,9 @@ from linkmech import (
     Message,
     PreferenceVector,
     Problem,
-    Quota,
     SimConfig,
     SocialChoiceFunction,
     ValidationError,
-    apply_mechanism,
     canonical_minimal_message,
     compute_quota,
     exhaustive_expected_lie_count,
@@ -36,21 +34,6 @@ def cfg_for(problem, **kw):
     defaults = dict(k_values=(2, 4), replications=200, seed=7)
     defaults.update(kw)
     return SimConfig(problem=problem, **defaults)
-
-
-class TestApplyMechanism:
-    def test_componentwise(self, counterexample_problem):
-        f = SocialChoiceFunction.utility_argmax(counterexample_problem)
-        q = Quota(ABC, (1, 1, 1))
-        m = Message(PreferenceVector(("A", "C", "B"), ABC), q)
-        lotteries = apply_mechanism(m, f)
-        assert [next(iter(l)) for l in lotteries] == ["a", "c", "b"]
-
-    def test_constant_function(self, counterexample_problem):
-        f = SocialChoiceFunction.point_mass({t: "a" for t in ABC})
-        q = Quota(ABC, (1, 1, 1))
-        m = Message(PreferenceVector(("B", "A", "C"), ABC), q)
-        assert all(next(iter(l)) == "a" for l in apply_mechanism(m, f))
 
 
 class TestSampleTypeVector:
@@ -227,6 +210,39 @@ class TestRunConvergence:
         stats = run_convergence(cfg)
         assert all(0 <= s.lie_fraction <= 1 for s in stats)
 
+    def test_chain_at_the_relaxed_budget_is_accepted(self):
+        # Seed 1041 draws the truth A,C,C,C,A,A,B,B,B,A at K=10 against the
+        # quota (1,3,3,3).  Pushing the surplus along A -> B -> C -> D lies in
+        # 9 slots, exactly (#types - 1) times the minimum of 3, without
+        # closing a cycle; in floats 9/10 > 3 * 0.3, which must not matter.
+        types = ("A", "B", "C", "D")
+        problem = Problem(
+            decisions=("a", "b", "c", "d"),
+            types=types,
+            utility={t: {d: int(t.lower() == d) for d in ("a", "b", "c", "d")} for t in types},
+            prior=dict(zip(types, (Fraction(1, 10), Fraction(3, 10), Fraction(3, 10), Fraction(3, 10)))),
+        )
+
+        def chain(u, q, rng):
+            assert u.entries == tuple("ACCCAABBBA")
+            out = list(u.entries)
+            for t, nxt in (("A", "B"), ("B", "C"), ("C", "D")):
+                slots = [k for k, x in enumerate(u.entries) if x == t][:3]
+                for k in slots:
+                    out[k] = nxt
+            return Message(PreferenceVector(tuple(out), u.types), q)
+
+        cfg = SimConfig(
+            problem=problem,
+            k_values=(10,),
+            replications=1,
+            seed=1041,
+            strategy="custom-permutation-truthful",
+            custom_strategy=chain,
+        )
+        (s,) = run_convergence(cfg)
+        assert s.lie_fraction == 0.9 and s.mean_tv_to_quota == 0.3
+
     def test_single_replication_has_no_se(self, binary_problem):
         (s,) = run_convergence(cfg_for(binary_problem, k_values=(4,), replications=1))
         assert s.lie_fraction_se is None
@@ -312,3 +328,11 @@ class TestCsv:
         d = s.to_json_dict()
         assert d["K"] == 4 and d["reps"] == 50 and d["seed"] == 7
         assert set(d) >= {"lie_fraction", "max_slot_lie_prob", "star_bound", "efficiency_gap"}
+
+    def test_json_keys_keep_their_order(self, binary_problem):
+        (s,) = run_convergence(cfg_for(binary_problem, k_values=(4,), replications=3))
+        assert list(s.to_json_dict()) == [
+            "K", "strategy", "reps", "seed", "lie_fraction", "lie_fraction_se",
+            "max_slot_lie_prob", "mean_tv_to_quota", "mean_tv_to_prior",
+            "quota_tv_to_prior", "star_bound", "efficiency_gap",
+        ]

@@ -31,6 +31,9 @@ from helpers import (
     brute_minimal_set,
     is_permutation_truthful_naive,
     oracle_canonical_minimal_message,
+    oracle_count_minimal_lie_messages,
+    oracle_minimal_lie_messages,
+    oracle_sample_minimal_message,
     random_quota,
     random_quota_message,
     random_vector,
@@ -151,6 +154,40 @@ class TestMinimalLieMessages:
         assert lie_count(u, canonical_minimal_message(u, q)) == 15
         m = sample_minimal_message(u, q, np.random.default_rng(0))
         assert lie_count(u, m) == 15
+
+
+class TestShortfallSplit:
+    def test_count_rejects_length_mismatch(self):
+        u = PreferenceVector(("A", "A", "A"), ("A", "B"))
+        with pytest.raises(ValidationError, match="vector length 3 != quota total 4"):
+            count_minimal_lie_messages(u, Quota(("A", "B"), (2, 2)))
+
+    def test_count_rejects_foreign_type_universe(self):
+        u = PreferenceVector(("A", "A", "B"), ("A", "B"))
+        with pytest.raises(ValidationError, match="type sets differ"):
+            count_minimal_lie_messages(u, Quota(ABC, (1, 1, 1)))
+
+    def test_matches_frozen_oracles(self):
+        # quotas are drawn independently of the truth, and every other truth
+        # uses only a random subset of the types, so absent types are common
+        rnd = random.Random(2205)
+        compared_sets = 0
+        for i in range(6_000):
+            n = rnd.randint(1, 6)
+            K = rnd.randint(1, 40)
+            types = tuple(f"t{j}" for j in range(n))
+            drawn = types if i % 2 else tuple(rnd.sample(types, rnd.randint(1, n)))
+            u = PreferenceVector(tuple(rnd.choice(drawn) for _ in range(K)), types)
+            q = random_quota(rnd, types, K)
+            count = count_minimal_lie_messages(u, q)
+            assert count == oracle_count_minimal_lie_messages(u, q)
+            seed = rnd.randrange(2**32)
+            got = sample_minimal_message(u, q, np.random.default_rng(seed))
+            assert got == oracle_sample_minimal_message(u, q, np.random.default_rng(seed))
+            if count <= 50:
+                compared_sets += 1
+                assert minimal_lie_messages(u, q) == oracle_minimal_lie_messages(u, q)
+        assert compared_sets > 2_000
 
 
 class TestCanonicalAndSampler:
