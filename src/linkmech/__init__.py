@@ -19,7 +19,9 @@ from .core import (
     validate_problem,
 )
 from .truthfulness import (
+    Audit,
     PermutationWitness,
+    audit,
     canonical_minimal_message,
     compute_quota,
     count_minimal_lie_messages,

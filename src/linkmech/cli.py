@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from importlib.resources import files
 from typing import Optional, Sequence
@@ -30,17 +31,7 @@ from .core import (
     tv_distance,
     validate_problem,
 )
-from .truthfulness import (
-    _report_entries,
-    compute_quota,
-    is_approx_truthful,
-    is_approx_truthful_star,
-    is_permutation_truthful,
-    lie_count,
-    min_lie_count,
-    permutation_witness,
-    star_lie_bound,
-)
+from .truthfulness import Audit, _report_entries, audit, compute_quota
 from .optimize import (
     SocialChoiceFunction,
     best_response_bruteforce,
@@ -82,9 +73,9 @@ def _load_problem(path: str) -> Problem:
 
 
 def _parse_vector(text: str, problem: Problem, field: str) -> PreferenceVector:
-    labels = [x.strip() for x in text.split(",") if x.strip()]
-    if not labels:
-        raise ValidationError(f"{field}: empty vector")
+    labels = list(map(str.strip, text.split(",")))
+    if "" in labels:
+        raise ValidationError(f"{field}: empty label at position {labels.index('') + 1}")
     unknown = sorted(set(labels) - set(problem.types))
     if unknown:
         raise ValidationError(f"{field}: unknown types {unknown}")
@@ -107,6 +98,22 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 def _emit_json(obj, output: Optional[str]) -> None:
     _emit(json.dumps(obj, indent=2), output)
+
+
+def _render_audit(a: Audit) -> str:
+    """``json.dumps`` of the audit output with ``indent=2``, byte for byte.
+
+    ``indent`` forces the pure-Python encoder, which at large K takes longer
+    than the audit itself; the shape is fixed, so it is written out here.
+    """
+
+    def block(items: list[str], pad: str) -> str:
+        return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]" if items else "[]"
+
+    head = "".join(f'  "{f.name}": {json.dumps(getattr(a, f.name))},\n' for f in fields(a)[:-1])
+    S = block(list(map(str, a.witness.slots)), "    ")
+    pi = block([f"[\n        {k},\n        {p}\n      ]" for k, p in a.witness.pairs], "    ")
+    return f'{{\n{head}  "witness": {{\n    "S": {S},\n    "pi": {pi}\n  }}\n}}'
 
 
 def _frac_str(x: Fraction) -> str:
@@ -145,21 +152,13 @@ def cmd_audit(args) -> int:
     _report_entries(truth, report)
     quota = compute_quota(problem, truth.K)
     message = Message(report, quota)  # names over/under-represented types on failure
-    witness = permutation_witness(truth, message)
-    verdicts = {
-        "approx_truthful": is_approx_truthful(truth, message),
-        "approx_truthful_star": is_approx_truthful_star(truth, message),
-        "permutation_truthful": is_permutation_truthful(truth, message),
-        "min_lies": min_lie_count(truth, quota),
-        "lies": lie_count(truth, message),
-        "star_bound": star_lie_bound(truth, quota),
-        "witness": witness.to_json_dict(),
-    }
-    _emit_json(verdicts, args.output)
+    _emit(_render_audit(audit(truth, message)), args.output)
     return EXIT_OK
 
 
 def cmd_best_response(args) -> int:
+    if args.cap < 1:
+        raise ValidationError(f"--cap must be at least 1, got {args.cap}")
     problem = _load_problem(args.spec)
     truth = _parse_vector(args.truth, problem, "truth")
     if args.K is not None and args.K != truth.K:

@@ -5,15 +5,17 @@ The quota forces an agent whose type vector has the wrong frequencies to
 lie in some slots.  The minimum number of lies equals K times the total
 variation distance between the vector's marginal and the quota
 distribution; this module constructs the minimizers, checks reports against
-three increasingly permissive standards, and produces an explicit
+three increasingly permissive standards, produces an explicit
 slot-subset-plus-bijection witness via a balanced-multigraph cycle
-decomposition.
+decomposition, and bundles every verdict with the witness in one audit
+record.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -230,23 +232,15 @@ def is_approx_truthful_star(u: PreferenceVector, m: Message) -> bool:
     return lie_count(u, m) <= star_lie_bound(u, m.quota)
 
 
-def is_permutation_truthful(u: PreferenceVector, m: Union[Message, PreferenceVector]) -> bool:
-    """Fast checker: the lying slots must not close a directed cycle.
-
-    Draw an arc truth -> report for every lying slot; the report shuffles
-    truths on some subset exactly when these arcs contain a directed cycle.
-    The test suite checks this against an exponential subset scan.
-    """
-    succ: dict[str, set[str]] = defaultdict(set)
+def _is_acyclic(arcs: set[tuple[str, str]]) -> bool:
+    """Kahn's test: the distinct arcs (tail, head) close no directed cycle."""
+    succ: dict[str, list[str]] = defaultdict(list)
     indeg: Counter = Counter()
     nodes: set[str] = set()
-    for a, b in zip(u.entries, _report_entries(u, m)):
-        if a == b:
-            continue
+    for a, b in arcs:
         nodes.update((a, b))
-        if b not in succ[a]:
-            succ[a].add(b)
-            indeg[b] += 1
+        succ[a].append(b)
+        indeg[b] += 1
     queue = [v for v in nodes if indeg[v] == 0]
     seen = 0
     while queue:
@@ -257,6 +251,16 @@ def is_permutation_truthful(u: PreferenceVector, m: Union[Message, PreferenceVec
             if indeg[w] == 0:
                 queue.append(w)
     return seen == len(nodes)
+
+
+def is_permutation_truthful(u: PreferenceVector, m: Union[Message, PreferenceVector]) -> bool:
+    """Fast checker: the lying slots must not close a directed cycle.
+
+    Draw an arc truth -> report for every lying slot; the report shuffles
+    truths on some subset exactly when these arcs contain a directed cycle.
+    The test suite checks this against an exponential subset scan.
+    """
+    return _is_acyclic({(a, b) for a, b in zip(u.entries, _report_entries(u, m)) if a != b})
 
 
 # --- balanced-multigraph permutation witness ---
@@ -275,9 +279,6 @@ class PermutationWitness:
 
     def mapping(self) -> dict[int, int]:
         return dict(self.pairs)
-
-    def to_json_dict(self) -> dict:
-        return {"S": list(self.slots), "pi": [list(p) for p in self.pairs]}
 
 
 def permutation_witness(
@@ -300,13 +301,20 @@ def permutation_witness(
     before returning.
     """
     re = _report_entries(u, reported)
+    ue = u.entries
     K = u.K
     node = {t: i for i, t in enumerate(u.types)}
     unknown = sorted(set(re) - node.keys())
     if unknown:
         raise ValidationError(f"report: unknown types {unknown}")
-    tail = [node[t] for t in u.entries]
-    head = [node[t] for t in re]
+    # A truthful slot is a self-loop.  The walk would peel it as its own
+    # 1-cycle, which changes the walk on no other edge, so it enters S as a
+    # fixed point and only the lying slots (edges 0..L-1 below, in slot
+    # order) and the balancing edges are walked.
+    fixed = list(itertools.compress(range(1, K + 1), map(operator.eq, ue, re)))
+    lying = list(itertools.compress(range(K), map(operator.ne, ue, re)))
+    tail = [node[ue[k]] for k in lying]
+    head = [node[re[k]] for k in lying]
     net = [0] * len(node)
     for a, b in zip(tail, head):
         net[a] += 1
@@ -319,8 +327,8 @@ def permutation_witness(
         outgoing[a].append(e)
     next_out = [0] * len(net)  # index of each node's lowest alive outgoing edge
     alive = [True] * len(tail)
-    slots: list[int] = []
-    pairs: list[tuple[int, int]] = []
+    slots = fixed[:]
+    pairs = list(zip(fixed, fixed))
     for start in range(len(tail)):
         while alive[start]:
             path = [start]
@@ -337,9 +345,10 @@ def permutation_witness(
             cycle = path[pos[cur]:]
             for e in cycle:
                 alive[e] = False
-            if max(cycle) < K:
-                slots.extend(e + 1 for e in cycle)
-                pairs.extend((e + 1, f + 1) for e, f in zip(cycle, cycle[1:] + cycle[:1]))
+            if max(cycle) < len(lying):
+                labels = [lying[e] + 1 for e in cycle]
+                slots.extend(labels)
+                pairs.extend(zip(labels, labels[1:] + labels[:1]))
     slots.sort()
     pairs.sort()
     witness = PermutationWitness(tuple(slots), tuple(pairs))
@@ -355,3 +364,53 @@ def permutation_witness(
     if len(slots) < K - (len(u.types) - 1) * excess:
         raise RuntimeError("internal: witness covers fewer slots than guaranteed")
     return witness
+
+
+# --- the audit record ---
+
+
+@dataclass(frozen=True)
+class Audit:
+    """A report judged against every truthfulness standard, with its witness.
+
+    The fields are the ``linkmech audit`` output keys, in output order.
+    """
+
+    approx_truthful: bool
+    approx_truthful_star: bool
+    permutation_truthful: bool
+    min_lies: int
+    lies: int
+    star_bound: int
+    witness: PermutationWitness
+
+
+def audit(u: PreferenceVector, m: Message) -> Audit:
+    """Judge a quota-feasible report in one pass over the slots.
+
+    Counting each (truth, report) pair once gives the truth's type counts,
+    the lies and the distinct lie arcs.  The minimum lie count, the relaxed
+    budget and both approximate verdicts are integer comparisons on those
+    counts, the acyclicity test runs on at most n(n-1) arcs, and the witness
+    is built once.  Agrees with ``min_lie_count``, ``lie_count``,
+    ``star_lie_bound``, the three ``is_*`` checkers and
+    ``permutation_witness``.
+    """
+    _check_shapes(u, m.quota)
+    pairs = Counter(zip(u.entries, _report_entries(u, m)))
+    arcs = {p for p in pairs if p[0] != p[1]}
+    counts: Counter = Counter()
+    for (t, _), c in pairs.items():
+        counts[t] += c
+    lies = sum(pairs[p] for p in arcs)
+    min_lies = sum(max(counts[t] - b, 0) for t, b in zip(m.quota.types, m.quota.counts))
+    star_bound = (len(u.types) - 1) * min_lies
+    return Audit(
+        approx_truthful=lies == min_lies,
+        approx_truthful_star=lies <= star_bound,
+        permutation_truthful=_is_acyclic(arcs),
+        min_lies=min_lies,
+        lies=lies,
+        star_bound=star_bound,
+        witness=permutation_witness(u, m),
+    )

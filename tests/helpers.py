@@ -14,7 +14,9 @@ weights; wherever the tuple sums are exact the two return identical plans.
 The minimal-lie counter, enumerator and sampler after it are frozen copies
 of the per-function keep/deficit code that the shared shortfall split
 replaced; they must return equal counts, equal sets and, under equal
-generator seeds, identical samples.
+generator seeds, identical samples.  The checkers at the very end are frozen
+copies of the per-verdict functions that ``audit`` folds into one pass over
+the slots; every field of its record must equal theirs.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from linkmech import (
+    Audit,
     EnumerationCapError,
     Message,
     PermutationWitness,
@@ -555,3 +558,66 @@ def oracle_sample_minimal_message(u: PreferenceVector, q: Quota, rng) -> Message
         for slot, j in zip(free, order):
             entries[slot] = deficit[int(j)]
     return Message(PreferenceVector(tuple(entries), u.types), q)
+
+
+# --- frozen per-verdict checkers ---
+
+
+def oracle_star_lie_bound(u: PreferenceVector, q: Quota) -> int:
+    """The relaxed lie budget: (#types - 1) times the minimum lie count."""
+    return (len(u.types) - 1) * min_lie_count(u, q)
+
+
+def oracle_is_approx_truthful(u: PreferenceVector, m: Message) -> bool:
+    """True when the report lies in exactly the minimum feasible number of slots."""
+    return lie_count(u, m) == min_lie_count(u, m.quota)
+
+
+def oracle_is_approx_truthful_star(u: PreferenceVector, m: Message) -> bool:
+    """True when the lies stay within (#types - 1) times the minimum."""
+    return lie_count(u, m) <= oracle_star_lie_bound(u, m.quota)
+
+
+def oracle_is_permutation_truthful(u: PreferenceVector, m: VectorLike) -> bool:
+    """Fast checker: the lying slots must not close a directed cycle.
+
+    Draw an arc truth -> report for every lying slot; the report shuffles
+    truths on some subset exactly when these arcs contain a directed cycle.
+    The test suite checks this against an exponential subset scan.
+    """
+    me = _entries(m)
+    if len(me) != u.K:
+        raise ValidationError(f"report length {len(me)} != truth length {u.K}")
+    succ: dict[str, set[str]] = defaultdict(set)
+    indeg: Counter = Counter()
+    nodes: set[str] = set()
+    for a, b in zip(u.entries, me):
+        if a == b:
+            continue
+        nodes.update((a, b))
+        if b not in succ[a]:
+            succ[a].add(b)
+            indeg[b] += 1
+    queue = [v for v in nodes if indeg[v] == 0]
+    seen = 0
+    while queue:
+        v = queue.pop()
+        seen += 1
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return seen == len(nodes)
+
+
+def oracle_audit(u: PreferenceVector, m: Message) -> Audit:
+    """The audit record assembled from the frozen per-verdict checkers."""
+    return Audit(
+        approx_truthful=oracle_is_approx_truthful(u, m),
+        approx_truthful_star=oracle_is_approx_truthful_star(u, m),
+        permutation_truthful=oracle_is_permutation_truthful(u, m),
+        min_lies=min_lie_count(u, m.quota),
+        lies=lie_count(u, m),
+        star_bound=oracle_star_lie_bound(u, m.quota),
+        witness=oracle_witness(u, m),
+    )

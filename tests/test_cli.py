@@ -1,26 +1,40 @@
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linkmech
 
 from linkmech import (
     Message,
+    PreferenceVector,
+    Quota,
+    audit,
+    cli,
     compute_quota,
     is_approx_truthful,
     is_approx_truthful_star,
     is_permutation_truthful,
     lie_count,
     min_lie_count,
+    optimize,
+    sample_minimal_message,
+    sim,
     star_lie_bound,
+    truthfulness,
 )
-from linkmech.cli import bundled_spec_path, load_bundled_problem
-from helpers import random_quota_message, random_vector, run_cli, run_cli_json
+from linkmech.cli import _render_audit, bundled_spec_path, load_bundled_problem
+from helpers import random_quota, random_quota_message, random_vector, run_cli, run_cli_json
 
 CE_SPEC = bundled_spec_path("counterexample")
 BIN_SPEC = bundled_spec_path("binary")
@@ -159,6 +173,100 @@ class TestAuditCommand:
             assert out["min_lies"] == min_lie_count(u, quota)
             assert out["star_bound"] == star_lie_bound(u, quota)
 
+    def test_one_witness_and_no_recount_per_audit(self, monkeypatch):
+        # names are counted wherever a linkmech module binds them, as the
+        # benchmark's tracer wraps them
+        calls = Counter()
+        for name in ("permutation_witness", "min_lie_count", "lie_count"):
+            original = getattr(truthfulness, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for mod in (linkmech, truthfulness, optimize, sim, cli):
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        code, _ = run_cli(["audit", "--spec", CE_SPEC, "--truth", "A,A,B,C,C,C", "--report", "C,A,B,A,B,C"])
+        assert code == 0
+        assert calls["permutation_witness"] == 1
+        assert calls["min_lie_count"] <= 1 and calls["lie_count"] <= 1
+
+    @pytest.mark.parametrize(
+        "truth, report, message",
+        [
+            ("A,,B", "A,B", "truth: empty label at position 2"),
+            (",A,B", "A,B,C", "truth: empty label at position 1"),
+            ("", "A", "truth: empty label at position 1"),
+            ("A,B,C", "A,B,C,", "report: empty label at position 4"),
+            ("A,B,C", "A, ,C", "report: empty label at position 2"),
+        ],
+    )
+    def test_empty_label_rejected(self, truth, report, message, capsys):
+        argv = ["audit", "--spec", CE_SPEC, "--truth", truth, "--report", report]
+        assert_clean_failure(argv, capsys, message)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_fuzz(self, data):
+        # empty and unknown labels, length and --K mismatches and quota
+        # violations all end in exit 1 with one line, never a traceback
+        label = st.sampled_from(["A", "B", "C"] * 4 + ["", "Z", " B "])
+        labels = data.draw(st.lists(label, max_size=6))
+        truth = ",".join(labels)
+        report = ",".join(data.draw(st.one_of(st.permutations(labels), st.lists(label, max_size=6))))
+        K = data.draw(st.one_of(st.none(), st.just(len(labels)), st.integers(min_value=-1, max_value=7)))
+        argv = ["audit", "--spec", CE_SPEC, "--truth", truth, "--report", report]
+        if K is not None:
+            argv += ["--K", str(K)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        if code == 0:
+            assert err.getvalue() == ""
+            assert set(json.loads(out.getvalue())) >= {"lies", "witness"}
+        else:
+            assert code == 1 and out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def audit_json(a) -> dict:
+    """The audit output object as ``json.dumps`` would be given it."""
+    return {
+        "approx_truthful": a.approx_truthful,
+        "approx_truthful_star": a.approx_truthful_star,
+        "permutation_truthful": a.permutation_truthful,
+        "min_lies": a.min_lies,
+        "lies": a.lies,
+        "star_bound": a.star_bound,
+        "witness": {"S": list(a.witness.slots), "pi": [list(p) for p in a.witness.pairs]},
+    }
+
+
+class TestAuditRendering:
+    def test_empty_witness(self):
+        ab = ("A", "B")
+        a = audit(PreferenceVector(("A",), ab), Message(PreferenceVector(("B",), ab), Quota(ab, (0, 1))))
+        assert a.witness.slots == ()
+        assert '"S": [],' in _render_audit(a)
+        assert _render_audit(a) == json.dumps(audit_json(a), indent=2)
+
+    def test_matches_json_dumps(self):
+        # independent and minimal reports, so S runs from empty to all of K
+        rnd = random.Random(4096)
+        for i in range(400):
+            n = rnd.randint(1, 6)
+            K = rnd.randint(1, 300)
+            types = tuple(sorted({f"t{j}" for j in range(n)}))
+            u = random_vector(rnd, types, K)
+            q = random_quota(rnd, types, K)
+            if i % 2:
+                m = random_quota_message(rnd, u, q)
+            else:
+                m = sample_minimal_message(u, q, np.random.default_rng(i))
+            a = audit(u, m)
+            assert _render_audit(a) == json.dumps(audit_json(a), indent=2)
+
 
 class TestBestResponseCommand:
     def test_bruteforce_lists_tied_pair(self):
@@ -211,6 +319,15 @@ class TestBestResponseCommand:
             ["best-response", "--spec", CE_SPEC, "--truth", "A,A,B", "--method", "bruteforce", "--cap", "2"]
         )[0]
         assert code == 3
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_is_usage_error(self, cap, capsys):
+        argv = ["best-response", "--spec", CE_SPEC, "--truth", "A,A,B", "--method", "bruteforce", "--cap", cap]
+        assert_clean_failure(argv, capsys, f"--cap must be at least 1, got {cap}")
+
+    def test_empty_label_rejected(self, capsys):
+        assert_clean_failure(["best-response", "--spec", CE_SPEC, "--truth", "A,B,"], capsys,
+                             "truth: empty label at position 3")
 
 
 class TestCounterexampleCommand:

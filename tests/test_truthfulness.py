@@ -13,6 +13,7 @@ from linkmech import (
     PreferenceVector,
     Quota,
     ValidationError,
+    audit,
     canonical_minimal_message,
     compute_quota,
     count_minimal_lie_messages,
@@ -22,6 +23,7 @@ from linkmech import (
     lie_count,
     min_lie_count,
     minimal_lie_messages,
+    permutation_witness,
     sample_minimal_message,
     star_lie_bound,
     tv_distance,
@@ -31,6 +33,7 @@ from helpers import (
     brute_minimal_set,
     is_permutation_truthful_naive,
     oracle_canonical_minimal_message,
+    oracle_audit,
     oracle_count_minimal_lie_messages,
     oracle_minimal_lie_messages,
     oracle_sample_minimal_message,
@@ -366,6 +369,79 @@ class TestPermutationCheckers:
         u = PreferenceVector(tuple(rnd.choice(types) for _ in range(K)), types)
         m = PreferenceVector(tuple(rnd.choice(types) for _ in range(K)), types)
         assert is_permutation_truthful(u, m) == is_permutation_truthful_naive(u, m)
+
+
+class TestAudit:
+    Q3 = Quota(ABC, (1, 1, 1))
+
+    def test_two_lie_deviation(self):
+        a = audit(vec("AAB"), msg("ABC", self.Q3))
+        assert (a.approx_truthful, a.approx_truthful_star, a.permutation_truthful) == (False, True, True)
+        assert (a.min_lies, a.lies, a.star_bound) == (1, 2, 2)
+        assert a.witness.pairs == ((1, 1),)
+
+    def test_rejects_foreign_quota(self):
+        q = Quota(("A", "B", "C", "D"), (1, 1, 1, 0))
+        m = Message(PreferenceVector(("A", "B", "C"), q.types), q)
+        with pytest.raises(ValidationError, match="type sets differ"):
+            audit(vec("AAB"), m)
+
+    def test_checkers_are_views_of_the_record(self):
+        u, m = vec("AAB"), msg("BCA", self.Q3)
+        a = audit(u, m)
+        assert a.approx_truthful == is_approx_truthful(u, m)
+        assert a.approx_truthful_star == is_approx_truthful_star(u, m)
+        assert a.permutation_truthful == is_permutation_truthful(u, m) is False
+        assert a.star_bound == star_lie_bound(u, m.quota)
+        assert a.witness == permutation_witness(u, m)
+
+    def test_matches_frozen_checkers(self):
+        # independent, minimal and shuffled-minimal reports; below K = 11
+        # the permutation verdict is also checked by the subset scan
+        rnd = random.Random(2206)
+        scanned = 0
+        for i in range(3000):
+            n = rnd.randint(1, 6)
+            K = rnd.randint(1, 10) if i % 2 else rnd.randint(1, 40)
+            types = tuple(sorted({f"t{j}" for j in range(n)}))
+            u = random_vector(rnd, types, K)
+            q = random_quota(rnd, types, K)
+            if i % 3 == 0:
+                m = random_quota_message(rnd, u, q)
+            else:
+                m = sample_minimal_message(u, q, np.random.default_rng(i))
+                if i % 3 == 2:
+                    sub = rnd.sample(range(K), K // 4)
+                    entries = list(m.entries)
+                    for k, j in zip(sub, rnd.sample(sub, len(sub))):
+                        entries[k] = m.entries[j]
+                    m = Message(PreferenceVector(tuple(entries), types), q)
+            a = audit(u, m)
+            assert a == oracle_audit(u, m)
+            if K <= 10:
+                scanned += 1
+                assert a.permutation_truthful == is_permutation_truthful_naive(u, m)
+        assert scanned > 1500
+
+    @pytest.mark.parametrize("K", [256, 1024, 4096])
+    def test_matches_frozen_checkers_at_large_k(self, K):
+        # the audit benchmark's mix: a 2/5, 3/10, 1/5, 1/10 prior, and minimal,
+        # shuffled-minimal (a random quarter of the slots permuted) and
+        # random quota-feasible reports
+        rnd = random.Random(K)
+        types = ("A", "B", "C", "D")
+        q = compute_quota({t: Fraction(w, 10) for t, w in zip(types, (4, 3, 2, 1))}, K)
+        u = PreferenceVector(tuple(rnd.choices(types, (4, 3, 2, 1), k=K)), types)
+        minimal = sample_minimal_message(u, q, np.random.default_rng(K))
+        sub = rnd.sample(range(K), K // 4)
+        entries = list(minimal.entries)
+        for k, j in zip(sub, rnd.sample(sub, len(sub))):
+            entries[k] = minimal.entries[j]
+        shuffled = Message(PreferenceVector(tuple(entries), types), q)
+        for m in (minimal, shuffled, random_quota_message(rnd, u, q)):
+            a = audit(u, m)
+            assert a.witness == permutation_witness(u, m)
+            assert a == oracle_audit(u, m)
 
 
 class TestLabelFreeness:
