@@ -19,6 +19,7 @@ import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from functools import lru_cache
 from importlib.resources import files
 from typing import Optional, Sequence
 
@@ -255,6 +256,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="linkmech",

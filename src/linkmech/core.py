@@ -175,9 +175,9 @@ class PreferenceVector:
         if not self.entries:
             raise ValidationError("entries: K must be at least 1")
         universe = set(self.types)
-        for k, t in enumerate(self.entries, start=1):
-            if t not in universe:
-                raise ValidationError(f"entries[{k}]: unknown type {t!r}")
+        if not universe.issuperset(self.entries):
+            k, t = next((k, t) for k, t in enumerate(self.entries, start=1) if t not in universe)
+            raise ValidationError(f"entries[{k}]: unknown type {t!r}")
 
     @property
     def K(self) -> int:

@@ -230,6 +230,31 @@ class _MinCostFlow:
             sent += bottleneck
 
 
+# The last (f, p, types) and its tables, keyed by identity: f and p are held,
+# so their ids cannot be reused, and neither is mutated after construction.
+# Keying on content would mix int and float utilities, since 1 == 1.0.
+_cached_tables: tuple = (None, None, None, None)
+
+
+def _value_tables(f: SocialChoiceFunction, p: Problem, types: tuple[str, ...]):
+    """Integer ``top - value`` gaps over the common denominator, and the
+    per-pair ``f.expected_utility`` values, both indexed [true][reported]."""
+    global _cached_tables
+    cf, cp, ct, tables = _cached_tables
+    if cf is f and cp is p and ct == types:
+        return tables
+    exact = [
+        [sum(Fraction(w) * Fraction(p.utility[t][d]) for d, w in f.lottery(r).items()) for r in types]
+        for t in types
+    ]
+    denom = math.lcm(*(v.denominator for row in exact for v in row))
+    scaled = [[v.numerator * (denom // v.denominator) for v in row] for row in exact]
+    top = max(max(row) for row in scaled)
+    utils = [[f.expected_utility(r, t, p) for r in types] for t in types]
+    _cached_tables = (f, p, types, ([[top - v for v in row] for row in scaled], utils))
+    return _cached_tables[3]
+
+
 def best_response_transport(
     u: PreferenceVector, f: SocialChoiceFunction, p: Problem, q: Quota
 ) -> TransportResult:
@@ -247,24 +272,17 @@ def best_response_transport(
     as ``(cost, lies)`` pairs would: among payoff-optimal plans the solver
     returns one with the fewest lies.  The plan is realized slot by slot,
     filling each true type's slots with its reported types in canonical
-    order.
+    order.  Per problem, ``_value_tables`` builds the scaled table and the
+    pair payoffs once and reuses them while the same ``f`` and ``p`` objects
+    come back.  Per call: the network, the solve, the payoff total, the plan
+    check, the slot realization and the ``Message`` validation.
     """
     counts, _ = _shortfall(u, q)
     types = q.types
     n = len(types)
     supply = [counts[t] for t in types]
     demand = list(q.counts)
-
-    exact = [
-        [
-            sum(Fraction(w) * Fraction(p.utility[t][d]) for d, w in f.lottery(r).items())
-            for r in types
-        ]
-        for t in types
-    ]
-    denom = math.lcm(*(v.denominator for row in exact for v in row))
-    scaled = [[v.numerator * (denom // v.denominator) for v in row] for row in exact]
-    top = max(max(row) for row in scaled)
+    gaps, utils = _value_tables(f, p, types)
     lie_scale = q.K + 4 * n + 3
     source, sink = 2 * n, 2 * n + 1
     net = _MinCostFlow(2 * n + 2)
@@ -279,7 +297,7 @@ def best_response_transport(
             if c == 0:
                 continue
             pair_eid[(i, j)] = len(net.to)
-            net.add_edge(i, n + j, c, (top - scaled[i][j]) * lie_scale + (i != j))
+            net.add_edge(i, n + j, c, gaps[i][j] * lie_scale + (i != j))
     net.run(source, sink, q.K)
 
     flows = [[0] * n for _ in range(n)]
@@ -295,12 +313,7 @@ def best_response_transport(
         for slot, r in zip(slots[t], reports):
             entries[slot] = r
     message = Message(PreferenceVector(tuple(entries), u.types), q)
-    total = sum(
-        flows[i][j] * f.expected_utility(types[j], types[i], p)
-        for i in range(n)
-        for j in range(n)
-        if flows[i][j]
-    )
+    total = sum(flows[i][j] * utils[i][j] for i in range(n) for j in range(n) if flows[i][j])
     return TransportResult(plan=plan, message=message, payoff=total)
 
 

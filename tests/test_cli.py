@@ -329,6 +329,31 @@ class TestBestResponseCommand:
         assert_clean_failure(["best-response", "--spec", CE_SPEC, "--truth", "A,B,"], capsys,
                              "truth: empty label at position 3")
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_fuzz(self, data):
+        # empty and unknown labels, --K mismatches, every --cap and both
+        # methods end in exit 0, 1 or 3 with at most one line, never a traceback
+        label = st.sampled_from(["A", "B", "C"] * 4 + ["", "Z", " B "])
+        labels = data.draw(st.lists(label, max_size=6))
+        argv = ["best-response", "--spec", CE_SPEC, "--truth", ",".join(labels)]
+        argv += ["--method", data.draw(st.sampled_from(["transport", "bruteforce"]))]
+        K = data.draw(st.one_of(st.none(), st.just(len(labels)), st.integers(min_value=-1, max_value=7)))
+        if K is not None:
+            argv += ["--K", str(K)]
+        cap = data.draw(st.one_of(st.none(), st.integers(min_value=-2, max_value=800), st.just("x")))
+        if cap is not None:
+            argv += ["--cap", str(cap)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        if code == 0:
+            assert err.getvalue() == ""
+            assert "payoff" in json.loads(out.getvalue())
+        else:
+            assert code in (1, 3) and out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
 
 class TestCounterexampleCommand:
     def test_default_fixture_passes(self):
@@ -471,6 +496,40 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
         assert exc.value.code == 0
+
+    def test_reused_parser_matches_fresh_runs(self):
+        # the counterexample calls check that one run's --utility list does
+        # not leak into the next, and the usage error that a failed parse
+        # leaves nothing behind for the good call after it
+        runs = [
+            ["quota", "--spec", CE_SPEC, "--K", "5"],
+            ["counterexample", "--utility", "u_cB=0.5"],
+            ["counterexample", "--utility", "u_aA=1.5", "--utility", "u_bB=2.5"],
+            ["counterexample"],
+            ["audit", "--spec", CE_SPEC, "--truth", "A,A,B", "--report", "A,B,C"],
+            ["simulate", "--spec", BIN_SPEC, "--K", "4", "--format", "xml"],
+            ["simulate", "--spec", BIN_SPEC, "--K", "2,4", "--reps", "20", "--seed", "3"],
+            ["best-response", "--spec", CE_SPEC, "--truth", "A,A,B", "--method", "guess"],
+            ["best-response", "--spec", CE_SPEC, "--truth", "A,A,B", "--method", "bruteforce"],
+            ["quota", "--spec", CE_SPEC, "--K", "5"],
+        ]
+
+        def run(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(argv)
+            return code, out.getvalue(), err.getvalue()
+
+        cli.build_parser.cache_clear()
+        reused = [run(argv) for argv in runs]
+        assert cli.build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in runs:
+            cli.build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 1, 0, 1, 0, 0]
+        assert reused[1][1] != reused[3][1] != reused[2][1]
 
     def test_version_of_outputs_are_json(self):
         code, out = run_cli(["quota", "--spec", CE_SPEC, "--K", "2"])

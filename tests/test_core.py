@@ -177,3 +177,16 @@ class TestMessage:
     def test_marginal_requires_weights_summing_to_one(self):
         with pytest.raises(ValidationError, match="sum"):
             Marginal(("A", "B"), (Fraction(1, 2), Fraction(1, 3)))
+
+
+class TestPreferenceVector:
+    @pytest.mark.parametrize("entries, message", [
+        (("A", "B", "X", "C", "A"), "entries[3]: unknown type 'X'"),
+        (("A", "B", "X", "Y", "X"), "entries[3]: unknown type 'X'"),
+        (("Y",), "entries[1]: unknown type 'Y'"),
+        (("A", "C", 7), "entries[3]: unknown type 7"),
+    ])
+    def test_unknown_label_names_first_bad_slot(self, entries, message):
+        with pytest.raises(ValidationError) as exc:
+            PreferenceVector(entries, ("A", "B", "C"))
+        assert str(exc.value) == message

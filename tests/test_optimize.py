@@ -16,6 +16,7 @@ from linkmech import (
     PreferenceVector,
     Problem,
     Quota,
+    SimConfig,
     SocialChoiceFunction,
     ValidationError,
     best_response_bruteforce,
@@ -27,6 +28,7 @@ from linkmech import (
     message_count,
     min_lie_count,
     payoff,
+    run_convergence,
     validate_problem,
     verify_counterexample,
 )
@@ -389,6 +391,74 @@ class TestIntegerTransport:
         monkeypatch.setattr(_MinCostFlow, "add_edge", spy)
         best_response_transport(vec("AAB"), f, p, Q3)
         assert seen and all(type(c) is int for c in seen)
+
+
+def assert_matches_oracle(u, f, p, q):
+    got = best_response_transport(u, f, p, q)
+    want = oracle_best_response_transport(u, f, p, q)
+    assert got.plan.flows == want.plan.flows
+    assert got.message.entries == want.message.entries
+    assert got.payoff == want.payoff and type(got.payoff) is type(want.payoff)
+
+
+# The counterexample's utilities with u(c|B) left open: at 1.5 the truth
+# A,A,B prefers the two-lie report, at 1 it keeps the one-lie minimum.
+def ce_utility(b_c, number=int):
+    return {
+        "A": {"a": number(2), "b": number(1), "c": number(0)},
+        "B": {"a": number(0), "b": number(2), "c": b_c},
+        "C": {"a": number(0), "b": number(0), "c": number(2)},
+    }
+
+
+class TestValueTableCache:
+    """Per-problem tables are reused by the identity of ``f`` and ``p`` only."""
+
+    def alternate(self, cases, rounds=30):
+        rnd = random.Random(8)
+        for _ in range(rounds):
+            for p, f in cases:
+                assert_matches_oracle(vec("AAB"), f, p, Q3)
+                K = rnd.randint(1, 12)
+                assert_matches_oracle(random_vector(rnd, ABC, K), f, p, random_quota(rnd, ABC, K))
+
+    def test_problems_with_the_same_types(self):
+        f = SocialChoiceFunction.point_mass({"A": "a", "B": "b", "C": "c"})
+        deviates, stays = make_problem(ce_utility(1.5)), make_problem(ce_utility(1))
+        assert best_response_transport(vec("AAB"), f, deviates, Q3).message.entries == ("A", "B", "C")
+        assert best_response_transport(vec("AAB"), f, stays, Q3).message.entries == ("A", "C", "B")
+        self.alternate([(deviates, f), (stays, f)])
+
+    def test_int_and_equal_float_utilities(self):
+        f = SocialChoiceFunction.point_mass({"A": "a", "B": "b", "C": "c"})
+        ints, floats = make_problem(ce_utility(1)), make_problem(ce_utility(1.0, float))
+        assert ints.utility == floats.utility
+        assert type(best_response_transport(vec("AAB"), f, ints, Q3).payoff) is Fraction
+        assert type(best_response_transport(vec("AAB"), f, floats, Q3).payoff) is float
+        self.alternate([(ints, f), (floats, f), (ints, f)])
+
+    def test_two_outcome_functions_on_one_problem(self, counterexample_problem):
+        p = counterexample_problem
+        argmax = SocialChoiceFunction.utility_argmax(p)
+        mixed = SocialChoiceFunction(
+            {"A": {"c": Fraction(1)}, "B": {"a": Fraction(1, 2), "b": Fraction(1, 2)}, "C": {"b": Fraction(1)}}
+        )
+        self.alternate([(p, argmax), (p, mixed)])
+
+    def test_one_build_per_run(self, monkeypatch, counterexample_problem):
+        calls = []
+        real = SocialChoiceFunction.expected_utility
+
+        def counted(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(SocialChoiceFunction, "expected_utility", counted)
+        cfg = SimConfig(
+            problem=counterexample_problem, k_values=(3, 8, 16), replications=20, seed=5, strategy="best-response"
+        )
+        run_convergence(cfg)
+        assert len(calls) == 9  # one pair payoff per (true, reported) type pair
 
 
 class TestVerifyCounterexample:

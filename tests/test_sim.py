@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 import tracemalloc
@@ -336,3 +337,22 @@ class TestCsv:
             "max_slot_lie_prob", "mean_tv_to_quota", "mean_tv_to_prior",
             "quota_tv_to_prior", "star_bound", "efficiency_gap",
         ]
+
+    # sha256 of the CSV at K 3,16,64, seed 1, 200 reps.  A change to the RNG
+    # stream or to a tie-break changes these; update them with a CHANGES.md
+    # line that says why.
+    @pytest.mark.parametrize(
+        "spec, strategy, digest",
+        [
+            ("binary", "canonical-min-lie", "41e7e73adedfeba58217b6304dd01e7950dcc74235a5e4bf370d60f2abb62135"),
+            ("binary", "uniform-min-lie", "1d956debbdaffab92e7131149f6e0970276c4d8559e6f52d62ecd60e5360fc3b"),
+            ("binary", "best-response", "0226648f8cec34601b077ee201fe49ff328407a70794fb87b55a9a69a1d0088f"),
+            ("counterexample", "canonical-min-lie", "970a44d596105574934f7b439a7db966b61221c11861e47c73731654427ba842"),
+            ("counterexample", "uniform-min-lie", "fda9f9f2c15901391014c4054d8267da1736507230d26bca42b514cb7d3d1095"),
+            ("counterexample", "best-response", "dcc9b7ec67680193bf6bfe50492572778bf15e21f3137d3daca87d747a37c1a1"),
+        ],
+    )
+    def test_bytes_pinned(self, spec, strategy, digest, binary_problem, counterexample_problem):
+        problem = binary_problem if spec == "binary" else counterexample_problem
+        cfg = SimConfig(problem=problem, k_values=(3, 16, 64), replications=200, seed=1, strategy=strategy)
+        assert hashlib.sha256(stats_to_csv(run_convergence(cfg)).encode()).hexdigest() == digest
