@@ -26,8 +26,8 @@ from .core import (
 )
 from .truthfulness import (
     _report_entries,
+    _scan,
     _shortfall,
-    _slots_by_type,
     compute_quota,
     is_approx_truthful,
     is_approx_truthful_star,
@@ -272,10 +272,12 @@ def best_response_transport(
     as ``(cost, lies)`` pairs would: among payoff-optimal plans the solver
     returns one with the fewest lies.  The plan is realized slot by slot,
     filling each true type's slots with its reported types in canonical
-    order.  Per problem, ``_value_tables`` builds the scaled table and the
-    pair payoffs once and reuses them while the same ``f`` and ``p`` objects
-    come back.  Per call: the network, the solve, the payoff total, the plan
-    check, the slot realization and the ``Message`` validation.
+    order, so a lying row overwrites a prefix of its slots with the lower
+    labels and a suffix with the higher ones.  Per problem,
+    ``_value_tables`` builds the scaled table and the pair payoffs once and
+    reuses them while the same ``f`` and ``p`` objects come back.  Per call: the network, the solve, the payoff total, the plan's
+    row and column sums against the counts already taken, the lying-slot
+    realization and the ``Message`` validation.
     """
     counts, _ = _shortfall(u, q)
     types = q.types
@@ -303,15 +305,19 @@ def best_response_transport(
     flows = [[0] * n for _ in range(n)]
     for (i, j), eid in pair_eid.items():
         flows[i][j] = net.cap[eid ^ 1]  # reverse capacity == shipped units
+    if [sum(row) for row in flows] != supply or [sum(col) for col in zip(*flows)] != demand:
+        raise RuntimeError("internal: transport plan misses the slot counts or the quota")
     plan = TransportPlan(types, tuple(tuple(row) for row in flows))
-    plan.verify(u, q)
 
-    slots = _slots_by_type(u)
-    entries = [""] * u.K
+    ue, rev = u.entries, u.entries[::-1]
+    entries = list(ue)
     for i, t in enumerate(types):
-        reports = [r for j, r in enumerate(types) for _ in range(flows[i][j])]
-        for slot, r in zip(slots[t], reports):
-            entries[slot] = r
+        lower = [r for j, r in enumerate(types[:i]) for _ in range(flows[i][j])]
+        higher = [r for j, r in enumerate(types[i + 1:], i + 1) for _ in range(flows[i][j])]
+        for r, k in zip(lower, _scan(ue, t)):
+            entries[k] = r
+        for r, k in zip(reversed(higher), _scan(rev, t)):
+            entries[len(ue) - 1 - k] = r
     message = Message(PreferenceVector(tuple(entries), u.types), q)
     total = sum(flows[i][j] * utils[i][j] for i in range(n) for j in range(n) if flows[i][j])
     return TransportResult(plan=plan, message=message, payoff=total)

@@ -3,9 +3,11 @@
 Each replication draws an i.i.d. type vector from the prior, applies a
 reporting strategy, and records which slots lie and which slots change the
 implemented decision.  Replications own independent RNG substreams derived
-from (seed, K, replication index), and each episode is audited and folded
-into the per-K totals on integer type counts, so memory stays O(K) in the
-number of replications and output is bit-identical across runs.
+from (seed, K, replication index).  Each episode is audited and folded into
+the per-K totals in label space: the truth's type counts give the distances,
+and the per-slot tallies are touched only where the report lies.  Memory
+stays O(K) in the number of replications, and output is bit-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
+from operator import ne
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -54,8 +57,9 @@ StrategyFn = Callable[[PreferenceVector, Quota, np.random.Generator], Message]
 
 
 @lru_cache(maxsize=64)
-def _sampling_table(prior_items: tuple) -> tuple[tuple[str, ...], np.ndarray, int]:
-    """Sorted labels, cumulative integer thresholds and common denominator."""
+def _sampling_table(prior_items: tuple) -> tuple[tuple[str, ...], np.ndarray, int, np.ndarray]:
+    """Sorted labels, cumulative integer thresholds, common denominator, and
+    the labels again as an object array that maps drawn indices to labels."""
     types = tuple(t for t, _ in prior_items)
     weights = [Fraction(w) for _, w in prior_items]
     if sum(weights) != 1 or any(w < 0 for w in weights):
@@ -64,8 +68,9 @@ def _sampling_table(prior_items: tuple) -> tuple[tuple[str, ...], np.ndarray, in
     if denom > 1 << 62:
         raise ValidationError("prior denominator too large for exact integer sampling")
     cum = np.cumsum([int(w * denom) for w in weights])
-    cum.flags.writeable = False  # shared by every caller of the cache
-    return types, cum, denom
+    labels = np.array(types, dtype=object)
+    cum.flags.writeable = labels.flags.writeable = False  # shared by every caller of the cache
+    return types, cum, denom, labels
 
 
 def sample_type_vector(prior: Union[Problem, Weights], K: int, rng: np.random.Generator) -> PreferenceVector:
@@ -79,10 +84,10 @@ def sample_type_vector(prior: Union[Problem, Weights], K: int, rng: np.random.Ge
         prior = prior.prior
     if K < 1:
         raise ValidationError("K must be at least 1")
-    types, cum, denom = _sampling_table(tuple(sorted(prior.items())))
+    types, cum, denom, labels = _sampling_table(tuple(sorted(prior.items())))
     draws = rng.integers(0, denom, size=K)
     idx = np.searchsorted(cum, draws, side="right")
-    return PreferenceVector(tuple(types[i] for i in idx.tolist()), types)
+    return PreferenceVector(tuple(labels[idx].tolist()), types)
 
 
 @dataclass(frozen=True)
@@ -183,29 +188,30 @@ def _resolve_strategy(cfg: SimConfig, f: SocialChoiceFunction) -> StrategyFn:
     return audited
 
 
-def _lottery_ids(f: SocialChoiceFunction, types: Sequence[str]) -> np.ndarray:
-    """Group types by identical outcome lottery; ids come back per type index."""
+def _lottery_ids(f: SocialChoiceFunction, types: Sequence[str]) -> dict[str, int]:
+    """Group types by identical outcome lottery: label -> group id."""
     seen: list = []
-    ids = []
+    ids = {}
     for t in types:
         lot = dict(f.lottery(t))
-        for i, other in enumerate(seen):
-            if other == lot:
-                ids.append(i)
-                break
-        else:
+        if lot not in seen:
             seen.append(lot)
-            ids.append(len(seen) - 1)
-    return np.array(ids, dtype=np.int64)
+        ids[t] = seen.index(lot)
+    return ids
 
 
 def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     """Run the seeded experiment on every K and aggregate per-slot lie data.
 
-    For the built-in minimal-lie strategies every episode is checked to lie
-    in exactly K * tv(marginal, quota) slots; every built-in strategy is
-    checked against the relaxed budget (#types - 1) times that.  Raises on
-    violation, which signals an implementation bug rather than bad input.
+    Each episode is folded in label space: one C-level pass finds the
+    lying slots (report differs from truth), the truth's ``counts()`` give
+    both tv excesses in Python ints, and the per-slot lie and decision-change
+    tallies are bumped only at lying slots, since a truthful slot cannot
+    change the decision.  For the built-in minimal-lie strategies every
+    episode is checked to lie in exactly K * tv(marginal, quota) slots;
+    every built-in strategy is checked against the relaxed budget
+    (#types - 1) times that.  Raises on violation, which signals an
+    implementation bug rather than bad input.
     """
     problem = cfg.problem
     f = cfg.scf or SocialChoiceFunction.utility_argmax(problem)
@@ -214,10 +220,9 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     # Prior as integers P_t / D over its common denominator D, so that
     # K * D * tv(marginal, prior) = sum_t max(c_t * D - K * P_t, 0) stays in
     # Python ints (D may reach 2**62).
-    types, cum, denom = _sampling_table(tuple(sorted(prior.items())))
+    types, cum, denom, _ = _sampling_table(tuple(sorted(prior.items())))
     prior_num = np.diff(cum, prepend=0).tolist()
     n_types = len(types)
-    type_index = {t: i for i, t in enumerate(types)}
     lotid = _lottery_ids(f, types)
 
     exact_min = cfg.strategy in ("canonical-min-lie", "uniform-min-lie")
@@ -231,11 +236,10 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     for K in cfg.k_values:
         quota = compute_quota(prior, K)
         d_prior_quota = tv_distance(prior, quota.distribution())
-        quota_counts = np.array(quota.counts, dtype=np.int64)
-        prior_scaled = [K * p for p in prior_num]
+        scaled = list(zip(types, quota.counts, [K * p for p in prior_num]))
 
-        slot_lies = np.zeros(K, dtype=np.int64)
-        slot_gaps = np.zeros(K, dtype=np.int64)
+        slot_lies = [0] * K
+        slot_gaps = [0] * K
         sum_lies = 0
         sum_lies_sq = 0
         sum_excess_q = 0  # sum over episodes of K * tv(marginal, quota)
@@ -244,24 +248,23 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
             rng = np.random.default_rng(np.random.SeedSequence([seed, K, rep]))
             u = sample_type_vector(prior, K, rng)
             m = strategy(u, quota, rng)
-            ue = np.fromiter((type_index[t] for t in u.entries), dtype=np.int64, count=K)
-            me = np.fromiter((type_index[t] for t in m.entries), dtype=np.int64, count=K)
-            lie_slots = ue != me
-            lies = int(lie_slots.sum())
-            counts = np.bincount(ue, minlength=n_types)
-            excess_q = int(np.maximum(counts - quota_counts, 0).sum())
+            ue, me = u.entries, m.entries
+            lying = list(compress(range(K), map(ne, ue, me)))
+            lies = len(lying)
+            counts = u.counts()
+            excess_q = sum(counts[t] - b for t, b, _ in scaled if counts[t] > b)
             if exact_min and lies != excess_q:
                 raise RuntimeError("internal: minimal-lie strategy missed the minimum")
             if enforce_star and lies > (n_types - 1) * excess_q:
                 raise RuntimeError("internal: strategy exceeded the relaxed lie budget")
-            slot_lies += lie_slots
-            slot_gaps += lotid[ue] != lotid[me]
+            for k in lying:
+                slot_lies[k] += 1
+                if lotid[ue[k]] != lotid[me[k]]:
+                    slot_gaps[k] += 1
             sum_lies += lies
             sum_lies_sq += lies * lies
             sum_excess_q += excess_q
-            sum_excess_p += sum(
-                max(c * denom - p, 0) for c, p in zip(counts.tolist(), prior_scaled)
-            )
+            sum_excess_p += sum(max(counts[t] * denom - p, 0) for t, _, p in scaled)
 
         reps = cfg.replications
         lie_fraction = sum_lies / (reps * K)
@@ -280,12 +283,12 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
                 seed=cfg.seed,
                 lie_fraction=lie_fraction,
                 lie_fraction_se=se,
-                max_slot_lie_prob=int(slot_lies.max()) / reps,
+                max_slot_lie_prob=max(slot_lies) / reps,
                 mean_tv_to_quota=float(mean_tvq),
                 mean_tv_to_prior=float(mean_tvp),
                 quota_tv_to_prior=float(d_prior_quota),
                 star_bound=float((n_types - 1) * (mean_tvp + d_prior_quota)),
-                efficiency_gap=int(slot_gaps.max()) / reps,
+                efficiency_gap=max(slot_gaps) / reps,
             )
         )
     return tuple(out)

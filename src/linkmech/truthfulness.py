@@ -13,6 +13,7 @@ record.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -20,6 +21,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
+
+import numpy as np
 
 from .core import (
     EnumerationCapError,
@@ -85,12 +88,15 @@ def _shortfall(u: PreferenceVector, q: Quota) -> tuple[Counter, list[str]]:
     return counts, [t for t, b in zip(q.types, q.counts) for _ in range(b - counts[t])]
 
 
-def _slots_by_type(u: PreferenceVector) -> dict[str, list[int]]:
-    """0-based slot indices of each type, in slot order."""
-    slots: dict[str, list[int]] = {t: [] for t in u.types}
-    for k, t in enumerate(u.entries):
-        slots[t].append(k)
-    return slots
+def _scan(entries: tuple[str, ...], t: str) -> Iterator[int]:
+    """0-based slots of ``t`` in ``entries``, in order, one ``tuple.index`` hop each."""
+    k = -1
+    try:
+        while True:
+            k = entries.index(t, k + 1)
+            yield k
+    except ValueError:
+        return
 
 
 def min_lie_count(u: PreferenceVector, q: Quota) -> int:
@@ -160,8 +166,7 @@ def minimal_lie_messages(u: PreferenceVector, q: Quota, cap: int = 10**6) -> set
             "use canonical_minimal_message or sample_minimal_message instead"
         )
     counts, owed = _shortfall(u, q)
-    slots = _slots_by_type(u)
-    surplus = [(slots[t], b) for t, b in zip(q.types, q.counts) if counts[t] > b]
+    surplus = [(list(_scan(u.entries, t)), b) for t, b in zip(q.types, q.counts) if counts[t] > b]
     out: set[Message] = set()
     for keeps in itertools.product(*(itertools.combinations(pos, b) for pos, b in surplus)):
         kept = set().union(*keeps)
@@ -178,26 +183,40 @@ def minimal_lie_messages(u: PreferenceVector, q: Quota, cap: int = 10**6) -> set
 def canonical_minimal_message(u: PreferenceVector, q: Quota) -> Message:
     """First minimal-lie message in canonical (lexicographic) order.
 
-    Only slots of over-supplied types lie, and each lie reports the smallest
-    deficit type still owed.  Scanning left to right, a slot of an
-    over-supplied type with lies left lies when that label sorts before its
-    truth, or when its type has no truthful slots left; every other slot
-    keeps its truth.  Linear in K; no enumeration involved.
+    Only slots of over-supplied types lie, and in slot order the lies
+    report the owed deficit labels in canonical order.  Each over-supplied
+    type lies on a prefix of its slots while the next owed label sorts
+    before it (bisection counts those labels), then keeps its truthful
+    budget, then lies on its last slots.  Only these lie events are visited,
+    in slot order, by ``tuple.index`` hops (on the reversed truth for the
+    tails); the truth is copied and its lying slots overwritten.
     """
     counts, owed = _shortfall(u, q)
-    keep = {t: min(counts[t], b) for t, b in zip(q.types, q.counts)}
-    lies = {t: counts[t] - keep[t] for t in q.types}
+    ue = u.entries
+    # Per over-supplied type: [next lying slot, type, lies left, owed index
+    # its prefix ends at, lying slots].  With no truthful budget the prefix
+    # never ends, since j < len(owed) while a lie is left.
+    live = []
+    for t, b in zip(q.types, q.counts):
+        if counts[t] > b:
+            slots = _scan(ue, t)
+            live.append([next(slots), t, counts[t] - b, bisect.bisect_left(owed, t) if b else len(owed), slots])
+    entries = list(ue)
     j = 0
-    out: list[str] = []
-    for t in u.entries:
-        if lies[t] and (not keep[t] or owed[j] < t):
-            lies[t] -= 1
-            out.append(owed[j])
-            j += 1
+    while live:
+        ev = min(live)
+        k, t, left, stop, slots = ev
+        if j >= stop:  # prefix done: keep the budget, lie on the last `left` slots
+            ev[4] = slots = reversed([len(ue) - 1 - i for i in itertools.islice(_scan(ue[::-1], t), left)])
+            ev[0], ev[3] = next(slots), len(owed)
+            continue
+        entries[k] = owed[j]
+        j += 1
+        if left == 1:
+            live.remove(ev)
         else:
-            keep[t] -= 1
-            out.append(t)
-    return Message(PreferenceVector(tuple(out), u.types), q)
+            ev[0], ev[2] = next(slots), left - 1
+    return Message(PreferenceVector(tuple(entries), u.types), q)
 
 
 def sample_minimal_message(u: PreferenceVector, q: Quota, rng) -> Message:
@@ -206,17 +225,20 @@ def sample_minimal_message(u: PreferenceVector, q: Quota, rng) -> Message:
     Independently keeps a uniform budget-sized subset of each over-supplied
     type's slots and scatters the deficit multiset uniformly over the freed
     slots.  ``rng`` is a ``numpy.random.Generator``; a fixed generator state
-    yields a fixed message.
+    yields a fixed message.  Each over-supplied type's slots come from one
+    pass over the truth, and only the freed slots are overwritten.
     """
     counts, owed = _shortfall(u, q)
-    slots = _slots_by_type(u)
+    ue = u.entries
     free: list[int] = []
     for t, b in zip(q.types, q.counts):
         if counts[t] > b:
-            kept = set(rng.choice(counts[t], size=b, replace=False).tolist())
-            free.extend(k for i, k in enumerate(slots[t]) if i not in kept)
+            freed = np.ones(counts[t], dtype=bool)
+            freed[rng.choice(counts[t], size=b, replace=False)] = False
+            slots = itertools.compress(range(len(ue)), map(operator.eq, ue, itertools.repeat(t)))
+            free.extend(itertools.compress(slots, freed.tolist()))
     free.sort()
-    entries = list(u.entries)
+    entries = list(ue)
     for slot, j in zip(free, rng.permutation(len(owed)).tolist()):
         entries[slot] = owed[j]
     return Message(PreferenceVector(tuple(entries), u.types), q)

@@ -16,7 +16,10 @@ of the per-function keep/deficit code that the shared shortfall split
 replaced; they must return equal counts, equal sets and, under equal
 generator seeds, identical samples.  The checkers at the very end are frozen
 copies of the per-verdict functions that ``audit`` folds into one pass over
-the slots; every field of its record must equal theirs.
+the slots; every field of its record must equal theirs.  The episode fold at
+the very end is a frozen copy of ``run_convergence`` as it stood on index
+arrays, before the fold moved to label space; the two must return equal
+statistics.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ import math
 from collections import Counter, defaultdict
 from contextlib import redirect_stdout
 from dataclasses import dataclass
-from typing import Optional, Union
+from fractions import Fraction
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from linkmech import (
     Audit,
@@ -39,17 +45,22 @@ from linkmech import (
     PreferenceVector,
     Problem,
     Quota,
+    SimConfig,
+    SimStats,
     SocialChoiceFunction,
     TransportPlan,
     TransportResult,
     ValidationError,
+    compute_quota,
     enumerate_messages,
     lie_count,
     marginal,
     min_lie_count,
     tv_distance,
 )
+from linkmech import sim
 from linkmech.cli import main
+from linkmech.sim import _SEED_MASK, _resolve_strategy, sample_type_vector
 from linkmech.truthfulness import _check_shapes, iter_multiset_arrangements
 
 LABELS = ("A", "B", "C", "D", "E", "F")
@@ -621,3 +632,119 @@ def oracle_audit(u: PreferenceVector, m: Message) -> Audit:
         star_bound=oracle_star_lie_bound(u, m.quota),
         witness=oracle_witness(u, m),
     )
+
+
+# --- frozen index-array episode fold ---
+
+
+def _sampling_table(prior_items: tuple):
+    """The sampling table as the fold below reads it: labels, thresholds, denominator."""
+    return sim._sampling_table(prior_items)[:3]
+
+
+def _lottery_ids(f: SocialChoiceFunction, types: Sequence[str]) -> np.ndarray:
+    """Group types by identical outcome lottery; ids come back per type index."""
+    seen: list = []
+    ids = []
+    for t in types:
+        lot = dict(f.lottery(t))
+        for i, other in enumerate(seen):
+            if other == lot:
+                ids.append(i)
+                break
+        else:
+            seen.append(lot)
+            ids.append(len(seen) - 1)
+    return np.array(ids, dtype=np.int64)
+
+
+def oracle_run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
+    """Run the seeded experiment on every K and aggregate per-slot lie data.
+
+    For the built-in minimal-lie strategies every episode is checked to lie
+    in exactly K * tv(marginal, quota) slots; every built-in strategy is
+    checked against the relaxed budget (#types - 1) times that.  Raises on
+    violation, which signals an implementation bug rather than bad input.
+    """
+    problem = cfg.problem
+    f = cfg.scf or SocialChoiceFunction.utility_argmax(problem)
+    strategy = _resolve_strategy(cfg, f)
+    prior = problem.prior
+    # Prior as integers P_t / D over its common denominator D, so that
+    # K * D * tv(marginal, prior) = sum_t max(c_t * D - K * P_t, 0) stays in
+    # Python ints (D may reach 2**62).
+    types, cum, denom = _sampling_table(tuple(sorted(prior.items())))
+    prior_num = np.diff(cum, prepend=0).tolist()
+    n_types = len(types)
+    type_index = {t: i for i, t in enumerate(types)}
+    lotid = _lottery_ids(f, types)
+
+    exact_min = cfg.strategy in ("canonical-min-lie", "uniform-min-lie")
+    # The relaxed budget is guaranteed for minimal-lie reports, for audited
+    # permutation-truthful reports, and for lie-minimal best responses
+    # against the default argmax outcome function.
+    enforce_star = exact_min or cfg.strategy == "custom-permutation-truthful" or cfg.scf is None
+
+    out = []
+    seed = cfg.seed & _SEED_MASK
+    for K in cfg.k_values:
+        quota = compute_quota(prior, K)
+        d_prior_quota = tv_distance(prior, quota.distribution())
+        quota_counts = np.array(quota.counts, dtype=np.int64)
+        prior_scaled = [K * p for p in prior_num]
+
+        slot_lies = np.zeros(K, dtype=np.int64)
+        slot_gaps = np.zeros(K, dtype=np.int64)
+        sum_lies = 0
+        sum_lies_sq = 0
+        sum_excess_q = 0  # sum over episodes of K * tv(marginal, quota)
+        sum_excess_p = 0  # sum over episodes of K * D * tv(marginal, prior)
+        for rep in range(cfg.replications):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, K, rep]))
+            u = sample_type_vector(prior, K, rng)
+            m = strategy(u, quota, rng)
+            ue = np.fromiter((type_index[t] for t in u.entries), dtype=np.int64, count=K)
+            me = np.fromiter((type_index[t] for t in m.entries), dtype=np.int64, count=K)
+            lie_slots = ue != me
+            lies = int(lie_slots.sum())
+            counts = np.bincount(ue, minlength=n_types)
+            excess_q = int(np.maximum(counts - quota_counts, 0).sum())
+            if exact_min and lies != excess_q:
+                raise RuntimeError("internal: minimal-lie strategy missed the minimum")
+            if enforce_star and lies > (n_types - 1) * excess_q:
+                raise RuntimeError("internal: strategy exceeded the relaxed lie budget")
+            slot_lies += lie_slots
+            slot_gaps += lotid[ue] != lotid[me]
+            sum_lies += lies
+            sum_lies_sq += lies * lies
+            sum_excess_q += excess_q
+            sum_excess_p += sum(
+                max(c * denom - p, 0) for c, p in zip(counts.tolist(), prior_scaled)
+            )
+
+        reps = cfg.replications
+        lie_fraction = sum_lies / (reps * K)
+        if reps > 1:
+            var_lies = (sum_lies_sq - sum_lies * sum_lies / reps) / (reps - 1)
+            se = math.sqrt(max(var_lies, 0.0) / reps) / K
+        else:
+            se = None
+        mean_tvq = Fraction(sum_excess_q, reps * K)
+        mean_tvp = Fraction(sum_excess_p, reps * K * denom)
+        out.append(
+            SimStats(
+                K=K,
+                strategy=cfg.strategy,
+                replications=reps,
+                seed=cfg.seed,
+                lie_fraction=lie_fraction,
+                lie_fraction_se=se,
+                max_slot_lie_prob=int(slot_lies.max()) / reps,
+                mean_tv_to_quota=float(mean_tvq),
+                mean_tv_to_prior=float(mean_tvp),
+                quota_tv_to_prior=float(d_prior_quota),
+                star_bound=float((n_types - 1) * (mean_tvp + d_prior_quota)),
+                efficiency_gap=int(slot_gaps.max()) / reps,
+            )
+        )
+    return tuple(out)

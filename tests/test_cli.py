@@ -7,10 +7,11 @@ import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import linkmech
@@ -34,10 +35,19 @@ from linkmech import (
     truthfulness,
 )
 from linkmech.cli import _render_audit, bundled_spec_path, load_bundled_problem
+from linkmech.sim import STRATEGY_NAMES
 from helpers import random_quota, random_quota_message, random_vector, run_cli, run_cli_json
 
 CE_SPEC = bundled_spec_path("counterexample")
 BIN_SPEC = bundled_spec_path("binary")
+
+
+def run_cli_captured(argv):
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def assert_clean_failure(argv, capsys, message):
@@ -93,6 +103,22 @@ class TestQuotaCommand:
         spec.write_text(json.dumps(raw), encoding="utf-8")
         argv = ["quota", "--spec", str(spec), "--K", "3"]
         assert_clean_failure(argv, capsys, f"{field}: must be a list of labels")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_fuzz(self, data):
+        # zero, negative, junk and huge K, with either spec, ends in exit 0
+        # or 1 with at most one line, never a traceback
+        K = data.draw(st.one_of(st.integers(min_value=-3, max_value=300), st.integers(10**6, 10**30),
+                                st.sampled_from(["x", "", "1.5", " 4 ", "1_0", "0x3"])))
+        spec = data.draw(st.sampled_from([CE_SPEC, BIN_SPEC]))
+        code, out, err = run_cli_captured(["quota", "--spec", spec, "--K", str(K)])
+        event(f"exit {code}")
+        if code == 0:
+            assert err == "" and sum(json.loads(out)["counts"].values()) == int(K)
+        else:
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unwritable_output(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.json"
@@ -437,6 +463,52 @@ class TestSimulateCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_fuzz(self, data):
+        # empty, zero, negative, non-increasing, junk and over-cap K lists,
+        # junk reps, strategies and seeds, and junk LINKED_SEED values end in
+        # exit 0, 1 or 3 with at most one line, never a traceback.  Each
+        # example breaks at most two inputs, and one that breaks none must
+        # succeed; the runs that succeed stay at K <= 64 and reps <= 5.
+        junk = set(data.draw(st.lists(st.sampled_from(["K", "reps", "strategy", "seed", "env"]), max_size=2)))
+        k_values = sorted(set(data.draw(st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=4))))
+        if "K" in junk:
+            k_values = data.draw(st.sampled_from([
+                [], [0, *k_values], [-k_values[0]], [*k_values, k_values[-1]], k_values[::-1] + [0],
+                [*k_values, "x"], ["", *k_values], [*k_values, sim.MAX_K + 1], [*k_values, 10**15],
+            ]))
+        reps = data.draw(st.sampled_from(["0", "x", "-1", ""] if "reps" in junk else ["1", "2", "5"]))
+        argv = ["simulate", "--spec", data.draw(st.sampled_from([CE_SPEC, BIN_SPEC])),
+                "--K", ",".join(map(str, k_values)), "--reps", reps,
+                "--format", data.draw(st.sampled_from(["csv", "json"]))]
+        strategy = data.draw(st.sampled_from(
+            ["bogus", STRATEGY_NAMES[-1]] if "strategy" in junk else [None, *STRATEGY_NAMES[:3]]))
+        if strategy is not None:
+            argv += ["--strategy", strategy]
+        seeds = st.integers(min_value=-(2**70), max_value=2**70).map(str)
+        seed = data.draw(st.sampled_from(["x", "1.5"]) if "seed" in junk else st.one_of(st.none(), seeds))
+        if seed is not None:
+            argv += ["--seed", seed]
+        env = data.draw(st.sampled_from(["", "abc", "1e3", "0x10", "9" * 5000]) if "env" in junk
+                        else st.one_of(st.none(), seeds, st.just(" 7 ")))
+        with mock.patch.dict(os.environ):
+            os.environ.pop("LINKED_SEED", None)
+            if env is not None:
+                os.environ["LINKED_SEED"] = env
+            code, out, err = run_cli_captured(argv)
+        event(f"exit {code}")
+        assert code == 0 or junk
+        if code == 0:
+            assert err == "" and k_values[-1] <= 64
+            if "json" in argv:
+                assert [row["K"] for row in json.loads(out)["stats"]] == k_values
+            else:
+                assert out.splitlines()[0].startswith("K,strategy") and len(out.splitlines()) == len(k_values) + 1
+        else:
+            assert code in (1, 3) and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_k_list(self):
         code = run_cli(["simulate", "--spec", BIN_SPEC, "--K", "4,oops", "--reps", "10"])[0]

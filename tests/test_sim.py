@@ -25,8 +25,9 @@ from linkmech import (
     stats_to_csv,
     tv_distance,
 )
-from linkmech import sim
+from linkmech import best_response_transport, is_permutation_truthful, sample_minimal_message, sim
 from linkmech.sim import CSV_COLUMNS
+from helpers import oracle_run_convergence
 
 ABC = ("A", "B", "C")
 
@@ -249,6 +250,53 @@ class TestRunConvergence:
         assert s.lie_fraction_se is None
         row = stats_to_csv([s]).splitlines()[1]
         assert ",," in row  # empty se field
+
+
+def random_fold_case(rnd: random.Random, n: int, strategy: str, denom: int) -> SimConfig:
+    """A random problem, outcome function and K grid for the fold oracle.
+
+    The prior is a random composition of ``denom`` (zero weights included).
+    Every other outcome function draws the types' lotteries from a pool
+    smaller than the type set, so some types share a lottery and a lie
+    between them changes no decision.
+    """
+    types = tuple(f"t{i}" for i in range(n))
+    decisions = tuple(f"d{i}" for i in range(rnd.randint(1, n)))
+    utility = {t: {d: rnd.randint(0, 9) for d in decisions} for t in types}
+    cuts = sorted(rnd.randint(0, denom) for _ in range(n - 1))
+    bounds = [0, *cuts, denom]
+    prior = {t: Fraction(bounds[i + 1] - bounds[i], denom) for i, t in enumerate(types)}
+    problem = Problem(decisions, types, utility, prior)
+    scf = None
+    if n > 1 and rnd.random() < 0.5:
+        pool = [{d: Fraction(1)} for d in decisions] + [{d: Fraction(1, len(decisions)) for d in decisions}]
+        pool = rnd.sample(pool, min(len(pool), n - 1))
+        scf = SocialChoiceFunction({t: rnd.choice(pool) for t in types})
+    k_values = tuple(sorted(rnd.sample(range(1, 601), rnd.randint(1, 3))))
+    custom = None
+    if strategy == "custom-permutation-truthful":
+        argmax = SocialChoiceFunction.utility_argmax(problem)
+
+        def custom(u, q, rng):
+            m = best_response_transport(u, argmax, problem, q).message
+            return m if is_permutation_truthful(u, m) else sample_minimal_message(u, q, rng)
+
+    return SimConfig(problem=problem, k_values=k_values, replications=rnd.randint(1, 20),
+                     seed=rnd.randrange(2**64), strategy=strategy, scf=scf, custom_strategy=custom)
+
+
+class TestFrozenFoldOracle:
+    def test_matches_index_array_fold(self):
+        rnd = random.Random(8080)
+        shared_gap = 0
+        for n in range(1, 6):
+            for strategy in sim.STRATEGY_NAMES:
+                for denom in (rnd.randint(1, 12), rnd.randint(13, 10**4), 2**40 - rnd.randint(1, 10**3)):
+                    cfg = random_fold_case(rnd, n, strategy, denom)
+                    got = run_convergence(cfg)
+                    assert got == oracle_run_convergence(cfg), cfg
+                    shared_gap += any(s.efficiency_gap != s.max_slot_lie_prob for s in got)
+        assert shared_gap >= 5
 
 
 class TestEfficiencyGap:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -226,6 +227,27 @@ class TestCanonicalAndSampler:
             u = PreferenceVector(tuple(rnd.choice(drawn) for _ in range(K)), types)
             q = random_quota(rnd, types, K)
             assert canonical_minimal_message(u, q) == oracle_canonical_minimal_message(u, q)
+
+    def test_builders_match_frozen_oracles_at_large_k(self):
+        # truth and quota come from independent skewed distributions, so
+        # several types are over-supplied at once, and prefixes, kept
+        # budgets and tails all interleave
+        rnd = random.Random(4117)
+        several = 0
+        for _ in range(200):
+            n = rnd.randint(1, 6)
+            K = rnd.randint(41, 1200)
+            types = tuple(f"t{j}" for j in range(n))
+            u = PreferenceVector(tuple(rnd.choices(types, [rnd.random() ** 3 for _ in types], k=K)), types)
+            drawn = Counter(rnd.choices(types, [rnd.random() ** 3 for _ in types], k=K))
+            q = Quota(types, tuple(drawn[t] for t in types))
+            counts = u.counts()
+            several += sum(counts[t] > b for t, b in zip(types, q.counts)) >= 2
+            assert canonical_minimal_message(u, q) == oracle_canonical_minimal_message(u, q)
+            seed = rnd.randrange(2**32)
+            got = sample_minimal_message(u, q, np.random.default_rng(seed))
+            assert got == oracle_sample_minimal_message(u, q, np.random.default_rng(seed))
+        assert several >= 60
 
     def test_sampler_uniform_over_pair(self):
         q = Quota(ABC, (1, 1, 1))
