@@ -70,6 +70,8 @@ def _load_problem(path: str) -> Problem:
         raise ValidationError(f"cannot read spec {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, oversized integer literals
         raise ValidationError(f"spec {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValidationError(f"spec {path} is nested too deeply") from None
     return validate_problem(raw)
 
 

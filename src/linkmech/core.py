@@ -32,24 +32,63 @@ class EnumerationCapError(RuntimeError):
 Weights = Mapping[str, Fraction]
 
 
+# Most decimal digits an untrusted number may carry in a numerator or a
+# denominator: room for the exact decimal form of any float (17 digits and
+# an exponent of at most 324), and far below the 4300 digits at which
+# Python refuses to print an int.
+MAX_RATIONAL_DIGITS = 1000
+_RATIONAL_BOUND = 10**MAX_RATIONAL_DIGITS
+
+
+def _cut(text: str) -> str:
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _brief(value) -> str:
+    """A repr of untrusted input short enough for a one-line error."""
+    if isinstance(value, (list, tuple, dict)):
+        return f"a {type(value).__name__}"
+    return _cut(repr(value))
+
+
+def _exponent(text: str) -> int:
+    """The decimal exponent a rational string ends in, or 0 if it has none."""
+    _, e, tail = text.lower().rpartition("e")
+    try:
+        return int(tail) if e else 0
+    except ValueError:
+        return 0  # not an exponent; Fraction rejects the text
+
+
 def as_fraction(value: Union[int, str, float, Fraction], field: str = "value") -> Fraction:
     """Parse an exact rational from an int, a "p/q" or decimal string, or a float.
 
     Floats are read through their shortest decimal representation, so 0.1
-    means exactly 1/10 rather than the nearest binary double.
+    means exactly 1/10 rather than the nearest binary double.  Numerator and
+    denominator may have at most ``MAX_RATIONAL_DIGITS`` digits; a string's
+    length and exponent are checked before ``Fraction`` expands it, since
+    "1e-100000000" would otherwise build a hundred-million-digit power of ten.
     """
     if isinstance(value, bool):
         raise ValidationError(f"{field}: expected a number, got a bool")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
     if isinstance(value, float):
         value = repr(value)
     if isinstance(value, str):
+        text = value.strip()
+        # room for a sign, two full-length parts and the "/" or "." between
+        if len(text) > 2 * MAX_RATIONAL_DIGITS + 2 or abs(_exponent(text)) > MAX_RATIONAL_DIGITS:
+            raise ValidationError(f"{field}: more than {MAX_RATIONAL_DIGITS} digits in {_brief(value)}")
         try:
-            return Fraction(value.strip())
+            out = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"{field}: cannot parse rational from {value!r}") from exc
-    raise ValidationError(f"{field}: cannot parse rational from {value!r}")
+            raise ValidationError(f"{field}: cannot parse rational from {_brief(value)}") from exc
+    elif isinstance(value, (int, Fraction)):
+        out = Fraction(value)
+    else:
+        raise ValidationError(f"{field}: cannot parse rational from {_brief(value)}")
+    if max(abs(out.numerator), out.denominator) >= _RATIONAL_BOUND:
+        raise ValidationError(f"{field}: more than {MAX_RATIONAL_DIGITS} digits")
+    return out
 
 
 def _check_labels(labels: Sequence[str], field: str) -> tuple[str, ...]:
@@ -60,7 +99,7 @@ def _check_labels(labels: Sequence[str], field: str) -> tuple[str, ...]:
     out = []
     for lab in labels:
         if not isinstance(lab, str) or not lab:
-            raise ValidationError(f"{field}: labels must be nonempty strings, got {lab!r}")
+            raise ValidationError(f"{field}: labels must be nonempty strings, got {_brief(lab)}")
         out.append(lab)
     if len(set(out)) != len(out):
         dupes = sorted({x for x in out if out.count(x) > 1})
@@ -117,10 +156,14 @@ def validate_problem(spec: Mapping) -> Problem:
             f"prior: has {len(raw_prior)} entries for {len(types)} types"
         )
     weights = {}
+    denom = 1  # bounded as it grows, so neither it nor the sum below can blow up
     for t, raw in zip(types, raw_prior):
         w = as_fraction(raw, field=f"prior[{t}]")
         if w < 0:
-            raise ValidationError(f"prior[{t}]: negative weight {w}")
+            raise ValidationError(f"prior[{t}]: negative weight {_cut(str(w))}")
+        denom = math.lcm(denom, w.denominator)
+        if denom >= _RATIONAL_BOUND:
+            raise ValidationError(f"prior: common denominator has more than {MAX_RATIONAL_DIGITS} digits")
         weights[t] = w
     total = sum(weights.values())
     if total != 1:
@@ -129,7 +172,7 @@ def validate_problem(spec: Mapping) -> Problem:
         if total > 0 and abs(total - 1) <= Fraction(1, 10**12):
             weights = {t: w / total for t, w in weights.items()}
         else:
-            raise ValidationError(f"prior: sums to {total}, expected 1")
+            raise ValidationError(f"prior: sums to {_cut(str(total))}, expected 1")
 
     raw_util = spec["utility"]
     if not isinstance(raw_util, Mapping):
@@ -153,9 +196,11 @@ def validate_problem(spec: Mapping) -> Problem:
                 raise ValidationError(f"utility[{t}][{d}]: missing")
             val = row[d]
             if isinstance(val, bool) or not isinstance(val, (int, float, Fraction)):
-                raise ValidationError(f"utility[{t}][{d}]: not a number: {val!r}")
+                raise ValidationError(f"utility[{t}][{d}]: not a number: {_brief(val)}")
             if isinstance(val, float) and not math.isfinite(val):
                 raise ValidationError(f"utility[{t}][{d}]: not finite")
+            if not isinstance(val, float) and abs(val) >= _RATIONAL_BOUND:
+                raise ValidationError(f"utility[{t}][{d}]: more than {MAX_RATIONAL_DIGITS} digits")
             utility[t][d] = val
     return Problem(decisions=decisions, types=types, utility=utility, prior=weights)
 
@@ -279,9 +324,10 @@ class Message:
         if self.vector.K != self.quota.K:
             raise ValidationError(f"message: length {self.vector.K} != quota total {self.quota.K}")
         counts = self.vector.counts()
-        over = sorted(t for t in self.quota.types if counts.get(t, 0) > self.quota.count(t))
-        under = sorted(t for t in self.quota.types if counts.get(t, 0) < self.quota.count(t))
-        if over or under:
+        if tuple(map(counts.__getitem__, self.quota.types)) != self.quota.counts:
+            budget = self.quota.as_dict()
+            over = sorted(t for t in budget if counts[t] > budget[t])
+            under = sorted(t for t in budget if counts[t] < budget[t])
             raise ValidationError(
                 f"message violates quota: over-represented {over}, under-represented {under}"
             )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Mapping, Optional, Union
 
 from .core import (
@@ -156,16 +157,28 @@ class TransportPlan:
 
 @dataclass(frozen=True)
 class TransportResult:
+    """A transport best response: the plan, its message, and the per-pair
+    payoffs [true][reported] that ``payoff`` sums over the plan."""
+
     plan: TransportPlan
     message: Message
-    payoff: Union[int, float, Fraction]
+    pair_payoffs: tuple[tuple[Union[int, float, Fraction], ...], ...]
+
+    @cached_property
+    def payoff(self) -> Union[int, float, Fraction]:
+        """Total payoff of the plan, summed on first read."""
+        flows, utils = self.plan.flows, self.pair_payoffs
+        n = len(flows)
+        return sum(flows[i][j] * utils[i][j] for i in range(n) for j in range(n) if flows[i][j])
 
 
 class _MinCostFlow:
     """Successive shortest paths on integer weights with the lie bit folded in.
 
-    Exact weights leave no negative cycle in the residual graph; the path
-    walk in ``run`` is bounded anyway, so a broken invariant fails loudly.
+    The topology and costs are fixed at build time; each ``run`` works on a
+    caller's list of residual capacities, one per edge.  Exact weights leave
+    no negative cycle in the residual graph; the path walk in ``run`` is
+    bounded anyway, so a broken invariant fails loudly.
     """
 
     def __init__(self, n_nodes: int):
@@ -185,17 +198,26 @@ class _MinCostFlow:
         self.cap.append(0)
         self.cost.append(-cost)
 
-    def _shortest_path(self, s: int, t: int):
-        head, to, cap, cost = self.head, self.to, self.cap, self.cost
+    def _shortest_path(self, s: int, t: int, cap: list[int]):
+        """Bellman-Ford passes in vertex order over edges with capacity left.
+
+        A vertex is skipped while its distance equals the one its edges were
+        last relaxed from: capacities do not change during the search and
+        distances only drop, so those edges cannot improve a neighbour, and
+        ``dist``, ``prev_edge`` and the pass count match relaxing every vertex.
+        """
+        head, to, cost = self.head, self.to, self.cost
         dist: list[Optional[int]] = [None] * self.n
+        relaxed_at: list[Optional[int]] = [None] * self.n
         prev_edge = [-1] * self.n
         dist[s] = 0
         for _ in range(self.n - 1):
             changed = False
             for v in range(self.n):
                 dv = dist[v]
-                if dv is None:
+                if dv is None or dv == relaxed_at[v]:
                     continue
+                relaxed_at[v] = dv
                 for eid in head[v]:
                     if cap[eid] == 0:
                         continue
@@ -209,10 +231,11 @@ class _MinCostFlow:
                 break
         return dist[t], prev_edge
 
-    def run(self, s: int, t: int, amount: int) -> None:
+    def run(self, s: int, t: int, amount: int, cap: list[int]) -> None:
+        """Send ``amount`` units from s to t, updating ``cap`` in place."""
         sent = 0
         while sent < amount:
-            d, prev_edge = self._shortest_path(s, t)
+            d, prev_edge = self._shortest_path(s, t, cap)
             if d is None:  # pragma: no cover - supplies always match demands here
                 raise RuntimeError("internal: transportation network infeasible")
             path: list[int] = []
@@ -223,36 +246,57 @@ class _MinCostFlow:
                 eid = prev_edge[v]
                 path.append(eid)
                 v = self.to[eid ^ 1]
-            bottleneck = min(amount - sent, *(self.cap[eid] for eid in path))
+            bottleneck = min(amount - sent, *(cap[eid] for eid in path))
             for eid in path:
-                self.cap[eid] -= bottleneck
-                self.cap[eid ^ 1] += bottleneck
+                cap[eid] -= bottleneck
+                cap[eid ^ 1] += bottleneck
             sent += bottleneck
 
 
-# The last (f, p, types) and its tables, keyed by identity: f and p are held,
-# so their ids cannot be reused, and neither is mutated after construction.
-# Keying on content would mix int and float utilities, since 1 == 1.0.
-_cached_tables: tuple = (None, None, None, None)
+# The last (f, p, types) with its tables and the last K with its network,
+# keyed by identity: f and p are held, so their ids cannot be reused, and
+# neither is mutated after construction.  Keying on content would mix int
+# and float utilities, since 1 == 1.0.
+_cached_tables: tuple = (None,) * 7
 
 
-def _value_tables(f: SocialChoiceFunction, p: Problem, types: tuple[str, ...]):
-    """Integer ``top - value`` gaps over the common denominator, and the
-    per-pair ``f.expected_utility`` values, both indexed [true][reported]."""
+def _value_tables(f: SocialChoiceFunction, p: Problem, types: tuple[str, ...], K: int):
+    """The transport network for K copies and the per-pair
+    ``f.expected_utility`` values, indexed [true][reported].
+
+    The network has a source edge per true type, a sink edge per reported
+    type, then every (true, reported) pair edge in row order, all at zero
+    capacity.  A pair costs its integer ``top - value`` gap over the common
+    denominator, times ``K + 4n + 3``, plus its lie bit.
+    """
     global _cached_tables
-    cf, cp, ct, tables = _cached_tables
+    cf, cp, ct, gaps, utils, cK, net = _cached_tables
     if cf is f and cp is p and ct == types:
-        return tables
-    exact = [
-        [sum(Fraction(w) * Fraction(p.utility[t][d]) for d, w in f.lottery(r).items()) for r in types]
-        for t in types
-    ]
-    denom = math.lcm(*(v.denominator for row in exact for v in row))
-    scaled = [[v.numerator * (denom // v.denominator) for v in row] for row in exact]
-    top = max(max(row) for row in scaled)
-    utils = [[f.expected_utility(r, t, p) for r in types] for t in types]
-    _cached_tables = (f, p, types, ([[top - v for v in row] for row in scaled], utils))
-    return _cached_tables[3]
+        if cK == K:
+            return net, utils
+    else:
+        exact = [
+            [sum(Fraction(w) * Fraction(p.utility[t][d]) for d, w in f.lottery(r).items()) for r in types]
+            for t in types
+        ]
+        denom = math.lcm(*(v.denominator for row in exact for v in row))
+        scaled = [[v.numerator * (denom // v.denominator) for v in row] for row in exact]
+        top = max(max(row) for row in scaled)
+        gaps = [[top - v for v in row] for row in scaled]
+        utils = tuple(tuple(f.expected_utility(r, t, p) for r in types) for t in types)
+    n = len(types)
+    lie_scale = K + 4 * n + 3
+    source, sink = 2 * n, 2 * n + 1
+    net = _MinCostFlow(2 * n + 2)
+    for i in range(n):
+        net.add_edge(source, i, 0, 0)
+    for j in range(n):
+        net.add_edge(n + j, sink, 0, 0)
+    for i in range(n):
+        for j in range(n):
+            net.add_edge(i, n + j, 0, gaps[i][j] * lie_scale + (i != j))
+    _cached_tables = (f, p, types, gaps, utils, K, net)
+    return net, utils
 
 
 def best_response_transport(
@@ -273,38 +317,30 @@ def best_response_transport(
     returns one with the fewest lies.  The plan is realized slot by slot,
     filling each true type's slots with its reported types in canonical
     order, so a lying row overwrites a prefix of its slots with the lower
-    labels and a suffix with the higher ones.  Per problem,
-    ``_value_tables`` builds the scaled table and the pair payoffs once and
-    reuses them while the same ``f`` and ``p`` objects come back.  Per call: the network, the solve, the payoff total, the plan's
-    row and column sums against the counts already taken, the lying-slot
-    realization and the ``Message`` validation.
+    labels and a suffix with the higher ones.  ``_value_tables`` builds the
+    scaled table and the pair payoffs once per problem, and the network with
+    all n^2 pair edges once per problem and K, and reuses them while the
+    same ``f`` and ``p`` objects come back.  Per call: a fresh capacity list
+    (a pair edge gets min(supply, demand), so one at zero is never relaxed
+    and its reverse edge never gains capacity), the solve, the plan's row
+    and column sums against the counts already taken, the lying-slot
+    realization and the ``Message`` validation.  ``payoff`` is summed only
+    when read.
     """
     counts, _ = _shortfall(u, q)
     types = q.types
     n = len(types)
     supply = [counts[t] for t in types]
     demand = list(q.counts)
-    gaps, utils = _value_tables(f, p, types)
-    lie_scale = q.K + 4 * n + 3
-    source, sink = 2 * n, 2 * n + 1
-    net = _MinCostFlow(2 * n + 2)
-    pair_eid: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        net.add_edge(source, i, supply[i], 0)
-    for j in range(n):
-        net.add_edge(n + j, sink, demand[j], 0)
-    for i in range(n):
-        for j in range(n):
-            c = min(supply[i], demand[j])
-            if c == 0:
-                continue
-            pair_eid[(i, j)] = len(net.to)
-            net.add_edge(i, n + j, c, gaps[i][j] * lie_scale + (i != j))
-    net.run(source, sink, q.K)
+    net, utils = _value_tables(f, p, types, q.K)
+    cap = net.cap[:]
+    cap[0:2 * n:2] = supply
+    cap[2 * n:4 * n:2] = demand
+    cap[4 * n::2] = [min(s, d) for s in supply for d in demand]
+    net.run(2 * n, 2 * n + 1, q.K, cap)
 
-    flows = [[0] * n for _ in range(n)]
-    for (i, j), eid in pair_eid.items():
-        flows[i][j] = net.cap[eid ^ 1]  # reverse capacity == shipped units
+    shipped = cap[4 * n + 1::2]  # reverse capacity == shipped units
+    flows = [shipped[i * n:(i + 1) * n] for i in range(n)]
     if [sum(row) for row in flows] != supply or [sum(col) for col in zip(*flows)] != demand:
         raise RuntimeError("internal: transport plan misses the slot counts or the quota")
     plan = TransportPlan(types, tuple(tuple(row) for row in flows))
@@ -319,8 +355,7 @@ def best_response_transport(
         for r, k in zip(reversed(higher), _scan(rev, t)):
             entries[len(ue) - 1 - k] = r
     message = Message(PreferenceVector(tuple(entries), u.types), q)
-    total = sum(flows[i][j] * utils[i][j] for i in range(n) for j in range(n) if flows[i][j])
-    return TransportResult(plan=plan, message=message, payoff=total)
+    return TransportResult(plan=plan, message=message, pair_payoffs=utils)
 
 
 @dataclass(frozen=True)

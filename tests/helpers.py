@@ -11,6 +11,8 @@ replaced with a closed rule, and the transport solver at the end is a
 frozen copy of the successive-shortest-paths solve on ``(cost, lies)``
 tuple weights that ``best_response_transport`` replaced with exact integer
 weights; wherever the tuple sums are exact the two return identical plans.
+It builds its network per call and sums its payoff eagerly into its own
+record, so it checks the reused network and the lazily summed payoff.
 The minimal-lie counter, enumerator and sampler after it are frozen copies
 of the per-function keep/deficit code that the shared shortfall split
 replaced; they must return equal counts, equal sets and, under equal
@@ -49,7 +51,6 @@ from linkmech import (
     SimStats,
     SocialChoiceFunction,
     TransportPlan,
-    TransportResult,
     ValidationError,
     compute_quota,
     enumerate_messages,
@@ -419,9 +420,18 @@ class _MinCostFlow:
             sent += bottleneck
 
 
+@dataclass(frozen=True)
+class OracleTransportResult:
+    """The frozen solver's answer, with its payoff summed eagerly."""
+
+    plan: TransportPlan
+    message: Message
+    payoff: Union[int, float, Fraction]
+
+
 def oracle_best_response_transport(
     u: PreferenceVector, f: SocialChoiceFunction, p: Problem, q: Quota
-) -> TransportResult:
+) -> OracleTransportResult:
     """Payoff-maximizing message via an integral transportation solve.
 
     The payoff of a message depends only on how many slots of each true type
@@ -476,7 +486,7 @@ def oracle_best_response_transport(
     total = sum(
         flows[i][j] * value[i][j] for i in range(n) for j in range(n) if flows[i][j]
     )
-    return TransportResult(plan=plan, message=message, payoff=total)
+    return OracleTransportResult(plan=plan, message=message, payoff=total)
 
 
 # --- frozen per-function minimal-lie counter, enumerator and sampler ---

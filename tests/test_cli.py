@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -409,6 +410,146 @@ class TestCounterexampleCommand:
         assert code == 1
         code = run_cli(["counterexample", "--utility", "u_cB=high"])[0]
         assert code == 1
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_fuzz(self, data):
+        # malformed, unresolvable, non-finite, oversized and repeated
+        # overrides end in exit 0, 1 or 2 with at most one line, never a
+        # traceback; exit 0 and 2 print the report and mean pass and fail
+        keys = st.sampled_from(["u_aA", "u_bA", "u_cB", "u_bC", "u_aC"] * 4 + ["u_zQ", "cB", "u_", "u_aAB", ""])
+        values = st.one_of(
+            st.sampled_from(["0", "0.5", "1.5", "2.5", "3", "-1"]),
+            st.sampled_from(["nan", "inf", "-inf", "1e5000", "1e-5000", "1e-100000000", "", "x", "1_0", " 2 ",
+                             "9" * 5000, "1e308", "-1e308"]),
+            st.floats().map(repr),
+        )
+        sep = st.sampled_from(["="] * 8 + ["==", ""])
+        overrides = data.draw(st.lists(st.tuples(keys, sep, values), max_size=3))
+        argv = ["counterexample"]
+        for key, sep, value in overrides:
+            argv += ["--utility", key + sep + value]
+        code, out, err = run_cli_captured(argv)
+        event(f"exit {code}")
+        assert "Traceback" not in err
+        if code in (0, 2):
+            assert err == "" and json.loads(out)["passed"] is (code == 0)
+        else:
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Prior strings that once printed a traceback (a sum or a renormalized
+# quota too long for ``str``) or ran for minutes (a 10**10**8 power of ten).
+HUGE_PRIORS = ["1e5000", "1e-5000", "1e-100000000"]
+
+
+class TestMalformedSpecs:
+    @pytest.mark.parametrize("text", HUGE_PRIORS)
+    def test_huge_prior_exponent(self, tmp_path, capsys, text):
+        spec = tmp_path / "spec.json"
+        with open(BIN_SPEC, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["prior"] = [text, "1"]
+        spec.write_text(json.dumps(raw), encoding="utf-8")
+        argv = ["quota", "--spec", str(spec), "--K", "3"]
+        assert_clean_failure(argv, capsys, f"prior[A]: more than 1000 digits in '{text}'")
+
+    def test_prior_denominator_too_long_together(self, tmp_path, capsys):
+        # each weight fits, but their sum has a 4995-digit denominator, too
+        # long for ``str`` in the "sums to" message
+        spec = tmp_path / "spec.json"
+        types = ["A", "B", "C", "D", "E"]
+        raw = {"decisions": ["x"], "types": types, "utility": {t: {"x": 0} for t in types},
+               "prior": [f"1/{10**999 + k}" for k in (1, 3, 7, 9, 13)]}
+        spec.write_text(json.dumps(raw), encoding="utf-8")
+        argv = ["quota", "--spec", str(spec), "--K", "3"]
+        assert_clean_failure(argv, capsys, "prior: common denominator has more than 1000 digits")
+
+    def test_deeply_nested_spec(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        argv = ["quota", "--spec", str(spec), "--K", "3"]
+        assert_clean_failure(argv, capsys, f"spec {spec} is nested too deeply")
+
+    # One entry of a spec replaced by junk: cases that once escaped, values
+    # just inside and outside the digit bound, and wrong JSON types.
+    JUNK = [*HUGE_PRIORS, "1e-999", "1e999", "1e1000", "NaN", "inf", "1/0", "", "x", "-1/2", " 1/3 ", "9" * 2000,
+            0.5, 1e-300, float("nan"), float("inf"), True, None, [], {}, [[["x"]]], 10**999, -(10**1200), 10**4299]
+    # Whole files that are no spec at all.
+    BROKEN = [b"", b"[]", b"3", b'"spec"', b"null", b'{"decisions": [', b'{"types": ["\xe9"]}',
+              b"[" * 200_000 + b"]" * 200_000]
+
+    def mutate(self, data, raw):
+        """Break 0-2 parts of a valid spec; return the file bytes and whether any broke."""
+        kinds = data.draw(st.lists(st.sampled_from(["prior", "prior_list", "utility", "labels", "drop", "file"]),
+                                   max_size=2))
+        junk = st.sampled_from(self.JUNK)
+        types, decisions, prior, utility = raw["types"], raw["decisions"], raw["prior"], raw["utility"]
+        n = len(types)
+        for kind in kinds:
+            if kind == "prior":
+                raw["prior"] = list(prior)
+                raw["prior"][data.draw(st.integers(0, n - 1))] = data.draw(junk)
+            elif kind == "prior_list":
+                raw["prior"] = data.draw(st.sampled_from([
+                    "1/2", {"A": "1"}, [], ["1"] * (n + 1), ["1e-999", "1"] + ["0"] * (n - 2),
+                    [f"1/{10**600 + 1}", f"1/{10**600 - 1}"] + ["0"] * (n - 2),
+                    [f"{10**600 - 1}/{10**600}", f"1/{10**600}"] + ["0"] * (n - 2),
+                ]))
+            elif kind == "utility":
+                raw["utility"] = {t: dict(row) for t, row in utility.items()}
+                t = data.draw(st.sampled_from(types))
+                if data.draw(st.booleans()):
+                    raw["utility"][t][data.draw(st.sampled_from(decisions))] = data.draw(junk)
+                else:
+                    raw["utility"][t] = data.draw(junk)
+            elif kind == "labels":
+                field = data.draw(st.sampled_from(["types", "decisions"]))
+                labels = raw[field] = list(types if field == "types" else decisions)
+                raw[field] = data.draw(st.sampled_from([
+                    [*labels, labels[0]], [*labels, ""], [*labels, 7], [*labels, ["x"]], "ab", [],
+                    ["x" * 5000] * 2, [*labels, "x" * 5000],
+                ]))
+            elif kind == "drop":
+                raw.pop(data.draw(st.sampled_from(["decisions", "types", "prior", "utility"])), None)
+            else:
+                return data.draw(st.sampled_from(self.BROKEN)), True
+        return json.dumps(raw).encode(), bool(kinds)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_fuzz(self, data):
+        # a broken spec file ends every spec-reading command in exit 1 (or 3)
+        # with one line, never a traceback or a hang; an intact one succeeds,
+        # and the runs that succeed stay at K <= 64
+        base = data.draw(st.sampled_from([CE_SPEC, BIN_SPEC]))
+        with open(base, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        report = "A,B,C" if base == CE_SPEC else "A,B,A"
+        content, broken = self.mutate(data, raw)
+        command = data.draw(st.sampled_from([
+            ["quota", "--K", "3"],
+            ["audit", "--truth", "A,A,B", "--report", report],
+            ["best-response", "--truth", "A,A,B", "--method", "transport"],
+            ["best-response", "--truth", "A,A,B", "--method", "bruteforce"],
+            ["simulate", "--K", "3,16,64", "--reps", "2", "--strategy", "best-response"],
+            ["simulate", "--K", "5,64", "--reps", "2", "--strategy", "uniform-min-lie"],
+        ]))
+        with tempfile.TemporaryDirectory() as tmp:
+            spec = os.path.join(tmp, "spec.json")
+            with open(spec, "wb") as fh:
+                fh.write(content)
+            code, out, err = run_cli_captured([command[0], "--spec", spec, *command[1:]])
+        event(f"exit {code}")
+        assert "Traceback" not in err
+        assert code == 0 or broken
+        if code == 0:
+            assert err == "" and out
+        else:
+            assert code in (1, 3) and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSimulateCommand:

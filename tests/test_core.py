@@ -15,6 +15,7 @@ from linkmech import (
     tv_distance,
     validate_problem,
 )
+from linkmech.core import as_fraction
 
 UNIFORM3 = {
     "decisions": ["a", "b", "c"],
@@ -76,6 +77,46 @@ class TestValidateProblem:
         spec = dict(UNIFORM3, prior=[0.3333333333333333, 0.3333333333333333, 0.3333333333333334])
         p = validate_problem(spec)
         assert sum(p.prior.values()) == 1
+
+
+class TestRationalBound:
+    @pytest.mark.parametrize("value, expected", [
+        ("1e999", Fraction(10**999)),
+        ("-1e-999", Fraction(-1, 10**999)),
+        (f"{10**999}/{10**999 + 1}", Fraction(10**999, 10**999 + 1)),
+        (5e-324, Fraction(5, 10**324)),  # the smallest float, read as its shortest decimal
+        (1.7976931348623157e308, Fraction(17976931348623157 * 10**292)),
+        (10**1000 - 1, Fraction(10**1000 - 1)),
+    ], ids=["exp999", "exp-999", "p/q", "min-float", "max-float", "int"])
+    def test_largest_values_accepted(self, value, expected):
+        assert as_fraction(value) == expected
+
+    @pytest.mark.parametrize("value, message", [
+        ("1e1000", "x: more than 1000 digits"),
+        ("1e-1000", "x: more than 1000 digits"),
+        ("1e-100000000", "x: more than 1000 digits in '1e-100000000'"),
+        ("1E1_001", "x: more than 1000 digits in '1E1_001'"),
+        ("1" * 2003, "x: more than 1000 digits in '" + "1" * 36 + "..."),
+        (10**1000, "x: more than 1000 digits"),
+        (Fraction(1, 10**1000), "x: more than 1000 digits"),
+        ("x" * 60, "x: cannot parse rational from '" + "x" * 36 + "..."),
+        ([["1/2"]], "x: cannot parse rational from a list"),
+        (None, "x: cannot parse rational from None"),
+    ], ids=["exp1000", "exp-1000", "exp-10^8", "exp-underscore", "long", "int", "fraction", "junk", "list", "none"])
+    def test_oversized_or_junk_rejected_briefly(self, value, message):
+        with pytest.raises(ValidationError) as exc:
+            as_fraction(value, field="x")
+        assert str(exc.value) == message
+
+    def test_oversized_integer_utility(self):
+        bad = dict(UNIFORM3, utility={**UNIFORM3["utility"], "C": {"a": 0, "b": 10**1000, "c": 2}})
+        with pytest.raises(ValidationError, match=r"^utility\[C\]\[b\]: more than 1000 digits$"):
+            validate_problem(bad)
+
+    def test_junk_label_named_briefly(self):
+        bad = dict(UNIFORM3, types=["A", "B", [[["C"]]]])
+        with pytest.raises(ValidationError, match="^types: labels must be nonempty strings, got a list$"):
+            validate_problem(bad)
 
 
 class TestMarginal:

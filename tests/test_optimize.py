@@ -393,6 +393,67 @@ class TestIntegerTransport:
         assert seen and all(type(c) is int for c in seen)
 
 
+def plain_shortest_path(net, s, t, cap):
+    """Bellman-Ford that relaxes every reached vertex on every pass, each
+    from its distance at the start of its turn (a self-loop may lower it)."""
+    dist = [None] * net.n
+    prev_edge = [-1] * net.n
+    dist[s] = 0
+    for _ in range(net.n - 1):
+        changed = False
+        for v in range(net.n):
+            dv = dist[v]
+            if dv is None:
+                continue
+            for eid in net.head[v]:
+                if cap[eid] == 0:
+                    continue
+                w = net.to[eid]
+                cand = dv + net.cost[eid]
+                if dist[w] is None or cand < dist[w]:
+                    dist[w] = cand
+                    prev_edge[w] = eid
+                    changed = True
+        if not changed:
+            break
+    return dist[t], prev_edge
+
+
+class TestShortestPath:
+    """Skipping vertices whose distance has not dropped changes no distance,
+    no predecessor edge and no tie."""
+
+    def test_matches_plain_bellman_ford_mid_solve(self, monkeypatch):
+        real = _MinCostFlow._shortest_path
+        searches = []
+
+        def checked(self, s, t, cap):
+            want = plain_shortest_path(self, s, t, cap)
+            got = real(self, s, t, cap)
+            assert got == want
+            searches.append(got[0])
+            return got
+
+        monkeypatch.setattr(_MinCostFlow, "_shortest_path", checked)
+        rnd = random.Random(31)
+        for _ in range(400):
+            p, f, u, q = random_oracle_case(rnd)
+            assert_matches_oracle(u, f, p, q)
+        assert len(searches) > 800  # every solve after its first path is mid-solve
+
+    def test_matches_plain_bellman_ford_on_random_networks(self):
+        # arbitrary costs, negative cycles and self-loops included, and zero capacities
+        rnd = random.Random(32)
+        for _ in range(2_000):
+            net = _MinCostFlow(rnd.randint(2, 9))
+            for _ in range(rnd.randint(0, 4 * net.n)):
+                a, b = rnd.randrange(net.n), rnd.randrange(net.n)
+                net.add_edge(a, b, rnd.choice((0, 0, 1, 3)), rnd.randint(-4, 9))
+            cap = [c if rnd.random() < 0.7 else rnd.randint(0, 2) for c in net.cap]
+            s, t = rnd.randrange(net.n), rnd.randrange(net.n)
+            assert net._shortest_path(s, t, cap) == plain_shortest_path(net, s, t, cap)
+
+
 def assert_matches_oracle(u, f, p, q):
     got = best_response_transport(u, f, p, q)
     want = oracle_best_response_transport(u, f, p, q)
@@ -459,6 +520,36 @@ class TestValueTableCache:
         )
         run_convergence(cfg)
         assert len(calls) == 9  # one pair payoff per (true, reported) type pair
+
+    def test_one_network_per_k(self, monkeypatch, counterexample_problem):
+        builds, solves = [], []
+        real_init, real_run = _MinCostFlow.__init__, _MinCostFlow.run
+
+        def counted_init(self, n_nodes):
+            builds.append(n_nodes)
+            real_init(self, n_nodes)
+
+        def counted_run(self, s, t, amount, cap):
+            solves.append(amount)
+            real_run(self, s, t, amount, cap)
+
+        monkeypatch.setattr(_MinCostFlow, "__init__", counted_init)
+        monkeypatch.setattr(_MinCostFlow, "run", counted_run)
+        cfg = SimConfig(
+            problem=counterexample_problem, k_values=(3, 8, 16), replications=20, seed=5, strategy="best-response"
+        )
+        run_convergence(cfg)
+        assert builds == [8, 8, 8]
+        assert solves == [3] * 20 + [8] * 20 + [16] * 20
+
+    def test_payoff_summed_on_first_read(self):
+        f = SocialChoiceFunction.point_mass({"A": "a", "B": "b", "C": "c"})
+        for p in (make_problem(ce_utility(1)), make_problem(ce_utility(1.5, float))):
+            got = best_response_transport(vec("AAB"), f, p, Q3)
+            assert "payoff" not in vars(got)
+            want = oracle_best_response_transport(vec("AAB"), f, p, Q3).payoff
+            assert got.payoff == want and type(got.payoff) is type(want)
+            assert vars(got)["payoff"] is got.payoff
 
 
 class TestVerifyCounterexample:
