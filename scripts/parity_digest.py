@@ -8,8 +8,16 @@ these runs (exit code, stdout and stderr):
   and JSON x K grids ``2,8,32,256`` and ``3,16,64`` x seeds 1 and 4242,
   300 replications each (48 runs);
 - ``best-response`` with both methods on the README example (the bundled
-  counterexample spec, truth ``A,A,B``) and on ``tests/data/transport_cycle.json``.
+  counterexample spec, truth ``A,A,B``) and on ``tests/data/transport_cycle.json``
+  (4 runs);
+- ``quota`` on both bundled specs at K 1, 3 and 1000 (6 runs);
+- ``audit`` on the README example, and on a generated 4-type spec with one
+  minimal, one shuffled and one random report per K in 64, 256 and 1024,
+  drawn from a fixed ``random.Random`` seed without linkmech code (10 runs);
+- ``counterexample`` by default and with ``--utility u_cB=0.5`` (2 runs);
+- ``best-response --method bruteforce`` on three truths with K <= 8 (3 runs).
 
+Every run must exit 0; otherwise the script names the run and exits 1.
 The package is imported from this checkout's ``src/``, not from wherever
 ``linkmech`` happens to be installed.
 
@@ -20,8 +28,13 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
+import math
+import random
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -30,9 +43,57 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from linkmech import cli  # noqa: E402
 
+FOUR_TYPES = ("a", "b", "c", "d")
+FOUR_PRIOR = ("2/5", "3/10", "1/5", "1/10")
+FOUR_SPEC = {
+    "decisions": ["w", "x", "y", "z"],
+    "types": list(FOUR_TYPES),
+    "prior": list(FOUR_PRIOR),
+    "utility": {t: {d: int(i == j) for j, d in enumerate("wxyz")} for i, t in enumerate(FOUR_TYPES)},
+}
 
-def runs() -> list[list[str]]:
+
+def _quota(K: int) -> list[int]:
+    """Largest-remainder counts of K over FOUR_PRIOR, ties to the lower label."""
+    scaled = [K * Fraction(w) for w in FOUR_PRIOR]
+    counts = [math.floor(x) for x in scaled]
+    order = sorted(range(len(counts)), key=lambda i: (counts[i] - scaled[i], i))
+    for i in order[:K - sum(counts)]:
+        counts[i] += 1
+    return counts
+
+
+def _audit_pair(rnd: random.Random, K: int, kind: str) -> tuple[list[str], list[str]]:
+    """A truth of K prior draws and a quota-feasible report of the given kind."""
+    truth = rnd.choices(FOUR_TYPES, weights=[Fraction(w) for w in FOUR_PRIOR], k=K)
+    quota = _quota(K)
+    if kind == "random":
+        report = [t for t, c in zip(FOUR_TYPES, quota) for _ in range(c)]
+        rnd.shuffle(report)
+        return truth, report
+    # minimal: keep a random quota-sized subset of each type's slots and
+    # scatter the owed labels over the freed slots
+    report = truth[:]
+    freed = []
+    for t, b in zip(FOUR_TYPES, quota):
+        slots = [k for k, x in enumerate(truth) if x == t]
+        freed += rnd.sample(slots, max(len(slots) - b, 0))
+    owed = [t for t, b in zip(FOUR_TYPES, quota) for _ in range(b - truth.count(t))]
+    rnd.shuffle(owed)
+    for k, t in zip(sorted(freed), owed):
+        report[k] = t
+    if kind == "shuffled":  # permute the entries of a random quarter of the slots
+        sub = rnd.sample(range(K), K // 4)
+        moved = [report[k] for k in sub]
+        rnd.shuffle(moved)
+        for k, t in zip(sub, moved):
+            report[k] = t
+    return truth, report
+
+
+def runs(four_spec: str) -> list[list[str]]:
     specs = [cli.bundled_spec_path(name) for name in cli.BUNDLED_SPECS]
+    ce_spec, bin_spec = specs
     grid = product(specs, cli.STRATEGY_NAMES[:3], ("csv", "json"), ("2,8,32,256", "3,16,64"), ("1", "4242"))
     out = [
         ["simulate", "--spec", spec, "--strategy", strategy, "--format", fmt, "--K", ks,
@@ -40,25 +101,41 @@ def runs() -> list[list[str]]:
         for spec, strategy, fmt, ks, seed in grid
     ]
     examples = [
-        (cli.bundled_spec_path("counterexample"), "A,A,B"),
+        (ce_spec, "A,A,B"),
         (str(ROOT / "tests" / "data" / "transport_cycle.json"), "t1,t1,t2,t2,t2,t2,t2,t1,t2,t1"),
     ]
     for (spec, truth), method in product(examples, ("transport", "bruteforce")):
         out.append(["best-response", "--spec", spec, "--truth", truth, "--method", method])
+    for spec, K in product(specs, ("1", "3", "1000")):
+        out.append(["quota", "--spec", spec, "--K", K])
+    out.append(["audit", "--spec", ce_spec, "--truth", "A,A,B", "--report", "A,B,C"])
+    rnd = random.Random(20261018)
+    for K, kind in product((64, 256, 1024), ("minimal", "shuffled", "random")):
+        truth, report = _audit_pair(rnd, K, kind)
+        out.append(["audit", "--spec", four_spec, "--truth", ",".join(truth), "--report", ",".join(report)])
+    out += [["counterexample"], ["counterexample", "--utility", "u_cB=0.5"]]
+    for spec, truth in ((ce_spec, "C,C,A,B,A,C,B,B"), (ce_spec, "B,B,B,B"), (bin_spec, "A,A,A,B,A,B")):
+        out.append(["best-response", "--spec", spec, "--truth", truth, "--method", "bruteforce"])
     return out
 
 
 def main() -> int:
     digest = hashlib.sha256()
-    argvs = runs()
-    for argv in argvs:
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(argv)
-        # Spec paths differ between checkouts; hash only what the run printed.
-        for part in (str(code), out.getvalue(), err.getvalue()):
-            data = part.encode()
-            digest.update(len(data).to_bytes(8, "big") + data)
+    with tempfile.TemporaryDirectory() as tmp:
+        four_spec = str(Path(tmp) / "four_types.json")
+        Path(four_spec).write_text(json.dumps(FOUR_SPEC), encoding="utf-8")
+        argvs = runs(four_spec)
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(argv)
+            if code != 0:
+                print(f"exit {code}: {' '.join(argv)[:200]}\n{err.getvalue()}", file=sys.stderr)
+                return 1
+            # Spec paths differ between checkouts; hash only what the run printed.
+            for part in (str(code), out.getvalue(), err.getvalue()):
+                data = part.encode()
+                digest.update(len(data).to_bytes(8, "big") + data)
     print(f"{digest.hexdigest()}  {len(argvs)} runs")
     return 0
 

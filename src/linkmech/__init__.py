@@ -51,7 +51,6 @@ from .sim import (
     STRATEGY_NAMES,
     SimConfig,
     SimStats,
-    exhaustive_expected_lie_count,
     run_convergence,
     sample_type_vector,
     stats_to_csv,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -29,6 +30,8 @@ from .core import (
     PreferenceVector,
     Problem,
     ValidationError,
+    _brief,
+    _cut,
     tv_distance,
     validate_problem,
 )
@@ -40,7 +43,7 @@ from .optimize import (
     payoff,
     verify_counterexample,
 )
-from .sim import STRATEGY_NAMES, SimConfig, run_convergence, stats_to_csv
+from .sim import MAX_K, STRATEGY_NAMES, SimConfig, run_convergence, stats_to_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -81,7 +84,7 @@ def _parse_vector(text: str, problem: Problem, field: str) -> PreferenceVector:
         raise ValidationError(f"{field}: empty label at position {labels.index('') + 1}")
     unknown = sorted(set(labels) - set(problem.types))
     if unknown:
-        raise ValidationError(f"{field}: unknown types {unknown}")
+        raise ValidationError(f"{field}: unknown types {_cut(str(unknown))}")
     return problem.vector(labels)
 
 
@@ -119,10 +122,6 @@ def _render_audit(a: Audit) -> str:
     return f'{{\n{head}  "witness": {{\n    "S": {S},\n    "pi": {pi}\n  }}\n}}'
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def _jsonable_number(x):
     """Exact payoffs may be Fractions; render integers as ints, else floats."""
     if isinstance(x, Fraction):
@@ -132,14 +131,16 @@ def _jsonable_number(x):
 
 def cmd_quota(args) -> int:
     problem = _load_problem(args.spec)
+    if args.K > MAX_K:
+        raise EnumerationCapError(f"K={_cut(str(args.K))} exceeds the cap {MAX_K}")
     quota = compute_quota(problem, args.K)
     dist = quota.distribution()
     _emit_json(
         {
             "K": args.K,
             "counts": quota.as_dict(),
-            "distribution": {t: _frac_str(w) for t, w in dist.as_dict().items()},
-            "tv_to_prior": _frac_str(tv_distance(problem.prior, dist)),
+            "distribution": {t: str(w) for t, w in dist.as_dict().items()},
+            "tv_to_prior": str(tv_distance(problem.prior, dist)),
         },
         args.output,
     )
@@ -150,8 +151,6 @@ def cmd_audit(args) -> int:
     problem = _load_problem(args.spec)
     truth = _parse_vector(args.truth, problem, "truth")
     report = _parse_vector(args.report, problem, "report")
-    if args.K is not None and args.K != truth.K:
-        raise ValidationError(f"--K {args.K} does not match truth length {truth.K}")
     _report_entries(truth, report)
     quota = compute_quota(problem, truth.K)
     message = Message(report, quota)  # names over/under-represented types on failure
@@ -164,8 +163,6 @@ def cmd_best_response(args) -> int:
         raise ValidationError(f"--cap must be at least 1, got {args.cap}")
     problem = _load_problem(args.spec)
     truth = _parse_vector(args.truth, problem, "truth")
-    if args.K is not None and args.K != truth.K:
-        raise ValidationError(f"--K {args.K} does not match truth length {truth.K}")
     quota = compute_quota(problem, truth.K)
     f = SocialChoiceFunction.utility_argmax(problem)
     if args.method == "bruteforce":
@@ -193,7 +190,7 @@ def _apply_utility_overrides(raw: dict, overrides: Sequence[str]) -> dict:
     types = set(raw["types"])
     for text in overrides:
         if "=" not in text or not text.startswith("u_"):
-            raise ValidationError(f"malformed utility override {text!r}, expected u_<decision><type>=<number>")
+            raise ValidationError(f"malformed utility override {_brief(text)}, expected u_<decision><type>=<number>")
         key, _, value = text.partition("=")
         suffix = key[2:]
         matches = [
@@ -202,12 +199,12 @@ def _apply_utility_overrides(raw: dict, overrides: Sequence[str]) -> dict:
             if suffix[:i] in decisions and suffix[i:] in types
         ]
         if len(matches) != 1:
-            raise ValidationError(f"cannot resolve override {key!r} to a (decision, type) pair")
+            raise ValidationError(f"cannot resolve override {_brief(key)} to a (decision, type) pair")
         decision, typ = matches[0]
         try:
             number = float(value)
         except ValueError as exc:
-            raise ValidationError(f"override {text!r}: {value!r} is not a number") from exc
+            raise ValidationError(f"override {_brief(text)}: {_brief(value)} is not a number") from exc
         raw["utility"][typ][decision] = number
     return raw
 
@@ -228,7 +225,7 @@ def cmd_simulate(args) -> int:
     try:
         k_values = tuple(int(x) for x in args.K.split(","))
     except ValueError as exc:
-        raise ValidationError(f"--K must be a comma-separated list of integers: {args.K!r}") from exc
+        raise ValidationError(f"--K must be a comma-separated list of integers: {_brief(args.K)}") from exc
     seed = args.seed
     if seed is None:
         env = os.environ.get("LINKED_SEED")
@@ -252,10 +249,11 @@ def cmd_simulate(args) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a usage error as a ``ValidationError``: exit code 1, one line."""
+    """Reports a usage error as a ``ValidationError``: exit code 1, one line,
+    with each quoted value and long word cut as ``_cut`` cuts untrusted input."""
 
     def error(self, message: str):
-        raise ValidationError(message)
+        raise ValidationError(re.sub(r"'[^']*'|\S{41,}", lambda m: _cut(m[0]), message))
 
 
 @lru_cache(maxsize=1)
@@ -280,14 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_audit)
     p_audit.add_argument("--truth", required=True, help="comma-separated type labels")
     p_audit.add_argument("--report", required=True, help="comma-separated type labels")
-    p_audit.add_argument("--K", type=int, default=None)
     p_audit.set_defaults(fn=cmd_audit)
 
     p_best = sub.add_parser("best-response", help="payoff-maximizing message(s) for a truth vector")
     add_common(p_best)
     p_best.add_argument("--truth", required=True, help="comma-separated type labels")
     p_best.add_argument("--method", choices=("bruteforce", "transport"), default="transport")
-    p_best.add_argument("--K", type=int, default=None)
     p_best.add_argument("--cap", type=int, default=10**6)
     p_best.set_defaults(fn=cmd_best_response)
 

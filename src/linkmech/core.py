@@ -122,13 +122,9 @@ class Problem:
     utility: Mapping[str, Mapping[str, float]]
     prior: Weights
 
-    @property
-    def canonical_types(self) -> tuple[str, ...]:
-        return tuple(sorted(self.types))
-
     def vector(self, entries: Iterable[str]) -> "PreferenceVector":
         """Build a type vector over this problem's type universe."""
-        return PreferenceVector(tuple(entries), self.canonical_types)
+        return PreferenceVector(tuple(entries), self.types)
 
 
 def validate_problem(spec: Mapping) -> Problem:
@@ -255,9 +251,6 @@ class Marginal:
         if sum(self.weights) != 1:
             raise ValidationError(f"marginal: weights sum to {sum(self.weights)}, expected 1")
 
-    def weight(self, typ: str) -> Fraction:
-        return self.weights[self.types.index(typ)]
-
     def as_dict(self) -> dict[str, Fraction]:
         return dict(zip(self.types, self.weights))
 
@@ -288,11 +281,6 @@ class Quota:
                 raise ValidationError(f"quota[{t}]: count must be a nonnegative integer")
         if sum(self.counts) < 1:
             raise ValidationError("quota: counts must sum to K >= 1")
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[str, int]) -> "Quota":
-        types = tuple(sorted(counts))
-        return cls(types, tuple(counts[t] for t in types))
 
     @property
     def K(self) -> int:

@@ -134,17 +134,6 @@ class TransportPlan:
     types: tuple[str, ...]
     flows: tuple[tuple[int, ...], ...]
 
-    def flow(self, true_type: str, reported: str) -> int:
-        return self.flows[self.types.index(true_type)][self.types.index(reported)]
-
-    def verify(self, u: PreferenceVector, q: Quota) -> None:
-        counts = u.counts()
-        for i, t in enumerate(self.types):
-            if sum(self.flows[i]) != counts.get(t, 0):
-                raise ValidationError(f"plan row {t}: sum != slot count of {t}")
-            if sum(row[i] for row in self.flows) != q.count(t):
-                raise ValidationError(f"plan column {t}: sum != quota count of {t}")
-
     def to_json_dict(self) -> dict:
         return {
             "types": list(self.types),

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from fractions import Fraction
-from itertools import compress, product
+from itertools import compress
 from operator import ne
 from typing import Callable, Optional, Sequence, Union
 
@@ -30,13 +30,13 @@ from .core import (
     Quota,
     ValidationError,
     Weights,
+    _cut,
     tv_distance,
 )
 from .truthfulness import (
     canonical_minimal_message,
     compute_quota,
     is_permutation_truthful,
-    min_lie_count,
     sample_minimal_message,
 )
 from .optimize import SocialChoiceFunction, best_response_transport
@@ -109,7 +109,7 @@ class SimConfig:
         if any(a >= b for a, b in zip(self.k_values, self.k_values[1:])):
             raise ValidationError("k_values must be strictly increasing")
         if self.k_values[-1] > MAX_K:
-            raise EnumerationCapError(f"K={self.k_values[-1]} exceeds the simulation cap {MAX_K}")
+            raise EnumerationCapError(f"K={_cut(str(self.k_values[-1]))} exceeds the simulation cap {MAX_K}")
         if not isinstance(self.replications, int) or self.replications < 1:
             raise ValidationError("replications must be at least 1")
         if self.strategy not in STRATEGY_NAMES:
@@ -293,25 +293,3 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
         )
     return tuple(out)
 
-
-def exhaustive_expected_lie_count(problem: Problem, K: int, cap: int = 10**6) -> Fraction:
-    """Exact expected minimum lie count by enumerating all type vectors.
-
-    Weights each of the #types^K vectors by its prior probability; use for
-    desk-scale K instead of sampling.
-    """
-    types = tuple(sorted(problem.types))
-    if len(types) ** K > cap:
-        raise EnumerationCapError(f"{len(types)}**{K} vectors exceed cap {cap}")
-    quota = compute_quota(problem, K)
-    prior = {t: Fraction(problem.prior[t]) for t in types}
-    total = Fraction(0)
-    for entries in product(types, repeat=K):
-        weight = Fraction(1)
-        for t in entries:
-            weight *= prior[t]
-        if weight == 0:
-            continue
-        u = PreferenceVector(entries, types)
-        total += weight * min_lie_count(u, quota)
-    return total

@@ -116,28 +116,21 @@ def star_lie_bound(u: PreferenceVector, q: Quota) -> int:
 
 
 def iter_multiset_arrangements(counts: Mapping[str, int]) -> Iterator[tuple[str, ...]]:
-    """All distinct orderings of a multiset of labels, lexicographically."""
-    labels = sorted(t for t, c in counts.items() if c > 0)
-    remaining = {t: counts[t] for t in labels}
-    total = sum(remaining.values())
-    if total == 0:
-        yield ()
-        return
-    prefix: list[str] = []
-
-    def rec():
-        if len(prefix) == total:
-            yield tuple(prefix)
+    """All distinct orderings of a multiset of labels, lexicographically, by
+    next-permutation steps from the sorted arrangement (no recursion limit)."""
+    a = sorted(t for t, c in counts.items() for _ in range(c))
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for t in labels:
-            if remaining[t] > 0:
-                remaining[t] -= 1
-                prefix.append(t)
-                yield from rec()
-                prefix.pop()
-                remaining[t] += 1
-
-    yield from rec()
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
 
 
 def count_minimal_lie_messages(u: PreferenceVector, q: Quota) -> int:

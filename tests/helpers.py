@@ -21,7 +21,11 @@ copies of the per-verdict functions that ``audit`` folds into one pass over
 the slots; every field of its record must equal theirs.  The episode fold at
 the very end is a frozen copy of ``run_convergence`` as it stood on index
 arrays, before the fold moved to label space; the two must return equal
-statistics.
+statistics.  The recursive multiset enumerator is a frozen copy of the
+one that the iterative next-permutation walk replaced; the two must yield
+the same sequence, and the frozen minimal-lie enumerator runs on it.  The
+n^K expectation oracle at the end weights every type vector by its prior
+probability.
 """
 
 from __future__ import annotations
@@ -30,12 +34,13 @@ import io
 import json
 import random
 import itertools
+from itertools import product
 import math
 from collections import Counter, defaultdict
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -62,7 +67,7 @@ from linkmech import (
 from linkmech import sim
 from linkmech.cli import main
 from linkmech.sim import _SEED_MASK, _resolve_strategy, sample_type_vector
-from linkmech.truthfulness import _check_shapes, iter_multiset_arrangements
+from linkmech.truthfulness import _check_shapes
 
 LABELS = ("A", "B", "C", "D", "E", "F")
 
@@ -87,8 +92,7 @@ def random_quota(rnd: random.Random, types: tuple[str, ...], K: int) -> Quota:
     """A uniformly random composition of K over the type set."""
     cuts = sorted(rnd.randint(0, K) for _ in range(len(types) - 1))
     bounds = [0, *cuts, K]
-    counts = {t: bounds[i + 1] - bounds[i] for i, t in enumerate(sorted(types))}
-    return Quota.from_counts(counts)
+    return Quota(tuple(sorted(types)), tuple(b - a for a, b in zip(bounds, bounds[1:])))
 
 
 def random_quota_message(rnd: random.Random, u: PreferenceVector, q: Quota) -> Message:
@@ -420,6 +424,13 @@ class _MinCostFlow:
             sent += bottleneck
 
 
+def assert_plan_sums(plan: TransportPlan, u: PreferenceVector, q: Quota) -> None:
+    """Each plan row ships its type's slot count, each column its quota count."""
+    counts = u.counts()
+    assert [sum(row) for row in plan.flows] == [counts[t] for t in plan.types]
+    assert [sum(col) for col in zip(*plan.flows)] == [q.count(t) for t in plan.types]
+
+
 @dataclass(frozen=True)
 class OracleTransportResult:
     """The frozen solver's answer, with its payoff summed eagerly."""
@@ -472,7 +483,7 @@ def oracle_best_response_transport(
     for (i, j), eid in pair_eid.items():
         flows[i][j] = net.cap[eid ^ 1]  # reverse capacity == shipped units
     plan = TransportPlan(types, tuple(tuple(row) for row in flows))
-    plan.verify(u, q)
+    assert_plan_sums(plan, u, q)
 
     slots_by_type: dict[str, list[int]] = {t: [] for t in types}
     for k, t in enumerate(u.entries):
@@ -487,6 +498,34 @@ def oracle_best_response_transport(
         flows[i][j] * value[i][j] for i in range(n) for j in range(n) if flows[i][j]
     )
     return OracleTransportResult(plan=plan, message=message, payoff=total)
+
+
+# --- frozen recursive multiset enumerator ---
+
+
+def oracle_iter_multiset_arrangements(counts: Mapping[str, int]) -> Iterator[tuple[str, ...]]:
+    """All distinct orderings of a multiset of labels, lexicographically."""
+    labels = sorted(t for t, c in counts.items() if c > 0)
+    remaining = {t: counts[t] for t in labels}
+    total = sum(remaining.values())
+    if total == 0:
+        yield ()
+        return
+    prefix: list[str] = []
+
+    def rec():
+        if len(prefix) == total:
+            yield tuple(prefix)
+            return
+        for t in labels:
+            if remaining[t] > 0:
+                remaining[t] -= 1
+                prefix.append(t)
+                yield from rec()
+                prefix.pop()
+                remaining[t] += 1
+
+    yield from rec()
 
 
 # --- frozen per-function minimal-lie counter, enumerator and sampler ---
@@ -542,7 +581,7 @@ def oracle_minimal_lie_messages(u: PreferenceVector, q: Quota, cap: int = 10**6)
             kept_set = set(kept)
             free.extend(p for p in positions[t] if p not in kept_set)
         free.sort()
-        for arrangement in iter_multiset_arrangements(deficit):
+        for arrangement in oracle_iter_multiset_arrangements(deficit):
             entries = base.copy()
             for slot, label in zip(free, arrangement):
                 entries[slot] = label
@@ -758,3 +797,29 @@ def oracle_run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
             )
         )
     return tuple(out)
+
+
+# --- n^K expectation oracle ---
+
+
+def exhaustive_expected_lie_count(problem: Problem, K: int, cap: int = 10**6) -> Fraction:
+    """Exact expected minimum lie count by enumerating all type vectors.
+
+    Weights each of the #types^K vectors by its prior probability; use for
+    desk-scale K instead of sampling.
+    """
+    types = tuple(sorted(problem.types))
+    if len(types) ** K > cap:
+        raise EnumerationCapError(f"{len(types)}**{K} vectors exceed cap {cap}")
+    quota = compute_quota(problem, K)
+    prior = {t: Fraction(problem.prior[t]) for t in types}
+    total = Fraction(0)
+    for entries in product(types, repeat=K):
+        weight = Fraction(1)
+        for t in entries:
+            weight *= prior[t]
+        if weight == 0:
+            continue
+        u = PreferenceVector(entries, types)
+        total += weight * min_lie_count(u, quota)
+    return total

@@ -36,6 +36,7 @@ from linkmech import (
 from linkmech.core import Problem
 from linkmech.cli import bundled_spec_path, load_bundled_problem
 from helpers import (
+    assert_plan_sums,
     balance_graph,
     build_link_graph,
     is_permutation_truthful_naive,
@@ -214,7 +215,7 @@ def test_criterion_06_solver_agreement():
         result = best_response_transport(u, f, p, q)
         assert result.payoff == expected  # exact: integer utilities
         assert payoff(u, result.message, f, p) == expected
-        result.plan.verify(u, q)
+        assert_plan_sums(result.plan, u, q)
     elapsed = time.perf_counter() - started
     _report("06 solver-agreement", f"(500 instances, {elapsed:.1f}s)")
 

@@ -108,8 +108,8 @@ class TestQuotaCommand:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_exit_code_fuzz(self, data):
-        # zero, negative, junk and huge K, with either spec, ends in exit 0
-        # or 1 with at most one line, never a traceback
+        # zero, negative, junk and huge K, with either spec, ends in exit 0,
+        # 1 or, above the K cap, 3 with at most one line, never a traceback
         K = data.draw(st.one_of(st.integers(min_value=-3, max_value=300), st.integers(10**6, 10**30),
                                 st.sampled_from(["x", "", "1.5", " 4 ", "1_0", "0x3"])))
         spec = data.draw(st.sampled_from([CE_SPEC, BIN_SPEC]))
@@ -118,8 +118,19 @@ class TestQuotaCommand:
         if code == 0:
             assert err == "" and sum(json.loads(out)["counts"].values()) == int(K)
         else:
-            assert code == 1 and out == ""
+            over_cap = isinstance(K, int) and K > sim.MAX_K
+            assert code == (3 if over_cap else 1) and out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("K", [str(10**7 + 1), "9" * 4300])
+    def test_k_above_cap(self, K, capsys):
+        # a 4,300-digit K once ended in a traceback: tv_to_prior's
+        # denominator 2K was too long for str
+        capsys.readouterr()
+        assert run_cli(["quota", "--spec", BIN_SPEC, "--K", K])[0] == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: K=") and err.endswith(f"exceeds the cap {sim.MAX_K}\n")
+        assert err.count("\n") == 1 and len(err) < 200
 
     def test_unwritable_output(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.json"
@@ -166,15 +177,14 @@ class TestAuditCommand:
         code = run_cli(["audit", "--spec", CE_SPEC, "--truth", "A,A,Z", "--report", "A,B,C"])[0]
         assert code == 1
 
-    def test_k_flag_must_match(self):
-        code = run_cli(
-            ["audit", "--spec", CE_SPEC, "--truth", "A,A,B", "--report", "A,B,C", "--K", "4"]
-        )[0]
-        assert code == 1
+    def test_k_flag_must_match(self, capsys):
+        # the truth's length fixes K, so audit has no --K flag
+        argv = ["audit", "--spec", CE_SPEC, "--truth", "A,A,B", "--report", "A,B,C", "--K", "3"]
+        assert_clean_failure(argv, capsys, "unrecognized arguments: --K 3")
 
     def test_agrees_with_library_on_fuzzed_inputs(self):
         problem = load_bundled_problem("counterexample")
-        types = problem.canonical_types
+        types = tuple(sorted(problem.types))
         rnd = random.Random(13)
         for _ in range(200):
             K = rnd.randint(1, 6)
@@ -236,8 +246,9 @@ class TestAuditCommand:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_exit_code_fuzz(self, data):
-        # empty and unknown labels, length and --K mismatches and quota
-        # violations all end in exit 1 with one line, never a traceback
+        # empty and unknown labels, length mismatches, quota violations and
+        # the unknown --K flag all end in exit 1 with one line, never a
+        # traceback
         label = st.sampled_from(["A", "B", "C"] * 4 + ["", "Z", " B "])
         labels = data.draw(st.lists(label, max_size=6))
         truth = ",".join(labels)
@@ -317,7 +328,7 @@ class TestBestResponseCommand:
         rnd = random.Random(3)
         problem = load_bundled_problem("counterexample")
         for _ in range(20):
-            u = random_vector(rnd, problem.canonical_types, 3)
+            u = random_vector(rnd, tuple(sorted(problem.types)), 3)
             truth = ",".join(u.entries)
             _, brute = run_cli_json(
                 ["best-response", "--spec", CE_SPEC, "--truth", truth, "--method", "bruteforce"]
@@ -341,6 +352,21 @@ class TestBestResponseCommand:
         ):
             assert_clean_failure(argv, capsys, "utility[B][c]: not finite")
 
+    def test_bruteforce_beyond_recursion_depth(self, tmp_path):
+        # 1,200 messages, well under the cap, each 1,200 slots long
+        with open(BIN_SPEC, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["prior"] = ["999/1000", "1/1000"]
+        spec = tmp_path / "skewed.json"
+        spec.write_text(json.dumps(raw), encoding="utf-8")
+        argv = ["best-response", "--spec", str(spec), "--truth", ",".join(["A"] * 1200)]
+        payoffs = []
+        for method in ("bruteforce", "transport"):
+            code, out, err = run_cli_captured(argv + ["--method", method])
+            assert code == 0 and err == ""
+            payoffs.append(json.loads(out)["payoff"])
+        assert payoffs == [1199, 1199]
+
     def test_cap_exceeded_exit_code(self):
         code = run_cli(
             ["best-response", "--spec", CE_SPEC, "--truth", "A,A,B", "--method", "bruteforce", "--cap", "2"]
@@ -359,8 +385,9 @@ class TestBestResponseCommand:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_exit_code_fuzz(self, data):
-        # empty and unknown labels, --K mismatches, every --cap and both
-        # methods end in exit 0, 1 or 3 with at most one line, never a traceback
+        # empty and unknown labels, the unknown --K flag, every --cap and
+        # both methods end in exit 0, 1 or 3 with at most one line, never a
+        # traceback
         label = st.sampled_from(["A", "B", "C"] * 4 + ["", "Z", " B "])
         labels = data.draw(st.lists(label, max_size=6))
         argv = ["best-response", "--spec", CE_SPEC, "--truth", ",".join(labels)]
@@ -438,6 +465,25 @@ class TestCounterexampleCommand:
         else:
             assert code == 1 and out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Untrusted flag values once echoed whole in the error line (up to 10 kB).
+LONG_VALUE_CALLS = {
+    "utility-override": (["counterexample", "--utility", "u_aA=" + "x" * 5000], 1),
+    "quota-K-not-int": (["quota", "--spec", BIN_SPEC, "--K", "7" * 5000], 1),
+    "simulate-K-over-cap": (["simulate", "--spec", BIN_SPEC, "--K", "7" * 4000], 3),
+    "simulate-K-not-int": (["simulate", "--spec", BIN_SPEC, "--K", "7" * 5000], 1),
+    "audit-unknown-label": (["audit", "--spec", CE_SPEC, "--truth", "Z" * 3000, "--report", "A"], 1),
+    "audit-unknown-flag": (["audit", "--spec", CE_SPEC, "--truth", "A", "--report", "A", "--K", "7" * 5000], 1),
+}
+
+
+@pytest.mark.parametrize("argv, expected", LONG_VALUE_CALLS.values(), ids=LONG_VALUE_CALLS.keys())
+def test_long_values_cut_in_error_line(argv, expected):
+    code, out, err = run_cli_captured(argv)
+    assert code == expected and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
 
 
 # Prior strings that once printed a traceback (a sum or a renormalized

@@ -127,7 +127,7 @@ class TestMarginal:
 
     def test_constant_vector(self):
         v = PreferenceVector(("A", "A", "A"), ("A", "B", "C"))
-        assert marginal(v).weight("A") == 1
+        assert marginal(v).as_dict()["A"] == 1
 
     def test_k4(self):
         v = PreferenceVector(("A", "B", "C", "A"), ("A", "B", "C"))

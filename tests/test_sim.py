@@ -18,7 +18,6 @@ from linkmech import (
     ValidationError,
     canonical_minimal_message,
     compute_quota,
-    exhaustive_expected_lie_count,
     marginal,
     run_convergence,
     sample_type_vector,
@@ -27,7 +26,7 @@ from linkmech import (
 )
 from linkmech import best_response_transport, is_permutation_truthful, sample_minimal_message, sim
 from linkmech.sim import CSV_COLUMNS
-from helpers import oracle_run_convergence
+from helpers import exhaustive_expected_lie_count, oracle_run_convergence
 
 ABC = ("A", "B", "C")
 

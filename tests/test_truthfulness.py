@@ -29,6 +29,7 @@ from linkmech import (
     star_lie_bound,
     tv_distance,
 )
+from linkmech.truthfulness import iter_multiset_arrangements
 from helpers import (
     brute_min_hamming,
     brute_minimal_set,
@@ -36,6 +37,7 @@ from helpers import (
     oracle_canonical_minimal_message,
     oracle_audit,
     oracle_count_minimal_lie_messages,
+    oracle_iter_multiset_arrangements,
     oracle_minimal_lie_messages,
     oracle_sample_minimal_message,
     random_quota,
@@ -119,6 +121,19 @@ class TestMinLieCount:
             assert min_lie_count(u, q) == brute_min_hamming(u, q)
 
 
+class TestMultisetArrangements:
+    def test_matches_frozen_recursive_oracle(self):
+        # 1-4 labels with counts 0-3, so empty multisets come up too
+        rnd = random.Random(2026)
+        for _ in range(300):
+            counts = {t: rnd.randint(0, 3) for t in rnd.sample("ABCD", rnd.randint(1, 4))}
+            assert list(iter_multiset_arrangements(counts)) == list(oracle_iter_multiset_arrangements(counts))
+
+    def test_empty_multiset_has_one_arrangement(self):
+        assert list(iter_multiset_arrangements({})) == [()]
+        assert list(iter_multiset_arrangements({"A": 0})) == [()]
+
+
 class TestMinimalLieMessages:
     def test_one_lie_pair(self):
         q = Quota(ABC, (1, 1, 1))
@@ -147,6 +162,12 @@ class TestMinimalLieMessages:
             q = random_quota(rnd, types, K)
             got = {m.entries for m in minimal_lie_messages(u, q)}
             assert got == brute_minimal_set(u, q)
+
+    def test_single_message_beyond_recursion_depth(self):
+        # every slot lies, so the deficit multiset is 3,000 labels long
+        u = PreferenceVector(("A",) * 3000, ("A", "B"))
+        q = Quota(("A", "B"), (0, 3000))
+        assert {m.entries for m in minimal_lie_messages(u, q)} == {("B",) * 3000}
 
     def test_cap_guard_points_to_canonical(self):
         types = tuple(sorted(f"t{i:02d}" for i in range(2)))

@@ -53,8 +53,8 @@ class TestBuildLinkGraph:
             u, w = random_vector(rnd, types, K), random_vector(rnd, types, K)
             g = build_link_graph(u, w)
             for v in types:
-                assert g.out_degree(v) == K * marginal(u).weight(v)
-                assert g.in_degree(v) == K * marginal(w).weight(v)
+                assert g.out_degree(v) == K * marginal(u).as_dict()[v]
+                assert g.in_degree(v) == K * marginal(w).as_dict()[v]
 
 
 class TestBalanceGraph:
