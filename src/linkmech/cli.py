@@ -106,19 +106,20 @@ def _emit_json(obj, output: Optional[str]) -> None:
     _emit(json.dumps(obj, indent=2), output)
 
 
+def _block(items: list[str], pad: str) -> str:
+    """A list of encoded items laid out as ``json.dumps(indent=2)`` does at ``pad``."""
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]" if items else "[]"
+
+
 def _render_audit(a: Audit) -> str:
     """``json.dumps`` of the audit output with ``indent=2``, byte for byte.
 
     ``indent`` forces the pure-Python encoder, which at large K takes longer
     than the audit itself; the shape is fixed, so it is written out here.
     """
-
-    def block(items: list[str], pad: str) -> str:
-        return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]" if items else "[]"
-
     head = "".join(f'  "{f.name}": {json.dumps(getattr(a, f.name))},\n' for f in fields(a)[:-1])
-    S = block(list(map(str, a.witness.slots)), "    ")
-    pi = block([f"[\n        {k},\n        {p}\n      ]" for k, p in a.witness.pairs], "    ")
+    S = _block(list(map(str, a.witness.slots)), "    ")
+    pi = _block([f"[\n        {k},\n        {p}\n      ]" for k, p in a.witness.pairs], "    ")
     return f'{{\n{head}  "witness": {{\n    "S": {S},\n    "pi": {pi}\n  }}\n}}'
 
 
@@ -167,19 +168,19 @@ def cmd_best_response(args) -> int:
     f = SocialChoiceFunction.utility_argmax(problem)
     if args.method == "bruteforce":
         best = best_response_bruteforce(truth, f, problem, quota, cap=args.cap)
-        out = {
-            "method": "bruteforce",
-            "payoff": _jsonable_number(payoff(truth, best[0], f, problem)),
-            "messages": [list(m.entries) for m in best],
-        }
-    else:
-        result = best_response_transport(truth, f, problem, quota)
-        out = {
-            "method": "transport",
-            "payoff": _jsonable_number(result.payoff),
-            "message": list(result.message.entries),
-            "plan": result.plan.to_json_dict(),
-        }
+        pay = json.dumps(_jsonable_number(payoff(truth, best[0], f, problem)))
+        # json.dumps(indent=2) byte for byte, without its slow pure-Python encoder
+        label = {t: json.dumps(t) for t in quota.types}
+        rows = _block([_block([label[t] for t in m.entries], "    ") for m in best], "  ")
+        _emit(f'{{\n  "method": "bruteforce",\n  "payoff": {pay},\n  "messages": {rows}\n}}', args.output)
+        return EXIT_OK
+    result = best_response_transport(truth, f, problem, quota)
+    out = {
+        "method": "transport",
+        "payoff": _jsonable_number(payoff(truth, result.message, f, problem)),
+        "message": list(result.message.entries),
+        "plan": result.plan.to_json_dict(),
+    }
     _emit_json(out, args.output)
     return EXIT_OK
 

@@ -12,9 +12,9 @@ where the best response is not a minimal-lie message.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator, Mapping, Optional, Union
 
 from .core import (
@@ -26,6 +26,7 @@ from .core import (
     ValidationError,
 )
 from .truthfulness import (
+    _check_shapes,
     _report_entries,
     _scan,
     _shortfall,
@@ -85,9 +86,34 @@ class SocialChoiceFunction:
         return sum(w * problem.utility[true_type][d] for d, w in self.lotteries[reported].items())
 
 
+# The last (f, p, types) with its pair table and the last K with its network,
+# keyed by identity: f and p are held, so their ids cannot be reused, and
+# neither is mutated after construction.  Keying on content would mix int
+# and float utilities, since 1 == 1.0.
+_cached: tuple = (None,) * 6
+
+
+def _pair_table(f: SocialChoiceFunction, p: Problem, types: tuple[str, ...]):
+    """Per (true, reported) pair: its exact value as an int over one common
+    denominator, floats read as their exact binary value, and its
+    ``f.expected_utility``, whose number and type every payoff reports."""
+    global _cached
+    if not (_cached[0] is f and _cached[1] is p and _cached[2] == types):
+        pairs = [(t, r) for t in types for r in types]
+        exact = [sum(Fraction(w) * Fraction(p.utility[t][d]) for d, w in f.lottery(r).items()) for t, r in pairs]
+        denom = math.lcm(*(v.denominator for v in exact))
+        scaled = {pair: v.numerator * (denom // v.denominator) for pair, v in zip(pairs, exact)}
+        values = {(t, r): f.expected_utility(r, t, p) for t, r in pairs}
+        _cached = (f, p, types, (scaled, values), None, None)
+    return _cached[3]
+
+
 def payoff(u: PreferenceVector, m: Union[Message, PreferenceVector], f: SocialChoiceFunction, p: Problem):
-    """Total payoff: sum over slots of the truth's expected utility at the report."""
-    return sum(f.expected_utility(r, t, p) for t, r in zip(u.entries, _report_entries(u, m)))
+    """Total payoff: over the (true, reported) type pairs in canonical order,
+    the number of slots with that pair times its ``f.expected_utility``."""
+    _, values = _pair_table(f, p, u.types)
+    pairs = Counter(zip(u.entries, _report_entries(u, m)))
+    return sum(c * values[pair] for pair, c in sorted(pairs.items()))
 
 
 def message_count(q: Quota) -> int:
@@ -98,33 +124,36 @@ def message_count(q: Quota) -> int:
     return n
 
 
-def enumerate_messages(q: Quota, cap: int = 10**6) -> Iterator[Message]:
-    """All quota-feasible messages in canonical lexicographic order, lazily."""
+def _arrangements(q: Quota, cap: int) -> Iterator[tuple[str, ...]]:
+    """The quota's arrangements in lexicographic order, if at most ``cap``."""
     n = message_count(q)
     if n > cap:
         raise EnumerationCapError(f"{n} quota messages exceed cap {cap}")
+    return iter_multiset_arrangements(q.as_dict())
 
-    def gen():
-        for entries in iter_multiset_arrangements(q.as_dict()):
-            yield Message(PreferenceVector(entries, q.types), q)
 
-    return gen()
+def enumerate_messages(q: Quota, cap: int = 10**6) -> Iterator[Message]:
+    """All quota-feasible messages in canonical lexicographic order, lazily."""
+    return (Message(PreferenceVector(entries, q.types), q) for entries in _arrangements(q, cap))
 
 
 def best_response_bruteforce(
     u: PreferenceVector, f: SocialChoiceFunction, p: Problem, q: Quota, cap: int = 10**6
 ) -> tuple[Message, ...]:
-    """All payoff-maximizing messages, by enumeration, in canonical order."""
+    """All payoff-maximizing messages, by enumeration, in canonical order.
+    Payoffs are compared exactly, so float rounding neither splits nor makes a tie."""
+    _check_shapes(u, q)
+    scaled, _ = _pair_table(f, p, q.types)
     best_pay = None
-    best: list[Message] = []
-    for m in enumerate_messages(q, cap=cap):
-        pay = payoff(u, m, f, p)
+    best: list[tuple[str, ...]] = []
+    for entries in _arrangements(q, cap):
+        pay = sum(map(scaled.__getitem__, zip(u.entries, entries)))
         if best_pay is None or pay > best_pay:
             best_pay = pay
-            best = [m]
+            best = [entries]
         elif pay == best_pay:
-            best.append(m)
-    return tuple(best)  # enumeration is already lexicographic
+            best.append(entries)
+    return tuple(Message(PreferenceVector(e, q.types), q) for e in best)  # already lexicographic
 
 
 @dataclass(frozen=True)
@@ -146,19 +175,10 @@ class TransportPlan:
 
 @dataclass(frozen=True)
 class TransportResult:
-    """A transport best response: the plan, its message, and the per-pair
-    payoffs [true][reported] that ``payoff`` sums over the plan."""
+    """A transport best response: the plan and its message."""
 
     plan: TransportPlan
     message: Message
-    pair_payoffs: tuple[tuple[Union[int, float, Fraction], ...], ...]
-
-    @cached_property
-    def payoff(self) -> Union[int, float, Fraction]:
-        """Total payoff of the plan, summed on first read."""
-        flows, utils = self.plan.flows, self.pair_payoffs
-        n = len(flows)
-        return sum(flows[i][j] * utils[i][j] for i in range(n) for j in range(n) if flows[i][j])
 
 
 class _MinCostFlow:
@@ -242,50 +262,30 @@ class _MinCostFlow:
             sent += bottleneck
 
 
-# The last (f, p, types) with its tables and the last K with its network,
-# keyed by identity: f and p are held, so their ids cannot be reused, and
-# neither is mutated after construction.  Keying on content would mix int
-# and float utilities, since 1 == 1.0.
-_cached_tables: tuple = (None,) * 7
+def _network(f: SocialChoiceFunction, p: Problem, types: tuple[str, ...], K: int) -> _MinCostFlow:
+    """The transport network for K copies, from the pair table's exact values.
 
-
-def _value_tables(f: SocialChoiceFunction, p: Problem, types: tuple[str, ...], K: int):
-    """The transport network for K copies and the per-pair
-    ``f.expected_utility`` values, indexed [true][reported].
-
-    The network has a source edge per true type, a sink edge per reported
-    type, then every (true, reported) pair edge in row order, all at zero
-    capacity.  A pair costs its integer ``top - value`` gap over the common
-    denominator, times ``K + 4n + 3``, plus its lie bit.
+    It has a source edge per true type, a sink edge per reported type, then
+    every (true, reported) pair edge in row order, all at zero capacity.  A
+    pair costs its ``top - value`` gap, times ``K + 4n + 3``, plus its lie bit.
     """
-    global _cached_tables
-    cf, cp, ct, gaps, utils, cK, net = _cached_tables
-    if cf is f and cp is p and ct == types:
-        if cK == K:
-            return net, utils
-    else:
-        exact = [
-            [sum(Fraction(w) * Fraction(p.utility[t][d]) for d, w in f.lottery(r).items()) for r in types]
-            for t in types
-        ]
-        denom = math.lcm(*(v.denominator for row in exact for v in row))
-        scaled = [[v.numerator * (denom // v.denominator) for v in row] for row in exact]
-        top = max(max(row) for row in scaled)
-        gaps = [[top - v for v in row] for row in scaled]
-        utils = tuple(tuple(f.expected_utility(r, t, p) for r in types) for t in types)
-    n = len(types)
-    lie_scale = K + 4 * n + 3
-    source, sink = 2 * n, 2 * n + 1
-    net = _MinCostFlow(2 * n + 2)
-    for i in range(n):
-        net.add_edge(source, i, 0, 0)
-    for j in range(n):
-        net.add_edge(n + j, sink, 0, 0)
-    for i in range(n):
+    global _cached
+    scaled, _ = _pair_table(f, p, types)
+    if _cached[4] != K:
+        n = len(types)
+        top = max(scaled.values())
+        lie_scale = K + 4 * n + 3
+        source, sink = 2 * n, 2 * n + 1
+        net = _MinCostFlow(2 * n + 2)
+        for i in range(n):
+            net.add_edge(source, i, 0, 0)
         for j in range(n):
-            net.add_edge(i, n + j, 0, gaps[i][j] * lie_scale + (i != j))
-    _cached_tables = (f, p, types, gaps, utils, K, net)
-    return net, utils
+            net.add_edge(n + j, sink, 0, 0)
+        for i, t in enumerate(types):
+            for j, r in enumerate(types):
+                net.add_edge(i, n + j, 0, (top - scaled[t, r]) * lie_scale + (i != j))
+        _cached = (*_cached[:4], K, net)
+    return _cached[5]
 
 
 def best_response_transport(
@@ -306,22 +306,21 @@ def best_response_transport(
     returns one with the fewest lies.  The plan is realized slot by slot,
     filling each true type's slots with its reported types in canonical
     order, so a lying row overwrites a prefix of its slots with the lower
-    labels and a suffix with the higher ones.  ``_value_tables`` builds the
-    scaled table and the pair payoffs once per problem, and the network with
-    all n^2 pair edges once per problem and K, and reuses them while the
-    same ``f`` and ``p`` objects come back.  Per call: a fresh capacity list
-    (a pair edge gets min(supply, demand), so one at zero is never relaxed
-    and its reverse edge never gains capacity), the solve, the plan's row
-    and column sums against the counts already taken, the lying-slot
-    realization and the ``Message`` validation.  ``payoff`` is summed only
-    when read.
+    labels and a suffix with the higher ones.  ``_pair_table`` is built once
+    per problem and ``_network`` with all n^2 pair edges once per problem and
+    K; both are reused while the same ``f`` and ``p`` objects come back.
+    Per call: a fresh capacity list (a pair edge gets min(supply, demand), so
+    one at zero is never relaxed and its reverse edge never gains capacity),
+    the solve, the plan's row and column sums against the counts already
+    taken, the lying-slot realization and the ``Message`` validation.  The
+    message's payoff is ``payoff(u, result.message, f, p)``.
     """
     counts, _ = _shortfall(u, q)
     types = q.types
     n = len(types)
     supply = [counts[t] for t in types]
     demand = list(q.counts)
-    net, utils = _value_tables(f, p, types, q.K)
+    net = _network(f, p, types, q.K)
     cap = net.cap[:]
     cap[0:2 * n:2] = supply
     cap[2 * n:4 * n:2] = demand
@@ -344,7 +343,7 @@ def best_response_transport(
         for r, k in zip(reversed(higher), _scan(rev, t)):
             entries[len(ue) - 1 - k] = r
     message = Message(PreferenceVector(tuple(entries), u.types), q)
-    return TransportResult(plan=plan, message=message, pair_payoffs=utils)
+    return TransportResult(plan=plan, message=message)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ replaced with a closed rule, and the transport solver at the end is a
 frozen copy of the successive-shortest-paths solve on ``(cost, lies)``
 tuple weights that ``best_response_transport`` replaced with exact integer
 weights; wherever the tuple sums are exact the two return identical plans.
-It builds its network per call and sums its payoff eagerly into its own
-record, so it checks the reused network and the lazily summed payoff.
+It builds its network per call and sums its plan's payoff into its own
+record, so it checks the reused network and the pair-count ``payoff``.
 The minimal-lie counter, enumerator and sampler after it are frozen copies
 of the per-function keep/deficit code that the shared shortfall split
 replaced; they must return equal counts, equal sets and, under equal

@@ -213,8 +213,7 @@ def test_criterion_06_solver_agreement():
         brute = best_response_bruteforce(u, f, p, q)
         expected = payoff(u, brute[0], f, p)
         result = best_response_transport(u, f, p, q)
-        assert result.payoff == expected  # exact: integer utilities
-        assert payoff(u, result.message, f, p) == expected
+        assert payoff(u, result.message, f, p) == expected  # exact: integer utilities
         assert_plan_sums(result.plan, u, q)
     elapsed = time.perf_counter() - started
     _report("06 solver-agreement", f"(500 instances, {elapsed:.1f}s)")

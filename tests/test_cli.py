@@ -315,6 +315,18 @@ class TestBestResponseCommand:
         assert out["payoff"] == 4.5
         assert out["messages"] == [["A", "B", "C"], ["B", "A", "C"]]
 
+    def test_bruteforce_output_is_indented_json(self, tmp_path):
+        # labels that JSON escapes, and every message tied
+        types = ['"q"', "\\", "\u00e9"]
+        raw = {"decisions": ["x"], "types": types, "prior": ["1/3"] * 3, "utility": {t: {"x": 0.1} for t in types}}
+        spec = tmp_path / "escaped.json"
+        spec.write_text(json.dumps(raw), encoding="utf-8")
+        argv = ["best-response", "--spec", str(spec), "--truth", ",".join(types), "--method", "bruteforce"]
+        code, out, err = run_cli_captured(argv)
+        assert code == 0 and err == ""
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert len(json.loads(out)["messages"]) == 6
+
     def test_transport_returns_canonical_and_plan(self):
         code, out = run_cli_json(
             ["best-response", "--spec", CE_SPEC, "--truth", "A,A,B", "--method", "transport"]
@@ -337,6 +349,19 @@ class TestBestResponseCommand:
                 ["best-response", "--spec", CE_SPEC, "--truth", truth, "--method", "transport"]
             )
             assert brute["payoff"] == trans["payoff"]
+            assert trans["message"] in brute["messages"]
+        # Non-dyadic float utilities: the transport message is one of the exact
+        # bruteforce ties.  Their printed payoffs are each message's own float
+        # sum, so they may differ in the last digit when the pair counts differ.
+        cycle_spec = str(Path(__file__).parent / "data" / "transport_cycle.json")
+        for _ in range(20):
+            truth = ",".join(random_vector(rnd, ("t0", "t1", "t2", "t3"), 10).entries)
+            _, brute = run_cli_json(
+                ["best-response", "--spec", cycle_spec, "--truth", truth, "--method", "bruteforce"]
+            )
+            _, trans = run_cli_json(
+                ["best-response", "--spec", cycle_spec, "--truth", truth, "--method", "transport"]
+            )
             assert trans["message"] in brute["messages"]
 
     def test_nan_utility_spec_rejected(self, tmp_path, capsys):

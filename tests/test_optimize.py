@@ -224,7 +224,7 @@ class TestBestResponse:
         f = SocialChoiceFunction.utility_argmax(p)
         result = best_response_transport(vec("AAB"), f, p, Q3)
         assert result.message.entries == ("A", "B", "C")
-        assert result.payoff == 4.5
+        assert payoff(vec("AAB"), result.message, f, p) == 4.5
         assert result.plan.to_json_dict()["flows"] == {
             "A": {"A": 1, "B": 1},
             "B": {"C": 1},
@@ -244,7 +244,7 @@ class TestBestResponse:
         f = SocialChoiceFunction.utility_argmax(p)
         u = PreferenceVector(("T", "T"), types)
         result = best_response_transport(u, f, p, Quota(types, (2,)))
-        assert result.message.entries == ("T", "T") and result.payoff == 6
+        assert result.message.entries == ("T", "T") and payoff(u, result.message, f, p) == 6
 
     def test_transport_agrees_with_bruteforce_exact(self):
         rnd = random.Random(20240818)
@@ -261,9 +261,28 @@ class TestBestResponse:
             best = best_response_bruteforce(u, f, p, q)
             result = best_response_transport(u, f, p, q)
             expected = payoff(u, best[0], f, p)
-            assert result.payoff == expected
             assert payoff(u, result.message, f, p) == expected
             assert_plan_sums(result.plan, u, q)
+        # one-decimal float utilities: the bruteforce ties are the exact argmax,
+        # with every float read as its exact binary value
+        rnd = random.Random(1)
+        for _ in range(300):
+            types = ("t0", "t1", "t2")
+            utility = {t: {d: rnd.randint(0, 20) / 10 for d in types} for t in types}
+            p = Problem(types, types, utility, {t: Fraction(1, 3) for t in types})
+            f = SocialChoiceFunction.utility_argmax(p)
+            K = rnd.randint(4, 7)
+            u = random_vector(rnd, types, K)
+            q = random_quota(rnd, types, K)
+            value = dict(zip(types, exact_values(f, p, types)))
+            exact = {
+                m.entries: sum(value[t][types.index(r)] for t, r in zip(u.entries, m.entries))
+                for m in enumerate_messages(q)
+            }
+            top = max(exact.values())
+            best = best_response_bruteforce(u, f, p, q)
+            assert [m.entries for m in best] == [e for e, v in exact.items() if v == top]
+            assert exact[best_response_transport(u, f, p, q).message.entries] == top
 
     def test_transport_breaks_payoff_ties_toward_fewer_lies(self):
         rnd = random.Random(31337)
@@ -320,7 +339,7 @@ class TestIntegerTransport:
             want = oracle_best_response_transport(u, f, p, q)
             assert got.plan.flows == want.plan.flows
             assert got.message.entries == want.message.entries
-            assert got.payoff == want.payoff
+            assert payoff(u, got.message, f, p) == want.payoff
 
     def test_rounded_float_utilities_reach_exact_optimum(self):
         rnd = random.Random(6151)
@@ -369,14 +388,17 @@ class TestIntegerTransport:
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        payoffs = {}
+        outs = {}
         for method in ("transport", "bruteforce"):
             argv = [sys.executable, "-m", "linkmech", "best-response", "--spec", str(CYCLE_SPEC),
                     "--truth", "t1,t1,t2,t2,t2,t2,t2,t1,t2,t1", "--method", method]
             proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
             assert proc.returncode == 0, proc.stderr
-            payoffs[method] = json.loads(proc.stdout)["payoff"]
-        assert payoffs == {"transport": 7.552, "bruteforce": 7.552}
+            outs[method] = json.loads(proc.stdout)
+        assert {method: out["payoff"] for method, out in outs.items()} == {"transport": 7.552, "bruteforce": 7.552}
+        # every exactly tied best response, which slot-order float sums once split
+        assert len(outs["bruteforce"]["messages"]) == 90
+        assert outs["transport"]["message"] in outs["bruteforce"]["messages"]
 
     def test_weights_are_plain_ints(self, monkeypatch, counterexample_problem):
         p = counterexample_problem
@@ -459,7 +481,8 @@ def assert_matches_oracle(u, f, p, q):
     want = oracle_best_response_transport(u, f, p, q)
     assert got.plan.flows == want.plan.flows
     assert got.message.entries == want.message.entries
-    assert got.payoff == want.payoff and type(got.payoff) is type(want.payoff)
+    got_payoff = payoff(u, got.message, f, p)
+    assert got_payoff == want.payoff and type(got_payoff) is type(want.payoff)
 
 
 # The counterexample's utilities with u(c|B) left open: at 1.5 the truth
@@ -494,8 +517,9 @@ class TestValueTableCache:
         f = SocialChoiceFunction.point_mass({"A": "a", "B": "b", "C": "c"})
         ints, floats = make_problem(ce_utility(1)), make_problem(ce_utility(1.0, float))
         assert ints.utility == floats.utility
-        assert type(best_response_transport(vec("AAB"), f, ints, Q3).payoff) is Fraction
-        assert type(best_response_transport(vec("AAB"), f, floats, Q3).payoff) is float
+        for p, number in ((ints, Fraction), (floats, float)):
+            result = best_response_transport(vec("AAB"), f, p, Q3)
+            assert type(payoff(vec("AAB"), result.message, f, p)) is number
         self.alternate([(ints, f), (floats, f), (ints, f)])
 
     def test_two_outcome_functions_on_one_problem(self, counterexample_problem):
@@ -545,11 +569,20 @@ class TestValueTableCache:
     def test_payoff_summed_on_first_read(self):
         f = SocialChoiceFunction.point_mass({"A": "a", "B": "b", "C": "c"})
         for p in (make_problem(ce_utility(1)), make_problem(ce_utility(1.5, float))):
-            got = best_response_transport(vec("AAB"), f, p, Q3)
-            assert "payoff" not in vars(got)
+            got = payoff(vec("AAB"), best_response_transport(vec("AAB"), f, p, Q3).message, f, p)
             want = oracle_best_response_transport(vec("AAB"), f, p, Q3).payoff
-            assert got.payoff == want and type(got.payoff) is type(want)
-            assert vars(got)["payoff"] is got.payoff
+            assert got == want and type(got) is type(want)
+        # non-dyadic floats: the same float as the plan's row-by-row sum
+        p = validate_problem(json.loads(CYCLE_SPEC.read_text()))
+        f = SocialChoiceFunction.utility_argmax(p)
+        types = tuple(sorted(p.types))
+        rnd = random.Random(12)
+        for _ in range(100):
+            u = random_vector(rnd, types, 10)
+            result = best_response_transport(u, f, p, compute_quota(p, 10))
+            rows = zip(types, result.plan.flows)
+            want = sum(x * f.expected_utility(r, t, p) for t, row in rows for r, x in zip(types, row) if x)
+            assert repr(payoff(u, result.message, f, p)) == repr(want)
 
 
 class TestVerifyCounterexample:
