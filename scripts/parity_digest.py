@@ -12,8 +12,9 @@ these runs (exit code, stdout and stderr):
   (4 runs);
 - ``quota`` on both bundled specs at K 1, 3 and 1000 (6 runs);
 - ``audit`` on the README example, and on a generated 4-type spec with one
-  minimal, one shuffled and one random report per K in 64, 256 and 1024,
-  drawn from a fixed ``random.Random`` seed without linkmech code (10 runs);
+  minimal, one shuffled and one random report per K in 64, 256, 1024 and
+  4096 (the audit benchmark's largest K), drawn from a fixed
+  ``random.Random`` seed without linkmech code (13 runs);
 - ``counterexample`` by default and with ``--utility u_cB=0.5`` (2 runs);
 - ``best-response --method bruteforce`` on three truths with K <= 8 (3 runs).
 
@@ -110,7 +111,7 @@ def runs(four_spec: str) -> list[list[str]]:
         out.append(["quota", "--spec", spec, "--K", K])
     out.append(["audit", "--spec", ce_spec, "--truth", "A,A,B", "--report", "A,B,C"])
     rnd = random.Random(20261018)
-    for K, kind in product((64, 256, 1024), ("minimal", "shuffled", "random")):
+    for K, kind in product((64, 256, 1024, 4096), ("minimal", "shuffled", "random")):
         truth, report = _audit_pair(rnd, K, kind)
         out.append(["audit", "--spec", four_spec, "--truth", ",".join(truth), "--report", ",".join(report)])
     out += [["counterexample"], ["counterexample", "--utility", "u_cB=0.5"]]

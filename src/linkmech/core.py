@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """Untrusted input broke a domain invariant."""
@@ -225,7 +227,24 @@ class PreferenceVector:
         return len(self.entries)
 
     def counts(self) -> Counter:
-        return Counter(self.entries)
+        return Counter(self._type_counts())
+
+    def _type_counts(self) -> Counter:
+        """The type counts, shared: callers must not mutate them.  This memo and
+        the codes' live in the instance dict, outside equality and hashing."""
+        counts = self.__dict__.get("_counts_memo")
+        if counts is None:
+            counts = self.__dict__["_counts_memo"] = Counter(self.entries)
+        return counts
+
+    def _codes(self) -> np.ndarray:
+        """Each entry's index into ``types``, as a read-only ``intp`` array."""
+        codes = self.__dict__.get("_codes_memo")
+        if codes is None:
+            index = {t: i for i, t in enumerate(self.types)}
+            codes = self.__dict__["_codes_memo"] = np.fromiter(map(index.__getitem__, self.entries), np.intp, self.K)
+            codes.flags.writeable = False
+        return codes
 
     def permuted(self, perm: Sequence[int]) -> "PreferenceVector":
         """Reorder slots: entry k of the result is entry perm[k] of self (0-based)."""
@@ -257,9 +276,8 @@ class Marginal:
 
 def marginal(v: PreferenceVector) -> Marginal:
     """Empirical marginal of ``v``: weight of t is (count of t in v)/K."""
-    counts = v.counts()
-    k = v.K
-    return Marginal(v.types, tuple(Fraction(counts.get(t, 0), k) for t in v.types))
+    counts = v._type_counts()
+    return Marginal(v.types, tuple(Fraction(counts[t], v.K) for t in v.types))
 
 
 @dataclass(frozen=True)
@@ -311,7 +329,7 @@ class Message:
             )
         if self.vector.K != self.quota.K:
             raise ValidationError(f"message: length {self.vector.K} != quota total {self.quota.K}")
-        counts = self.vector.counts()
+        counts = self.vector._type_counts()
         if tuple(map(counts.__getitem__, self.quota.types)) != self.quota.counts:
             budget = self.quota.as_dict()
             over = sorted(t for t in budget if counts[t] > budget[t])

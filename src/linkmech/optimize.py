@@ -94,26 +94,27 @@ _cached: tuple = (None,) * 6
 
 
 def _pair_table(f: SocialChoiceFunction, p: Problem, types: tuple[str, ...]):
-    """Per (true, reported) pair: its exact value as an int over one common
-    denominator, floats read as their exact binary value, and its
-    ``f.expected_utility``, whose number and type every payoff reports."""
+    """Each (true, reported) pair's exact value as an int over one common
+    denominator, floats read as their exact binary value; the set of pairs
+    whose ``f.expected_utility`` is a float; and that denominator."""
     global _cached
     if not (_cached[0] is f and _cached[1] is p and _cached[2] == types):
         pairs = [(t, r) for t in types for r in types]
         exact = [sum(Fraction(w) * Fraction(p.utility[t][d]) for d, w in f.lottery(r).items()) for t, r in pairs]
         denom = math.lcm(*(v.denominator for v in exact))
         scaled = {pair: v.numerator * (denom // v.denominator) for pair, v in zip(pairs, exact)}
-        values = {(t, r): f.expected_utility(r, t, p) for t, r in pairs}
-        _cached = (f, p, types, (scaled, values), None, None)
+        floats = {(t, r) for t, r in pairs if isinstance(f.expected_utility(r, t, p), float)}
+        _cached = (f, p, types, (scaled, floats, denom), None, None)
     return _cached[3]
 
 
 def payoff(u: PreferenceVector, m: Union[Message, PreferenceVector], f: SocialChoiceFunction, p: Problem):
-    """Total payoff: over the (true, reported) type pairs in canonical order,
-    the number of slots with that pair times its ``f.expected_utility``."""
-    _, values = _pair_table(f, p, u.types)
+    """Total payoff: the exact sum of the slots' (true, reported) pair values, rounded
+    once, to a float if a used pair's ``f.expected_utility`` is a float, else a Fraction."""
+    scaled, floats, denom = _pair_table(f, p, u.types)
     pairs = Counter(zip(u.entries, _report_entries(u, m)))
-    return sum(c * values[pair] for pair, c in sorted(pairs.items()))
+    exact = Fraction(sum(c * scaled[pair] for pair, c in pairs.items()), denom)
+    return float(exact) if floats.intersection(pairs) else exact
 
 
 def message_count(q: Quota) -> int:
@@ -143,7 +144,7 @@ def best_response_bruteforce(
     """All payoff-maximizing messages, by enumeration, in canonical order.
     Payoffs are compared exactly, so float rounding neither splits nor makes a tie."""
     _check_shapes(u, q)
-    scaled, _ = _pair_table(f, p, q.types)
+    scaled = _pair_table(f, p, q.types)[0]
     best_pay = None
     best: list[tuple[str, ...]] = []
     for entries in _arrangements(q, cap):
@@ -270,7 +271,7 @@ def _network(f: SocialChoiceFunction, p: Problem, types: tuple[str, ...], K: int
     pair costs its ``top - value`` gap, times ``K + 4n + 3``, plus its lie bit.
     """
     global _cached
-    scaled, _ = _pair_table(f, p, types)
+    scaled = _pair_table(f, p, types)[0]
     if _cached[4] != K:
         n = len(types)
         top = max(scaled.values())

@@ -204,7 +204,7 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     """Run the seeded experiment on every K and aggregate per-slot lie data.
 
     Each episode is folded in label space: one C-level pass finds the
-    lying slots (report differs from truth), the truth's ``counts()`` give
+    lying slots (report differs from truth), the truth's type counts give
     both tv excesses in Python ints, and the per-slot lie and decision-change
     tallies are bumped only at lying slots, since a truthful slot cannot
     change the decision.  For the built-in minimal-lie strategies every
@@ -251,7 +251,7 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
             ue, me = u.entries, m.entries
             lying = list(compress(range(K), map(ne, ue, me)))
             lies = len(lying)
-            counts = u.counts()
+            counts = u._type_counts()
             excess_q = sum(counts[t] - b for t, b, _ in scaled if counts[t] > b)
             if exact_min and lies != excess_q:
                 raise RuntimeError("internal: minimal-lie strategy missed the minimum")

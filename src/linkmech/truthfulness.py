@@ -84,7 +84,7 @@ def _shortfall(u: PreferenceVector, q: Quota) -> tuple[Counter, list[str]]:
     in canonical order.
     """
     _check_shapes(u, q)
-    counts = u.counts()
+    counts = u._type_counts()
     return counts, [t for t, b in zip(q.types, q.counts) for _ in range(b - counts[t])]
 
 
@@ -296,6 +296,18 @@ class PermutationWitness:
         return dict(self.pairs)
 
 
+def _check_witness(uc: np.ndarray, rc: np.ndarray, n: int, slots: np.ndarray, images: np.ndarray) -> None:
+    """Re-check a witness: 1-based ``slots`` in increasing order and their ``images`` under pi."""
+    K = len(uc)
+    if np.any(np.diff(slots, prepend=0, append=K + 1) <= 0) or not np.array_equal(np.sort(images), slots):
+        raise RuntimeError("internal: witness mapping is not a bijection on S")
+    if np.any(rc[slots - 1] != uc[images - 1]):
+        raise RuntimeError("internal: witness pairing does not map reports to truths")
+    excess = np.maximum(np.bincount(uc, minlength=n) - np.bincount(rc, minlength=n), 0).sum()
+    if len(slots) < K - (n - 1) * int(excess):
+        raise RuntimeError("internal: witness covers fewer slots than guaranteed")
+
+
 def permutation_witness(
     u: PreferenceVector, reported: Union[Message, PreferenceVector]
 ) -> PermutationWitness:
@@ -311,44 +323,50 @@ def permutation_witness(
     Cycles through a balancing edge are dropped; the rest form S, with the
     in-cycle successor as the bijection.  S covers at least
     K - (#types - 1) * K * tv(marginal(u), marginal(report)) slots, that is
-    K - (#types - 1) * sum_t (truth count - report count)_+.  The
-    bijection, the report-to-truth pairing and that floor are re-checked
-    before returning.
+    K - (#types - 1) * sum_t (truth count - report count)_+.
+
+    Nodes are the memoized type codes, a report's taken over the truth's
+    types.  numpy finds the fixed and lying slots and the degree balance; the
+    walk runs on int lists.  S and pi are sorted as arrays, and the bijection,
+    the report-to-truth pairing and the floor are re-checked over all of S.
     """
-    re = _report_entries(u, reported)
-    ue = u.entries
-    K = u.K
-    node = {t: i for i, t in enumerate(u.types)}
-    unknown = sorted(set(re) - node.keys())
-    if unknown:
-        raise ValidationError(f"report: unknown types {unknown}")
+    _report_entries(u, reported)
+    rv = reported.vector if isinstance(reported, Message) else reported
+    if rv.types != u.types:  # restate the report over the truth's types
+        unknown = sorted(set(rv.entries) - set(u.types))
+        if unknown:
+            raise ValidationError(f"report: unknown types {unknown}")
+        rv = PreferenceVector(rv.entries, u.types)
+    uc, rc = u._codes(), rv._codes()
+    n = len(u.types)
     # A truthful slot is a self-loop.  The walk would peel it as its own
     # 1-cycle, which changes the walk on no other edge, so it enters S as a
     # fixed point and only the lying slots (edges 0..L-1 below, in slot
     # order) and the balancing edges are walked.
-    fixed = list(itertools.compress(range(1, K + 1), map(operator.eq, ue, re)))
-    lying = list(itertools.compress(range(K), map(operator.ne, ue, re)))
-    tail = [node[ue[k]] for k in lying]
-    head = [node[re[k]] for k in lying]
-    net = [0] * len(node)
-    for a, b in zip(tail, head):
-        net[a] += 1
-        net[b] -= 1
-    tail += [v for v, d in enumerate(net) for _ in range(-d)]
-    head += [v for v, d in enumerate(net) for _ in range(d)]
+    lies = uc != rc
+    fixed = np.flatnonzero(~lies) + 1
+    lying = np.flatnonzero(lies)
+    net = (np.bincount(uc, minlength=n) - np.bincount(rc, minlength=n)).tolist()
+    tail = uc[lying].tolist() + [v for v, d in enumerate(net) for _ in range(-d)]
+    head = rc[lying].tolist() + [v for v, d in enumerate(net) for _ in range(d)]
 
     outgoing: list[list[int]] = [[] for _ in net]
     for e, a in enumerate(tail):
         outgoing[a].append(e)
-    next_out = [0] * len(net)  # index of each node's lowest alive outgoing edge
+    next_out = [0] * n  # index of each node's lowest alive outgoing edge
     alive = [True] * len(tail)
-    slots = fixed[:]
-    pairs = list(zip(fixed, fixed))
+    slot_of = (lying + 1).tolist()  # 1-based slot of each lying edge
+    on_cycles: list[int] = []  # slots on kept cycles
+    successors: list[int] = []  # their images under pi
     for start in range(len(tail)):
-        while alive[start]:
-            path = [start]
-            pos = {tail[start]: 0}
-            cur = head[start]
+        if not alive[start]:
+            continue
+        # After a cycle is peeled the walk goes on from its first node, which a
+        # restart from the start edge would reach along the same, untouched path.
+        path = [start]
+        pos = {tail[start]: 0}
+        cur = head[start]
+        while path:
             while cur not in pos:
                 pos[cur] = len(path)
                 out, i = outgoing[cur], next_out[cur]
@@ -358,27 +376,21 @@ def permutation_witness(
                 path.append(out[i])
                 cur = head[out[i]]
             cycle = path[pos[cur]:]
+            del path[pos[cur]:]
             for e in cycle:
                 alive[e] = False
-            if max(cycle) < len(lying):
-                labels = [lying[e] + 1 for e in cycle]
-                slots.extend(labels)
-                pairs.extend(zip(labels, labels[1:] + labels[:1]))
-    slots.sort()
-    pairs.sort()
-    witness = PermutationWitness(tuple(slots), tuple(pairs))
-
-    pi = witness.mapping()
-    if sorted(pi) != slots or sorted(pi.values()) != slots:
-        raise RuntimeError("internal: witness mapping is not a bijection on S")
-    for k, pk in pi.items():
-        if re[k - 1] != u.entries[pk - 1]:
-            raise RuntimeError("internal: witness pairing does not map reports to truths")
-    truth_counts, report_counts = u.counts(), Counter(re)
-    excess = sum(max(truth_counts[t] - report_counts[t], 0) for t in u.types)
-    if len(slots) < K - (len(u.types) - 1) * excess:
-        raise RuntimeError("internal: witness covers fewer slots than guaranteed")
-    return witness
+                del pos[tail[e]]
+            if max(cycle) < len(slot_of):
+                labels = [slot_of[e] for e in cycle]
+                on_cycles += labels
+                successors += labels[1:] + labels[:1]
+    slots = np.concatenate((fixed, np.array(on_cycles, dtype=np.intp)))
+    images = np.concatenate((fixed, np.array(successors, dtype=np.intp)))
+    order = np.lexsort((images, slots))
+    slots, images = slots[order], images[order]
+    _check_witness(uc, rc, n, slots, images)
+    S = slots.tolist()
+    return PermutationWitness(tuple(S), tuple(zip(S, images.tolist())))
 
 
 # --- the audit record ---
@@ -401,25 +413,24 @@ class Audit:
 
 
 def audit(u: PreferenceVector, m: Message) -> Audit:
-    """Judge a quota-feasible report in one pass over the slots.
+    """Judge a quota-feasible report from one count of its slot pairs.
 
-    Counting each (truth, report) pair once gives the truth's type counts,
-    the lies and the distinct lie arcs.  The minimum lie count, the relaxed
-    budget and both approximate verdicts are integer comparisons on those
-    counts, the acyclicity test runs on at most n(n-1) arcs, and the witness
-    is built once.  Agrees with ``min_lie_count``, ``lie_count``,
-    ``star_lie_bound``, the three ``is_*`` checkers and
+    One ``np.bincount`` of the (truth, report) type code pairs gives the
+    n x n grid of pair counts: its row sums are the truth's type counts, its
+    off-diagonal cells the lies and the distinct lie arcs.  The minimum lie
+    count, the relaxed budget and both approximate verdicts are integer
+    comparisons on those counts, the acyclicity test runs on at most n(n-1)
+    arcs, and the witness is built once.  Agrees with ``min_lie_count``,
+    ``lie_count``, ``star_lie_bound``, the three ``is_*`` checkers and
     ``permutation_witness``.
     """
     _check_shapes(u, m.quota)
-    pairs = Counter(zip(u.entries, _report_entries(u, m)))
-    arcs = {p for p in pairs if p[0] != p[1]}
-    counts: Counter = Counter()
-    for (t, _), c in pairs.items():
-        counts[t] += c
-    lies = sum(pairs[p] for p in arcs)
-    min_lies = sum(max(counts[t] - b, 0) for t, b in zip(m.quota.types, m.quota.counts))
-    star_bound = (len(u.types) - 1) * min_lies
+    n = len(u.types)
+    grid = np.bincount(u._codes() * n + m.vector._codes(), minlength=n * n).reshape(n, n)
+    arcs = {(a, b) for a, b in zip(*np.nonzero(grid)) if a != b}
+    lies = u.K - int(grid.trace())
+    min_lies = sum(max(c - b, 0) for c, b in zip(grid.sum(axis=1).tolist(), m.quota.counts))
+    star_bound = (n - 1) * min_lies
     return Audit(
         approx_truthful=lies == min_lies,
         approx_truthful_star=lies <= star_bound,

@@ -351,18 +351,21 @@ class TestBestResponseCommand:
             assert brute["payoff"] == trans["payoff"]
             assert trans["message"] in brute["messages"]
         # Non-dyadic float utilities: the transport message is one of the exact
-        # bruteforce ties.  Their printed payoffs are each message's own float
-        # sum, so they may differ in the last digit when the pair counts differ.
+        # bruteforce ties, and both print the exact payoff rounded once, so the
+        # payoff bytes agree even where the two messages' pair counts differ.
         cycle_spec = str(Path(__file__).parent / "data" / "transport_cycle.json")
         for _ in range(20):
             truth = ",".join(random_vector(rnd, ("t0", "t1", "t2", "t3"), 10).entries)
-            _, brute = run_cli_json(
-                ["best-response", "--spec", cycle_spec, "--truth", truth, "--method", "bruteforce"]
-            )
-            _, trans = run_cli_json(
-                ["best-response", "--spec", cycle_spec, "--truth", truth, "--method", "transport"]
-            )
+            outs = {}
+            for method in ("bruteforce", "transport"):
+                code, outs[method] = run_cli(
+                    ["best-response", "--spec", cycle_spec, "--truth", truth, "--method", method]
+                )
+                assert code == 0
+            brute, trans = json.loads(outs["bruteforce"]), json.loads(outs["transport"])
             assert trans["message"] in brute["messages"]
+            payoff_lines = [next(line for line in out.splitlines() if '"payoff"' in line) for out in outs.values()]
+            assert payoff_lines[0] == payoff_lines[1]
 
     def test_nan_utility_spec_rejected(self, tmp_path, capsys):
         with open(CE_SPEC, encoding="utf-8") as fh:

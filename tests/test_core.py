@@ -231,3 +231,18 @@ class TestPreferenceVector:
         with pytest.raises(ValidationError) as exc:
             PreferenceVector(entries, ("A", "B", "C"))
         assert str(exc.value) == message
+
+    def test_memos_leave_equality_and_hash_alone(self):
+        # counts and codes are memoized in the instance dict, outside the fields
+        v = PreferenceVector(("B", "A", "B", "C"), ("A", "B", "C"))
+        v.counts()
+        v._type_counts()
+        codes = v._codes()
+        assert codes.tolist() == [1, 0, 1, 2]
+        assert not codes.flags.writeable
+        fresh = PreferenceVector(("B", "A", "B", "C"), ("C", "B", "A"))
+        assert "_codes_memo" not in vars(fresh)
+        assert v == fresh and hash(v) == hash(fresh)
+        q = Quota(("A", "B", "C"), (1, 2, 1))
+        assert Message(v, q) == Message(fresh, q)
+        assert hash(Message(v, q)) == hash(Message(fresh, q))

@@ -395,7 +395,9 @@ class TestIntegerTransport:
             proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
             assert proc.returncode == 0, proc.stderr
             outs[method] = json.loads(proc.stdout)
-        assert {method: out["payoff"] for method, out in outs.items()} == {"transport": 7.552, "bruteforce": 7.552}
+        # the exact payoff rounded once; the slot pairs' float sum read 7.552
+        assert {method: out["payoff"] for method, out in outs.items()} == {
+            "transport": 7.5520000000000005, "bruteforce": 7.5520000000000005}
         # every exactly tied best response, which slot-order float sums once split
         assert len(outs["bruteforce"]["messages"]) == 90
         assert outs["transport"]["message"] in outs["bruteforce"]["messages"]
@@ -572,16 +574,21 @@ class TestValueTableCache:
             got = payoff(vec("AAB"), best_response_transport(vec("AAB"), f, p, Q3).message, f, p)
             want = oracle_best_response_transport(vec("AAB"), f, p, Q3).payoff
             assert got == want and type(got) is type(want)
-        # non-dyadic floats: the same float as the plan's row-by-row sum
+        # non-dyadic floats: the plan's row-by-row sum, taken exactly from the
+        # floats' binary values and the lottery weights, then rounded once
         p = validate_problem(json.loads(CYCLE_SPEC.read_text()))
         f = SocialChoiceFunction.utility_argmax(p)
         types = tuple(sorted(p.types))
+
+        def exact(t, r):
+            return sum(Fraction(w) * Fraction(p.utility[t][d]) for d, w in f.lottery(r).items())
+
         rnd = random.Random(12)
         for _ in range(100):
             u = random_vector(rnd, types, 10)
             result = best_response_transport(u, f, p, compute_quota(p, 10))
             rows = zip(types, result.plan.flows)
-            want = sum(x * f.expected_utility(r, t, p) for t, row in rows for r, x in zip(types, row) if x)
+            want = float(sum(x * exact(t, r) for t, row in rows for r, x in zip(types, row) if x))
             assert repr(payoff(u, result.message, f, p)) == repr(want)
 
 

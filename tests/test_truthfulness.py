@@ -487,6 +487,24 @@ class TestAudit:
             assert a == oracle_audit(u, m)
 
 
+class TestMemoizedCounts:
+    def test_mutating_counts_changes_nothing_later(self):
+        q = Quota(ABC, (1, 1, 1))
+        u, m = vec("AAB"), msg("BCA", q)
+        before = (min_lie_count(u, q), audit(u, m))
+        for v in (u, m.vector):
+            c = v.counts()
+            c["A"] += 5
+            c["D"] = 2
+            c.clear()
+        assert (min_lie_count(u, q), audit(u, m)) == before
+        assert u.counts() == Counter("AAB")
+        # Message validation reads the same memo
+        Message(m.vector, q)
+        with pytest.raises(ValidationError, match=r"over-represented \['A'\]"):
+            Message(u, q)
+
+
 class TestLabelFreeness:
     def test_minimal_set_is_slot_equivariant(self):
         rnd = random.Random(808)

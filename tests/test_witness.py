@@ -1,20 +1,32 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkmech import (
+    Message,
     PreferenceVector,
+    Quota,
     ValidationError,
+    audit,
     is_permutation_truthful,
     lie_count,
     marginal,
     permutation_witness,
     tv_distance,
 )
-from helpers import balance_graph, build_link_graph, cycle_partition, oracle_witness, random_vector
+from linkmech.truthfulness import _check_witness
+from helpers import (
+    balance_graph,
+    build_link_graph,
+    cycle_partition,
+    oracle_audit,
+    oracle_witness,
+    random_vector,
+)
 
 ABC = ("A", "B", "C")
 
@@ -219,3 +231,75 @@ class TestPermutationWitness:
             bound = (n - 1) * K * tv_distance(marginal(u), marginal(w))
             assert lie_count(u, w) <= bound
         assert seen > 200  # the filter kept a meaningful sample
+
+    def test_report_over_another_type_universe(self):
+        # the report's own codes index its own types; the witness must map it
+        # through the truth's index, so the extra label shifts no code
+        rnd = random.Random(77)
+        for truth_types, report_types in [(ABC, ABC + ("D",)), (("B", "C", "D"), ("A", "B", "C", "D"))]:
+            for _ in range(200):
+                K = rnd.randint(1, 20)
+                u = random_vector(rnd, truth_types, K)
+                w = random_vector(rnd, truth_types, K)
+                wide = PreferenceVector(w.entries, report_types)
+                assert permutation_witness(u, wide) == oracle_witness(u, w) == permutation_witness(u, w)
+        u, w = vec("AAB"), PreferenceVector(tuple("ABC"), ABC + ("D",))
+        assert permutation_witness(u, w) == oracle_witness(u, vec("ABC"))
+        # audit takes a Message, whose quota must share the truth's types
+        q = Quota(ABC + ("D",), (1, 1, 1, 0))
+        for judge in (audit, oracle_audit):
+            with pytest.raises(ValidationError, match="type sets differ"):
+                judge(u, Message(w, q))
+
+
+def test_witness_and_audit_hold_python_ints():
+    # the arrays behind them must not leak numpy scalars into the record
+    q = Quota(ABC, (1, 1, 1))
+    a = audit(vec("ABC"), Message(vec("BCA"), q))
+    assert a.witness.slots == (1, 2, 3)
+    w = a.witness
+    assert all(type(x) is int for x in w.slots + tuple(k for pair in w.pairs for k in pair))
+    assert all(type(getattr(a, f)) is int for f in ("min_lies", "lies", "star_bound"))
+    assert all(type(getattr(a, f)) is bool for f in ("approx_truthful", "approx_truthful_star", "permutation_truthful"))
+
+
+class TestWitnessChecks:
+    """The internal re-checks run on arrays; each must still fire."""
+
+    def codes(self, truth, report):
+        return vec(truth)._codes(), vec(report)._codes()
+
+    def check(self, truth, report, slots, images):
+        uc, rc = self.codes(truth, report)
+        _check_witness(uc, rc, len(ABC), np.array(slots, dtype=np.intp), np.array(images, dtype=np.intp))
+
+    def test_sound_witnesses_pass(self):
+        self.check("ABC", "BCA", [1, 2, 3], [2, 3, 1])
+        self.check("AAB", "ABC", [1], [1])
+        self.check("ABC", "ABC", [1, 2, 3], [1, 2, 3])
+
+    @pytest.mark.parametrize("slots, images", [
+        ([1, 1, 2], [1, 2, 1]),  # a duplicated slot; the images sort to the slots
+        ([1, 2, 3], [1, 1, 2]),  # a duplicated image
+        ([0, 1, 2], [1, 2, 0]),  # a slot outside 1..K
+        ([1, 2, 4], [2, 4, 1]),
+    ])
+    def test_not_a_bijection(self, slots, images):
+        with pytest.raises(RuntimeError, match="^internal: witness mapping is not a bijection on S$"):
+            self.check("ABC", "BCA", slots, images)
+
+    def test_swapped_image(self):
+        with pytest.raises(RuntimeError, match="^internal: witness pairing does not map reports to truths$"):
+            self.check("ABC", "BCA", [1, 2, 3], [3, 2, 1])
+        # one wrong slot among many right ones
+        with pytest.raises(RuntimeError, match="^internal: witness pairing does not map reports to truths$"):
+            self.check("ABCAB", "BCAAB", [1, 2, 3, 4, 5], [2, 3, 1, 5, 4])
+
+    @pytest.mark.parametrize("truth, report, slots, images", [
+        ("ABC", "ABC", [], []),
+        ("ABC", "ABC", [1, 2], [1, 2]),  # the identity report owes every slot to S
+        ("AAB", "ABC", [], []),  # K - (n - 1) * excess = 3 - 2 * 1 leaves a floor of 1
+    ])
+    def test_too_few_slots(self, truth, report, slots, images):
+        with pytest.raises(RuntimeError, match="^internal: witness covers fewer slots than guaranteed$"):
+            self.check(truth, report, slots, images)
