@@ -7,6 +7,10 @@ these runs (exit code, stdout and stderr):
 - ``simulate`` on both bundled specs x the three built-in strategies x CSV
   and JSON x K grids ``2,8,32,256`` and ``3,16,64`` x seeds 1 and 4242,
   300 replications each (48 runs);
+- ``simulate`` on ``binary.json`` x the three built-in strategies in CSV at
+  K ``3,16,64`` and 300 replications, with seeds ``4611686018427400000``
+  (two 32-bit entropy words, like the benchmark's 62-bit seeds) and ``-1``
+  (masked to 64 bits) (6 runs);
 - ``best-response`` with both methods on the README example (the bundled
   counterexample spec, truth ``A,A,B``) and on ``tests/data/transport_cycle.json``
   (4 runs);
@@ -101,6 +105,9 @@ def runs(four_spec: str) -> list[list[str]]:
          "--reps", "300", "--seed", seed]
         for spec, strategy, fmt, ks, seed in grid
     ]
+    for strategy, seed in product(cli.STRATEGY_NAMES[:3], ("4611686018427400000", "-1")):
+        out.append(["simulate", "--spec", bin_spec, "--strategy", strategy, "--format", "csv", "--K", "3,16,64",
+                    "--reps", "300", "--seed", seed])
     examples = [
         (ce_spec, "A,A,B"),
         (str(ROOT / "tests" / "data" / "transport_cycle.json"), "t1,t1,t2,t2,t2,t2,t2,t1,t2,t1"),

@@ -79,13 +79,14 @@ def _load_problem(path: str) -> Problem:
 
 
 def _parse_vector(text: str, problem: Problem, field: str) -> PreferenceVector:
-    labels = list(map(str.strip, text.split(",")))
+    labels = tuple(map(str.strip, text.split(",")))
     if "" in labels:
         raise ValidationError(f"{field}: empty label at position {labels.index('') + 1}")
-    unknown = sorted(set(labels) - set(problem.types))
-    if unknown:
-        raise ValidationError(f"{field}: unknown types {_cut(str(unknown))}")
-    return problem.vector(labels)
+    code = {t: i for i, t in enumerate(sorted(problem.types))}
+    codes = [code.get(t, -1) for t in labels]
+    if -1 in codes:
+        raise ValidationError(f"{field}: unknown types {_cut(str(sorted(set(labels) - set(code))))}")
+    return PreferenceVector._from_codes(labels, tuple(code), codes)
 
 
 def _emit(text: str, output: Optional[str]) -> None:

@@ -203,6 +203,13 @@ def validate_problem(spec: Mapping) -> Problem:
     return Problem(decisions=decisions, types=types, utility=utility, prior=weights)
 
 
+def _unchecked(cls, **values):
+    """An instance of the frozen dataclass ``cls`` holding ``values``, without ``__post_init__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
+
+
 @dataclass(frozen=True)
 class PreferenceVector:
     """A length-K sequence of type labels over a fixed type universe."""
@@ -221,6 +228,17 @@ class PreferenceVector:
         if not universe.issuperset(self.entries):
             k, t = next((k, t) for k, t in enumerate(self.entries, start=1) if t not in universe)
             raise ValidationError(f"entries[{k}]: unknown type {t!r}")
+
+    @classmethod
+    def _from_codes(cls, entries: tuple[str, ...], types: tuple[str, ...], codes) -> "PreferenceVector":
+        """A vector whose ``entries`` are ``types[codes]`` by construction, for sorted
+        distinct ``types``: unchecked, with both memos filled from the int ``codes``."""
+        codes = np.asarray(codes, dtype=np.intp)
+        codes.flags.writeable = False
+        tally = np.bincount(codes, minlength=len(types)).tolist()
+        counts = Counter.__new__(Counter)  # empty, without Counter's Python-level __init__
+        dict.update(counts, (tc for tc in zip(types, tally) if tc[1]))
+        return _unchecked(cls, entries=entries, types=types, _codes_memo=codes, _counts_memo=counts)
 
     @property
     def K(self) -> int:
@@ -337,6 +355,12 @@ class Message:
             raise ValidationError(
                 f"message violates quota: over-represented {over}, under-represented {under}"
             )
+
+    @classmethod
+    def _built(cls, entries: tuple[str, ...], quota: Quota) -> "Message":
+        """A message over ``quota.types`` from a builder that has already checked
+        ``entries`` against the quota; neither it nor its vector is re-checked."""
+        return _unchecked(cls, vector=_unchecked(PreferenceVector, entries=entries, types=quota.types), quota=quota)
 
     @property
     def entries(self) -> tuple[str, ...]:

@@ -28,6 +28,7 @@ from .core import (
 from .truthfulness import (
     _check_shapes,
     _report_entries,
+    _rewritten,
     _scan,
     _shortfall,
     compute_quota,
@@ -313,7 +314,7 @@ def best_response_transport(
     Per call: a fresh capacity list (a pair edge gets min(supply, demand), so
     one at zero is never relaxed and its reverse edge never gains capacity),
     the solve, the plan's row and column sums against the counts already
-    taken, the lying-slot realization and the ``Message`` validation.  The
+    taken, the lying-slot realization and its O(lies) quota check.  The
     message's payoff is ``payoff(u, result.message, f, p)``.
     """
     counts, _ = _shortfall(u, q)
@@ -335,16 +336,13 @@ def best_response_transport(
     plan = TransportPlan(types, tuple(tuple(row) for row in flows))
 
     ue, rev = u.entries, u.entries[::-1]
-    entries = list(ue)
+    writes = []
     for i, t in enumerate(types):
         lower = [r for j, r in enumerate(types[:i]) for _ in range(flows[i][j])]
         higher = [r for j, r in enumerate(types[i + 1:], i + 1) for _ in range(flows[i][j])]
-        for r, k in zip(lower, _scan(ue, t)):
-            entries[k] = r
-        for r, k in zip(reversed(higher), _scan(rev, t)):
-            entries[len(ue) - 1 - k] = r
-    message = Message(PreferenceVector(tuple(entries), u.types), q)
-    return TransportResult(plan=plan, message=message)
+        writes += ((k, r) for r, k in zip(lower, _scan(ue, t)))
+        writes += ((len(ue) - 1 - k, r) for r, k in zip(reversed(higher), _scan(rev, t)))
+    return TransportResult(plan=plan, message=_rewritten(u, q, counts, writes))
 
 
 @dataclass(frozen=True)

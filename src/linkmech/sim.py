@@ -56,6 +56,17 @@ MAX_K = 10**7
 StrategyFn = Callable[[PreferenceVector, Quota, np.random.Generator], Message]
 
 
+def _words(n: int) -> list[int]:
+    """The little-endian 32-bit words ``SeedSequence`` splits an int entry ``0 <= n < 2**64`` into."""
+    return [n & 0xFFFFFFFF, n >> 32] if n >> 32 else [n]
+
+
+def _episode_rng(head: list[int], rep: int) -> np.random.Generator:
+    """``SeedSequence([seed, K, rep])``'s generator, for ``head`` the words of seed and K,
+    seeded from a ``uint32`` array that numpy takes as it is, not entry by entry."""
+    return np.random.default_rng(np.random.SeedSequence(np.array(head + _words(rep), dtype=np.uint32)))
+
+
 @lru_cache(maxsize=64)
 def _sampling_table(prior_items: tuple) -> tuple[tuple[str, ...], np.ndarray, int, np.ndarray]:
     """Sorted labels, cumulative integer thresholds, common denominator, and
@@ -87,7 +98,7 @@ def sample_type_vector(prior: Union[Problem, Weights], K: int, rng: np.random.Ge
     types, cum, denom, labels = _sampling_table(tuple(sorted(prior.items())))
     draws = rng.integers(0, denom, size=K)
     idx = np.searchsorted(cum, draws, side="right")
-    return PreferenceVector(tuple(labels[idx].tolist()), types)
+    return PreferenceVector._from_codes(tuple(labels[idx].tolist()), types, idx)
 
 
 @dataclass(frozen=True)
@@ -210,8 +221,8 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     change the decision.  For the built-in minimal-lie strategies every
     episode is checked to lie in exactly K * tv(marginal, quota) slots;
     every built-in strategy is checked against the relaxed budget
-    (#types - 1) times that.  Raises on violation, which signals an
-    implementation bug rather than bad input.
+    (#types - 1) times that.  A violation signals an implementation bug, not
+    bad input: it raises, naming the episode that SeedSequence([seed, K, rep]) replays.
     """
     problem = cfg.problem
     f = cfg.scf or SocialChoiceFunction.utility_argmax(problem)
@@ -234,6 +245,7 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     out = []
     seed = cfg.seed & _SEED_MASK
     for K in cfg.k_values:
+        head = _words(seed) + _words(K)
         quota = compute_quota(prior, K)
         d_prior_quota = tv_distance(prior, quota.distribution())
         scaled = list(zip(types, quota.counts, [K * p for p in prior_num]))
@@ -245,7 +257,7 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
         sum_excess_q = 0  # sum over episodes of K * tv(marginal, quota)
         sum_excess_p = 0  # sum over episodes of K * D * tv(marginal, prior)
         for rep in range(cfg.replications):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, K, rep]))
+            rng = _episode_rng(head, rep)
             u = sample_type_vector(prior, K, rng)
             m = strategy(u, quota, rng)
             ue, me = u.entries, m.entries
@@ -253,10 +265,10 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
             lies = len(lying)
             counts = u._type_counts()
             excess_q = sum(counts[t] - b for t, b, _ in scaled if counts[t] > b)
-            if exact_min and lies != excess_q:
-                raise RuntimeError("internal: minimal-lie strategy missed the minimum")
-            if enforce_star and lies > (n_types - 1) * excess_q:
-                raise RuntimeError("internal: strategy exceeded the relaxed lie budget")
+            if exact_min and lies != excess_q or enforce_star and lies > (n_types - 1) * excess_q:
+                what = ("minimal-lie strategy missed the minimum" if exact_min and lies != excess_q
+                        else "strategy exceeded the relaxed lie budget")
+                raise RuntimeError(f"internal: {what} ({cfg.strategy}, seed {seed}, K {K}, replication {rep})")
             for k in lying:
                 slot_lies[k] += 1
                 if lotid[ue[k]] != lotid[me[k]]:

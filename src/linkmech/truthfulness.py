@@ -88,6 +88,21 @@ def _shortfall(u: PreferenceVector, q: Quota) -> tuple[Counter, list[str]]:
     return counts, [t for t, b in zip(q.types, q.counts) for _ in range(b - counts[t])]
 
 
+def _rewritten(u: PreferenceVector, q: Quota, counts: Counter, writes) -> Message:
+    """The truth with each ``(slot, label)`` of ``writes`` written in turn, its
+    ``counts`` (from ``_shortfall``, which checked the shapes) tallied through
+    every write, slots written twice too, and checked against the quota."""
+    entries = list(u.entries)
+    net = dict.fromkeys(q.types, 0)
+    for k, t in writes:
+        net[entries[k]] -= 1
+        net[t] = net.get(t, 0) + 1
+        entries[k] = t
+    if [counts[t] + net[t] for t in q.types] != list(q.counts):
+        raise RuntimeError("internal: rewritten message misses the quota")
+    return Message._built(tuple(entries), q)
+
+
 def _scan(entries: tuple[str, ...], t: str) -> Iterator[int]:
     """0-based slots of ``t`` in ``entries``, in order, one ``tuple.index`` hop each."""
     k = -1
@@ -182,34 +197,32 @@ def canonical_minimal_message(u: PreferenceVector, q: Quota) -> Message:
     before it (bisection counts those labels), then keeps its truthful
     budget, then lies on its last slots.  Only these lie events are visited,
     in slot order, by ``tuple.index`` hops (on the reversed truth for the
-    tails); the truth is copied and its lying slots overwritten.
+    tails); ``_rewritten`` writes the owed labels there in turn.
     """
     counts, owed = _shortfall(u, q)
     ue = u.entries
     # Per over-supplied type: [next lying slot, type, lies left, owed index
     # its prefix ends at, lying slots].  With no truthful budget the prefix
-    # never ends, since j < len(owed) while a lie is left.
+    # never ends, since fewer than len(owed) slots lie while a lie is left.
     live = []
     for t, b in zip(q.types, q.counts):
         if counts[t] > b:
             slots = _scan(ue, t)
             live.append([next(slots), t, counts[t] - b, bisect.bisect_left(owed, t) if b else len(owed), slots])
-    entries = list(ue)
-    j = 0
+    lying: list[int] = []
     while live:
         ev = min(live)
         k, t, left, stop, slots = ev
-        if j >= stop:  # prefix done: keep the budget, lie on the last `left` slots
+        if len(lying) >= stop:  # prefix done: keep the budget, lie on the last `left` slots
             ev[4] = slots = reversed([len(ue) - 1 - i for i in itertools.islice(_scan(ue[::-1], t), left)])
             ev[0], ev[3] = next(slots), len(owed)
             continue
-        entries[k] = owed[j]
-        j += 1
+        lying.append(k)
         if left == 1:
             live.remove(ev)
         else:
             ev[0], ev[2] = next(slots), left - 1
-    return Message(PreferenceVector(tuple(entries), u.types), q)
+    return _rewritten(u, q, counts, zip(lying, owed))
 
 
 def sample_minimal_message(u: PreferenceVector, q: Quota, rng) -> Message:
@@ -219,7 +232,7 @@ def sample_minimal_message(u: PreferenceVector, q: Quota, rng) -> Message:
     type's slots and scatters the deficit multiset uniformly over the freed
     slots.  ``rng`` is a ``numpy.random.Generator``; a fixed generator state
     yields a fixed message.  Each over-supplied type's slots come from one
-    pass over the truth, and only the freed slots are overwritten.
+    pass over the truth, and ``_rewritten`` overwrites only the freed slots.
     """
     counts, owed = _shortfall(u, q)
     ue = u.entries
@@ -231,10 +244,7 @@ def sample_minimal_message(u: PreferenceVector, q: Quota, rng) -> Message:
             slots = itertools.compress(range(len(ue)), map(operator.eq, ue, itertools.repeat(t)))
             free.extend(itertools.compress(slots, freed.tolist()))
     free.sort()
-    entries = list(ue)
-    for slot, j in zip(free, rng.permutation(len(owed)).tolist()):
-        entries[slot] = owed[j]
-    return Message(PreferenceVector(tuple(entries), u.types), q)
+    return _rewritten(u, q, counts, zip(free, map(owed.__getitem__, rng.permutation(len(owed)).tolist())))
 
 
 def is_approx_truthful(u: PreferenceVector, m: Message) -> bool:

@@ -101,6 +101,17 @@ def random_quota_message(rnd: random.Random, u: PreferenceVector, q: Quota) -> M
     return Message(PreferenceVector(tuple(entries), u.types), q)
 
 
+def assert_same_vector(v: PreferenceVector) -> None:
+    """``v``, built unvalidated from type codes, equals the validated vector of
+    its entries in value, hash, counts (no zero keys) and codes."""
+    ref = PreferenceVector(v.entries, v.types)
+    assert v == ref and hash(v) == hash(ref)
+    assert v.counts() == ref.counts() and set(v.counts()) == set(ref.counts())
+    assert all(c > 0 for c in v.counts().values())
+    assert v._codes().dtype == ref._codes().dtype and v._codes().tolist() == ref._codes().tolist()
+    assert not v._codes().flags.writeable
+
+
 def run_cli(argv: list[str]) -> tuple[int, str]:
     """Invoke the CLI in-process, returning (exit code, captured stdout)."""
     buf = io.StringIO()

@@ -37,7 +37,7 @@ from linkmech import (
 )
 from linkmech.cli import _render_audit, bundled_spec_path, load_bundled_problem
 from linkmech.sim import STRATEGY_NAMES
-from helpers import random_quota, random_quota_message, random_vector, run_cli, run_cli_json
+from helpers import assert_same_vector, random_quota, random_quota_message, random_vector, run_cli, run_cli_json
 
 CE_SPEC = bundled_spec_path("counterexample")
 BIN_SPEC = bundled_spec_path("binary")
@@ -242,6 +242,27 @@ class TestAuditCommand:
     def test_empty_label_rejected(self, truth, report, message, capsys):
         argv = ["audit", "--spec", CE_SPEC, "--truth", truth, "--report", report]
         assert_clean_failure(argv, capsys, message)
+
+    @pytest.mark.parametrize(
+        "truth, report, message",
+        [
+            ("A,Z,B,Y,Z", "A,B,C", "truth: unknown types ['Y', 'Z']"),
+            ("A,B,C", "C, a ,B", "report: unknown types ['a']"),
+            ("A,B,C", "A,B,C,D", "report: unknown types ['D']"),
+        ],
+    )
+    def test_unknown_label_rejected(self, truth, report, message, capsys):
+        argv = ["audit", "--spec", CE_SPEC, "--truth", truth, "--report", report]
+        assert_clean_failure(argv, capsys, message)
+
+    def test_parsed_vectors_match_validated_ones(self):
+        problem = load_bundled_problem("counterexample")
+        rnd = random.Random(29)
+        for K in list(range(1, 12)) + [rnd.randint(12, 600) for _ in range(40)]:
+            labels = [rnd.choice("ABC"[:rnd.randint(1, 3)]) for _ in range(K)]
+            v = cli._parse_vector(" , ".join(labels), problem, "truth")
+            assert v.entries == tuple(labels) and v.types == ("A", "B", "C")
+            assert_same_vector(v)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -26,7 +27,7 @@ from linkmech import (
 )
 from linkmech import best_response_transport, is_permutation_truthful, sample_minimal_message, sim
 from linkmech.sim import CSV_COLUMNS
-from helpers import exhaustive_expected_lie_count, oracle_run_convergence
+from helpers import assert_same_vector, exhaustive_expected_lie_count, oracle_run_convergence
 
 ABC = ("A", "B", "C")
 
@@ -403,3 +404,105 @@ class TestCsv:
         problem = binary_problem if spec == "binary" else counterexample_problem
         cfg = SimConfig(problem=problem, k_values=(3, 16, 64), replications=200, seed=1, strategy=strategy)
         assert hashlib.sha256(stats_to_csv(run_convergence(cfg)).encode()).hexdigest() == digest
+
+
+class TestFastConstructors:
+    def test_sampled_vectors_match_validated_ones(self):
+        rnd = random.Random(13)
+        for _ in range(150):
+            n = rnd.randint(1, 5)
+            types = tuple("ABCDE"[:n])
+            raw = [rnd.choice((0, 0, 1, 2, 5)) for _ in types]
+            raw[rnd.randrange(n)] += 1
+            prior = {t: Fraction(w, sum(raw)) for t, w in zip(types, raw)}
+            u = sample_type_vector(prior, rnd.randint(1, 600), np.random.default_rng(rnd.getrandbits(32)))
+            assert_same_vector(u)
+
+    def test_builder_messages_pass_public_validation(self, counterexample_problem):
+        f = SocialChoiceFunction.utility_argmax(counterexample_problem)
+        rng = np.random.default_rng(5)
+        for K in (1, 2, 3, 7, 40, 301):
+            q = compute_quota(counterexample_problem, K)
+            for _ in range(5):
+                u = sample_type_vector(counterexample_problem, K, rng)
+                for m in (canonical_minimal_message(u, q), sample_minimal_message(u, q, rng),
+                          best_response_transport(u, f, counterexample_problem, q).message):
+                    validated = Message(PreferenceVector(m.entries, u.types), q)
+                    assert m == validated and hash(m) == hash(validated)
+                    assert m.vector.counts() == validated.vector.counts()
+
+
+class TestSeedWords:
+    MASK = (1 << 64) - 1
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**62 + 12345, 2**64 - 1, -1)
+
+    def test_episode_generator_matches_seed_sequence(self):
+        for seed, K, rep in itertools.product(self.SEEDS, (1, 256, 10**7), (0, 1, 2**32 - 1, 2**32)):
+            seed &= self.MASK
+            got = sim._episode_rng(sim._words(seed) + sim._words(K), rep)
+            want = np.random.default_rng(np.random.SeedSequence([seed, K, rep]))
+            assert got.bit_generator.state == want.bit_generator.state, (seed, K, rep)
+
+    def test_run_convergence_seeds_each_episode(self, binary_problem, monkeypatch):
+        seen = []
+        original = sim.sample_type_vector
+
+        def recording(prior, K, rng):
+            seen.append((K, rng.bit_generator.state))
+            return original(prior, K, rng)
+
+        monkeypatch.setattr(sim, "sample_type_vector", recording)
+        for seed in self.SEEDS:
+            seen.clear()
+            run_convergence(cfg_for(binary_problem, k_values=(1, 256), replications=3, seed=seed))
+            want = [(K, np.random.default_rng(np.random.SeedSequence([seed & self.MASK, K, rep])).bit_generator.state)
+                    for K in (1, 256) for rep in range(3)]
+            assert seen == want, seed
+
+
+class TestInternalChecks:
+    @staticmethod
+    def overlying(u, m):
+        """``m`` with two truthful slots of different types swapped where there
+        are any: it still meets the quota but lies twice more."""
+        out = list(m.entries)
+        truthful = [k for k in range(u.K) if out[k] == u.entries[k]]
+        for a, b in itertools.combinations(truthful, 2):
+            if out[a] != out[b]:
+                out[a], out[b] = out[b], out[a]
+                break
+        return Message(PreferenceVector(tuple(out), u.types), m.quota)
+
+    @pytest.mark.parametrize("strategy, message", [
+        ("canonical-min-lie", "internal: minimal-lie strategy missed the minimum"),
+        ("best-response", "internal: strategy exceeded the relaxed lie budget"),
+    ])
+    def test_failure_names_the_episode(self, binary_problem, monkeypatch, strategy, message):
+        seed = 2**40 + 3
+        truths = []
+
+        def canonical(u, q):
+            truths.append(u)
+            m = canonical_minimal_message(u, q)
+            return self.overlying(u, m) if len(truths) > 23 else m
+
+        def transport(u, f, p, q):
+            truths.append(u)
+            result = best_response_transport(u, f, p, q)
+            if len(truths) > 23:
+                result = dataclasses.replace(result, message=self.overlying(u, result.message))
+            return result
+
+        monkeypatch.setattr(sim, "canonical_minimal_message", canonical)
+        monkeypatch.setattr(sim, "best_response_transport", transport)
+        cfg = cfg_for(binary_problem, k_values=(4, 8), replications=20, seed=seed, strategy=strategy)
+        with pytest.raises(RuntimeError) as exc:
+            run_convergence(cfg)
+        # the first overlying episode fails: K 8, past its third replication
+        u = truths[-1]
+        rep = len(truths) - 21
+        assert u.K == 8 and rep >= 3
+        assert str(exc.value) == f"{message} ({strategy}, seed {seed}, K 8, replication {rep})"
+        # the named episode replays alone
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 8, rep]))
+        assert sample_type_vector(binary_problem, 8, rng) == u

@@ -29,7 +29,7 @@ from linkmech import (
     star_lie_bound,
     tv_distance,
 )
-from linkmech.truthfulness import iter_multiset_arrangements
+from linkmech.truthfulness import _rewritten, iter_multiset_arrangements
 from helpers import (
     brute_min_hamming,
     brute_minimal_set,
@@ -503,6 +503,32 @@ class TestMemoizedCounts:
         Message(m.vector, q)
         with pytest.raises(ValidationError, match=r"over-represented \['A'\]"):
             Message(u, q)
+
+
+class TestRewrittenCheck:
+    """``_rewritten`` builds every minimal-lie and transport message unvalidated,
+    so its own O(lies) tally is the only quota check those messages get."""
+
+    def test_sound_rewrite_equals_validated_message(self):
+        u, q = vec("AAAABC"), Quota(ABC, (2, 2, 2))
+        m = _rewritten(u, q, u._type_counts(), [(0, "C"), (2, "B")])
+        assert m == msg("CABABC", q) and hash(m) == hash(msg("CABABC", q))
+        assert m.entries == ("C", "A", "B", "A", "B", "C") and m.vector.types == ABC
+
+    @pytest.mark.parametrize("truth, budget, writes", [
+        ("AAAABC", (2, 2, 2), [(0, "B"), (1, "B")]),  # one owed label swapped for another
+        ("AAAABC", (2, 2, 2), [(0, "B"), (1, "Z")]),  # a label outside the universe
+        ("AAAABC", (2, 2, 2), [(0, "B")]),  # a write missing
+        # one slot listed twice: a tally that took the truth's label at every
+        # listed slot would meet the quota in both, though the first frees one
+        # A only and the second leaves slot 0 the A it started as
+        ("AAAA", (2, 2, 0), [(0, "B"), (0, "B")]),
+        ("AAAB", (2, 2, 0), [(0, "B"), (0, "A")]),
+    ])
+    def test_rewrite_missing_the_quota_raises(self, truth, budget, writes):
+        u, q = vec(truth), Quota(ABC, budget)
+        with pytest.raises(RuntimeError, match="^internal: rewritten message misses the quota$"):
+            _rewritten(u, q, u._type_counts(), writes)
 
 
 class TestLabelFreeness:
