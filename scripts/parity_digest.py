@@ -11,6 +11,9 @@ these runs (exit code, stdout and stderr):
   K ``3,16,64`` and 300 replications, with seeds ``4611686018427400000``
   (two 32-bit entropy words, like the benchmark's 62-bit seeds) and ``-1``
   (masked to 64 bits) (6 runs);
+- ``simulate`` on ``binary.json`` with the canonical and uniform strategies
+  in CSV at K ``1,7``, seed 1 and 1100 replications, so each K's
+  replications cross the edge of a 1024-replication seeding block (2 runs);
 - ``best-response`` with both methods on the README example (the bundled
   counterexample spec, truth ``A,A,B``) and on ``tests/data/transport_cycle.json``
   (4 runs);
@@ -108,6 +111,9 @@ def runs(four_spec: str) -> list[list[str]]:
     for strategy, seed in product(cli.STRATEGY_NAMES[:3], ("4611686018427400000", "-1")):
         out.append(["simulate", "--spec", bin_spec, "--strategy", strategy, "--format", "csv", "--K", "3,16,64",
                     "--reps", "300", "--seed", seed])
+    for strategy in cli.STRATEGY_NAMES[:2]:
+        out.append(["simulate", "--spec", bin_spec, "--strategy", strategy, "--format", "csv", "--K", "1,7",
+                    "--reps", "1100", "--seed", "1"])
     examples = [
         (ce_spec, "A,A,B"),
         (str(ROOT / "tests" / "data" / "transport_cycle.json"), "t1,t1,t2,t2,t2,t2,t2,t1,t2,t1"),

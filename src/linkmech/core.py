@@ -322,9 +322,6 @@ class Quota:
     def K(self) -> int:
         return sum(self.counts)
 
-    def count(self, typ: str) -> int:
-        return self.counts[self.types.index(typ)]
-
     def as_dict(self) -> dict[str, int]:
         return dict(zip(self.types, self.counts))
 

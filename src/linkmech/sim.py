@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from operator import ne
 from typing import Callable, Optional, Sequence, Union
 
@@ -61,10 +61,56 @@ def _words(n: int) -> list[int]:
     return [n & 0xFFFFFFFF, n >> 32] if n >> 32 else [n]
 
 
-def _episode_rng(head: list[int], rep: int) -> np.random.Generator:
-    """``SeedSequence([seed, K, rep])``'s generator, for ``head`` the words of seed and K,
-    seeded from a ``uint32`` array that numpy takes as it is, not entry by entry."""
-    return np.random.default_rng(np.random.SeedSequence(np.array(head + _words(rep), dtype=np.uint32)))
+# numpy's SeedSequence hash and mix constants, and PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+# Reps are seeded in blocks of this size, which start at its multiples, so none straddles rep 2**32.
+_SEED_BLOCK = 1024
+
+
+@lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The first n + 1 values of a SeedSequence hash constant, as a uint32 column (read, never written)."""
+    return np.array([init * pow(mult, k, 1 << 32) % (1 << 32) for k in range(n + 1)], dtype=np.uint32)[:, None]
+
+
+def _hashmix(v: np.ndarray, hc: np.ndarray, j: int, n: int) -> np.ndarray:
+    """SeedSequence's hashmix calls j .. j + n - 1, call j + i on row i of ``v`` (or on ``v``)."""
+    v = (v ^ hc[j:j + n]) * hc[j + 1:j + n + 1]
+    return v ^ v >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ r >> 16
+
+
+def _pcg64_states(head: list[int], start: int, stop: int) -> list[tuple[int, int]]:
+    """The ``(state, inc)`` that ``PCG64(SeedSequence(head + _words(rep)))`` sets, for each rep in
+    ``range(start, stop)``: SeedSequence's mixing of its 4-word pool runs on ``uint32`` arrays,
+    one column per rep, and ``pcg64_set_seed``'s two LCG steps run in Python ints."""
+    if start < 1 << 32 < stop:
+        return _pcg64_states(head, start, 1 << 32) + _pcg64_states(head, 1 << 32, stop)
+    reps = np.arange(start, stop, dtype=np.uint64)
+    words = [reps.astype(np.uint32)] + ([(reps >> 32).astype(np.uint32)] if start >> 32 else [])
+    h = len(head)
+    hc = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(h + len(words) - 4, 0))
+    pool = np.zeros((4, stop - start), dtype=np.uint32)  # entropy padded with zero words
+    pool[:h] = np.array(head, dtype=np.uint32)[:, None]
+    pool[h:h + len(words)] = words[:4 - h]
+    pool = _hashmix(pool, hc, 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], hc, 4 + 3 * src, 3))
+    for i, word in enumerate(words[4 - h:]):
+        pool = _mix(pool, _hashmix(word, hc, 16 + 4 * i, 4))
+    # generate_state(4, uint64): 8 hashed words, little-endian pairs, seed then inc
+    w = _hashmix(np.concatenate((pool, pool)), _hash_consts(_INIT_B, _MULT_B, 8), 0, 8).astype(np.uint64)
+    out = []
+    for s0, s1, i0, i1 in zip(*(w[0::2] | w[1::2] << 32).tolist()):
+        inc = (i0 << 64 | i1) << 1 & _MASK128 | 1
+        out.append((((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc))
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -84,20 +130,28 @@ def _sampling_table(prior_items: tuple) -> tuple[tuple[str, ...], np.ndarray, in
     return types, cum, denom, labels
 
 
+# The last Problem with its sampling table, keyed by identity as in
+# optimize._pair_table: the Problem is held, so its id cannot be reused.
+_problem_table: tuple = (None, None)
+
+
 def sample_type_vector(prior: Union[Problem, Weights], K: int, rng: np.random.Generator) -> PreferenceVector:
     """K i.i.d. draws from the prior, exact on the prior's rational grid.
 
     Draws integers below the prior's common denominator and thresholds them,
     so each type is hit with exactly its prior probability.  Deterministic
-    given the generator state.
+    given the generator state.  A Problem's table is looked up once per
+    Problem; a ``Weights`` mapping's by its current content.
     """
-    if isinstance(prior, Problem):
-        prior = prior.prior
+    global _problem_table
     if K < 1:
         raise ValidationError("K must be at least 1")
-    types, cum, denom, labels = _sampling_table(tuple(sorted(prior.items())))
-    draws = rng.integers(0, denom, size=K)
-    idx = np.searchsorted(cum, draws, side="right")
+    # the memo is read once, so a thread that swaps it cannot hand this call another Problem's table
+    memo = _problem_table if isinstance(prior, Problem) else (prior, _sampling_table(tuple(sorted(prior.items()))))
+    if memo[0] is not prior:
+        memo = _problem_table = (prior, _sampling_table(tuple(sorted(prior.prior.items()))))
+    types, cum, denom, labels = memo[1]
+    idx = cum.searchsorted(rng.integers(0, denom, size=K), "right")
     return PreferenceVector._from_codes(tuple(labels[idx].tolist()), types, idx)
 
 
@@ -200,15 +254,9 @@ def _resolve_strategy(cfg: SimConfig, f: SocialChoiceFunction) -> StrategyFn:
 
 
 def _lottery_ids(f: SocialChoiceFunction, types: Sequence[str]) -> dict[str, int]:
-    """Group types by identical outcome lottery: label -> group id."""
-    seen: list = []
-    ids = {}
-    for t in types:
-        lot = dict(f.lottery(t))
-        if lot not in seen:
-            seen.append(lot)
-        ids[t] = seen.index(lot)
-    return ids
+    """Group types by identical outcome lottery: label -> index of the first type with its lottery."""
+    lots = [dict(f.lottery(t)) for t in types]
+    return {t: lots.index(lot) for t, lot in zip(types, lots)}
 
 
 def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
@@ -244,6 +292,9 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
 
     out = []
     seed = cfg.seed & _SEED_MASK
+    reps = cfg.replications
+    rng = np.random.Generator(np.random.PCG64())  # re-seeded before every episode
+    bitgen = rng.bit_generator
     for K in cfg.k_values:
         head = _words(seed) + _words(K)
         quota = compute_quota(prior, K)
@@ -256,10 +307,16 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
         sum_lies_sq = 0
         sum_excess_q = 0  # sum over episodes of K * tv(marginal, quota)
         sum_excess_p = 0  # sum over episodes of K * D * tv(marginal, prior)
-        for rep in range(cfg.replications):
-            rng = _episode_rng(head, rep)
-            u = sample_type_vector(prior, K, rng)
-            m = strategy(u, quota, rng)
+        blocks = (_pcg64_states(head, a, min(a + _SEED_BLOCK, reps)) for a in range(0, reps, _SEED_BLOCK))
+        for rep, (state, inc) in enumerate(chain.from_iterable(blocks)):
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+            u = sample_type_vector(problem, K, rng)
+            try:
+                m = strategy(u, quota, rng)
+            except RuntimeError as exc:
+                if not str(exc).startswith("internal:"):
+                    raise
+                raise RuntimeError(f"{exc} ({cfg.strategy}, seed {seed}, K {K}, replication {rep})") from exc
             ue, me = u.entries, m.entries
             lying = list(compress(range(K), map(ne, ue, me)))
             lies = len(lying)
@@ -278,7 +335,6 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
             sum_excess_q += excess_q
             sum_excess_p += sum(max(counts[t] * denom - p, 0) for t, _, p in scaled)
 
-        reps = cfg.replications
         lie_fraction = sum_lies / (reps * K)
         if reps > 1:
             var_lies = (sum_lies_sq - sum_lies * sum_lies / reps) / (reps - 1)

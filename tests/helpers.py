@@ -435,11 +435,16 @@ class _MinCostFlow:
             sent += bottleneck
 
 
+def quota_count(q: Quota, t: str) -> int:
+    """The quota's budget for type ``t``."""
+    return q.counts[q.types.index(t)]
+
+
 def assert_plan_sums(plan: TransportPlan, u: PreferenceVector, q: Quota) -> None:
     """Each plan row ships its type's slot count, each column its quota count."""
     counts = u.counts()
     assert [sum(row) for row in plan.flows] == [counts[t] for t in plan.types]
-    assert [sum(col) for col in zip(*plan.flows)] == [q.count(t) for t in plan.types]
+    assert [sum(col) for col in zip(*plan.flows)] == [quota_count(q, t) for t in plan.types]
 
 
 @dataclass(frozen=True)
@@ -550,7 +555,7 @@ def oracle_count_minimal_lie_messages(u: PreferenceVector, q: Quota) -> int:
     deficit_fact = 1
     for t in q.types:
         have = counts.get(t, 0)
-        budget = q.count(t)
+        budget = quota_count(q, t)
         total *= math.comb(have, min(have, budget))
         if budget > have:
             deficit_slots += budget - have
@@ -578,11 +583,11 @@ def oracle_minimal_lie_messages(u: PreferenceVector, q: Quota, cap: int = 10**6)
     positions = defaultdict(list)
     for k, t in enumerate(u.entries):
         positions[t].append(k)
-    surplus_types = [t for t in q.types if counts.get(t, 0) > q.count(t)]
-    deficit = {t: q.count(t) - counts.get(t, 0) for t in q.types if q.count(t) > counts.get(t, 0)}
+    surplus_types = [t for t in q.types if counts.get(t, 0) > quota_count(q, t)]
+    deficit = {t: quota_count(q, t) - counts.get(t, 0) for t in q.types if quota_count(q, t) > counts.get(t, 0)}
 
     keep_choices = [
-        list(itertools.combinations(positions[t], q.count(t))) for t in surplus_types
+        list(itertools.combinations(positions[t], quota_count(q, t))) for t in surplus_types
     ]
     out: set[Message] = set()
     for keeps in itertools.product(*keep_choices):
@@ -615,14 +620,14 @@ def oracle_sample_minimal_message(u: PreferenceVector, q: Quota, rng) -> Message
     free: list[int] = []
     for t in q.types:
         pos = [k for k, x in enumerate(u.entries) if x == t]
-        budget = q.count(t)
+        budget = quota_count(q, t)
         if counts.get(t, 0) > budget:
             picked = rng.choice(len(pos), size=budget, replace=False)
             kept = {pos[int(i)] for i in picked}
             free.extend(p for p in pos if p not in kept)
     deficit: list[str] = []
     for t in q.types:
-        deficit.extend([t] * max(q.count(t) - counts.get(t, 0), 0))
+        deficit.extend([t] * max(quota_count(q, t) - counts.get(t, 0), 0))
     free.sort()
     if deficit:
         order = rng.permutation(len(deficit))

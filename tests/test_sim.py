@@ -2,9 +2,13 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,11 +441,22 @@ class TestSeedWords:
     SEEDS = (0, 1, 2**32 - 1, 2**32, 2**62 + 12345, 2**64 - 1, -1)
 
     def test_episode_generator_matches_seed_sequence(self):
-        for seed, K, rep in itertools.product(self.SEEDS, (1, 256, 10**7), (0, 1, 2**32 - 1, 2**32)):
+        # each rep is checked in the block that run_convergence derives it in,
+        # at block edges, and in a block that straddles rep 2**32
+        B = sim._SEED_BLOCK
+        reps = (0, 1, B - 1, B, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1)
+        blocks = {(r - r % B, r - r % B + B) for r in reps} | {(2**32 - 2, 2**32 + 2)}
+        got = np.random.Generator(np.random.PCG64())
+        for seed, K, (start, stop) in itertools.product(self.SEEDS, (1, 256, 10**7), sorted(blocks)):
             seed &= self.MASK
-            got = sim._episode_rng(sim._words(seed) + sim._words(K), rep)
-            want = np.random.default_rng(np.random.SeedSequence([seed, K, rep]))
-            assert got.bit_generator.state == want.bit_generator.state, (seed, K, rep)
+            states = sim._pcg64_states(sim._words(seed) + sim._words(K), start, stop)
+            assert len(states) == stop - start
+            for rep in (r for r in reps if start <= r < stop):
+                state, inc = states[rep - start]
+                got.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                           "has_uint32": 0, "uinteger": 0}
+                want = np.random.default_rng(np.random.SeedSequence([seed, K, rep]))
+                assert got.bit_generator.state == want.bit_generator.state, (seed, K, rep, start)
 
     def test_run_convergence_seeds_each_episode(self, binary_problem, monkeypatch):
         seen = []
@@ -506,3 +521,67 @@ class TestInternalChecks:
         # the named episode replays alone
         rng = np.random.default_rng(np.random.SeedSequence([seed, 8, rep]))
         assert sample_type_vector(binary_problem, 8, rng) == u
+
+    @pytest.mark.parametrize("error", [
+        RuntimeError("internal: rewritten message misses the quota"),
+        RuntimeError("solver gave up"),
+        EnumerationCapError("too many messages"),
+    ])
+    def test_builder_failure_names_the_episode(self, binary_problem, monkeypatch, error):
+        calls = []
+
+        def canonical(u, q):
+            calls.append(u)
+            if len(calls) == 4:  # replication 3 of K 5
+                raise error
+            return canonical_minimal_message(u, q)
+
+        monkeypatch.setattr(sim, "canonical_minimal_message", canonical)
+        with pytest.raises(type(error)) as exc:
+            run_convergence(cfg_for(binary_problem, k_values=(5, 9), replications=10, seed=-5))
+        if str(error).startswith("internal:"):
+            assert str(exc.value) == f"{error} (canonical-min-lie, seed {2**64 - 5}, K 5, replication 3)"
+            assert exc.value.__cause__ is error
+        else:
+            assert exc.value is error
+
+
+class TestSamplingTableMemo:
+    PRIORS = ((Fraction(1, 3), Fraction(2, 3)), (Fraction(3, 4), Fraction(1, 4)))
+    SCRIPT = """
+import sys
+from fractions import Fraction
+import numpy as np
+from linkmech import Problem, SimConfig, run_convergence, sample_type_vector, stats_to_csv
+a, b = map(Fraction, sys.argv[1:])
+p = Problem(("d", "e"), ("A", "B"), {"A": {"d": 1, "e": 0}, "B": {"d": 0, "e": 1}}, {"A": a, "B": b})
+print(",".join(sample_type_vector(p, 64, np.random.default_rng(11)).entries))
+print(stats_to_csv(run_convergence(SimConfig(p, (3, 16), 50, 4242))), end="")
+"""
+
+    @staticmethod
+    def outputs(p):
+        draws = ",".join(sample_type_vector(p, 64, np.random.default_rng(11)).entries)
+        return draws + "\n" + stats_to_csv(run_convergence(SimConfig(p, (3, 16), 50, 4242)))
+
+    def test_alternated_problems_match_a_fresh_process(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        fresh = [subprocess.run([sys.executable, "-c", self.SCRIPT, str(a), str(b)], capture_output=True,
+                                text=True, env=env, timeout=60, check=True).stdout for a, b in self.PRIORS]
+        assert fresh[0] != fresh[1]
+        utility = {"A": {"d": 1, "e": 0}, "B": {"d": 0, "e": 1}}
+        problems = [Problem(("d", "e"), ("A", "B"), utility, {"A": a, "B": b}) for a, b in self.PRIORS]
+        for _ in range(2):
+            assert [self.outputs(p) for p in problems] == fresh
+
+    def test_mutated_weights_draw_from_their_new_weights(self):
+        prior = {"A": Fraction(1, 2), "B": Fraction(1, 2)}
+        first = sample_type_vector(prior, 64, np.random.default_rng(5)).entries
+        assert set(first) == {"A", "B"}
+        prior["A"], prior["B"] = Fraction(0), Fraction(1)
+        assert sample_type_vector(prior, 64, np.random.default_rng(5)).entries == ("B",) * 64
+        prior["A"], prior["B"] = Fraction(1, 5), Fraction(4, 5)
+        again = sample_type_vector(prior, 64, np.random.default_rng(5)).entries
+        assert again == sample_type_vector(dict(prior), 64, np.random.default_rng(5)).entries != first
