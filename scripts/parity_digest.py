@@ -14,6 +14,10 @@ these runs (exit code, stdout and stderr):
 - ``simulate`` on ``binary.json`` with the canonical and uniform strategies
   in CSV at K ``1,7``, seed 1 and 1100 replications, so each K's
   replications cross the edge of a 1024-replication seeding block (2 runs);
+- ``simulate --strategy best-response`` on ``tests/data/transport_cycle.json``
+  (4 types, one of them at prior 0, float utilities, best responses that lie
+  more than the minimum) in CSV at K ``4,32,256``, seed 1 and 300
+  replications (1 run);
 - ``best-response`` with both methods on the README example (the bundled
   counterexample spec, truth ``A,A,B``) and on ``tests/data/transport_cycle.json``
   (4 runs);
@@ -114,10 +118,10 @@ def runs(four_spec: str) -> list[list[str]]:
     for strategy in cli.STRATEGY_NAMES[:2]:
         out.append(["simulate", "--spec", bin_spec, "--strategy", strategy, "--format", "csv", "--K", "1,7",
                     "--reps", "1100", "--seed", "1"])
-    examples = [
-        (ce_spec, "A,A,B"),
-        (str(ROOT / "tests" / "data" / "transport_cycle.json"), "t1,t1,t2,t2,t2,t2,t2,t1,t2,t1"),
-    ]
+    cycle_spec = str(ROOT / "tests" / "data" / "transport_cycle.json")
+    out.append(["simulate", "--spec", cycle_spec, "--strategy", "best-response", "--format", "csv",
+                "--K", "4,32,256", "--reps", "300", "--seed", "1"])
+    examples = [(ce_spec, "A,A,B"), (cycle_spec, "t1,t1,t2,t2,t2,t2,t2,t1,t2,t1")]
     for (spec, truth), method in product(examples, ("transport", "bruteforce")):
         out.append(["best-response", "--spec", spec, "--truth", truth, "--method", method])
     for spec, K in product(specs, ("1", "3", "1000")):

@@ -30,7 +30,6 @@ from .truthfulness import (
     _report_entries,
     _rewritten,
     _scan,
-    _shortfall,
     compute_quota,
     is_approx_truthful,
     is_approx_truthful_star,
@@ -183,13 +182,17 @@ class TransportResult:
     message: Message
 
 
+_PATH_MEMO_CAP = 4096  # most paths one network keeps; its memo is emptied when full
+
+
 class _MinCostFlow:
     """Successive shortest paths on integer weights with the lie bit folded in.
 
-    The topology and costs are fixed at build time; each ``run`` works on a
-    caller's list of residual capacities, one per edge.  Exact weights leave
-    no negative cycle in the residual graph; the path walk in ``run`` is
-    bounded anyway, so a broken invariant fails loudly.
+    Topology and costs are fixed at build time; ``run`` works on a caller's
+    residual capacities, one per edge, and keeps each augmenting path under
+    (s, t, which edges have capacity left), all that the search reads.
+    Exact weights leave no negative cycle in the residual graph; the checks
+    in ``run`` fail loudly anyway if an invariant breaks.
     """
 
     def __init__(self, n_nodes: int):
@@ -198,6 +201,7 @@ class _MinCostFlow:
         self.to: list[int] = []
         self.cap: list[int] = []
         self.cost: list[int] = []
+        self.paths: dict[tuple[int, int, bytes], list[int]] = {}
 
     def add_edge(self, a: int, b: int, cap: int, cost: int) -> None:
         self.head[a].append(len(self.to))
@@ -246,18 +250,26 @@ class _MinCostFlow:
         """Send ``amount`` units from s to t, updating ``cap`` in place."""
         sent = 0
         while sent < amount:
-            d, prev_edge = self._shortest_path(s, t, cap)
-            if d is None:  # pragma: no cover - supplies always match demands here
-                raise RuntimeError("internal: transportation network infeasible")
-            path: list[int] = []
-            v = t
-            while v != s:
-                if len(path) == self.n:
-                    raise RuntimeError("internal: shortest-path tree has a cycle")
-                eid = prev_edge[v]
-                path.append(eid)
-                v = self.to[eid ^ 1]
+            key = (s, t, bytes(map(bool, cap)))
+            path = self.paths.get(key)
+            if path is None:
+                d, prev_edge = self._shortest_path(s, t, cap)
+                if d is None:  # pragma: no cover - supplies always match demands here
+                    raise RuntimeError("internal: transportation network infeasible")
+                path = []
+                v = t
+                while v != s:
+                    if len(path) == self.n:
+                        raise RuntimeError("internal: shortest-path tree has a cycle")
+                    eid = prev_edge[v]
+                    path.append(eid)
+                    v = self.to[eid ^ 1]
+                if len(self.paths) == _PATH_MEMO_CAP:
+                    self.paths.clear()
+                self.paths[key] = path
             bottleneck = min(amount - sent, *(cap[eid] for eid in path))
+            if bottleneck < 1:
+                raise RuntimeError("internal: augmenting path has no capacity left")
             for eid in path:
                 cap[eid] -= bottleneck
                 cap[eid ^ 1] += bottleneck
@@ -311,13 +323,15 @@ def best_response_transport(
     labels and a suffix with the higher ones.  ``_pair_table`` is built once
     per problem and ``_network`` with all n^2 pair edges once per problem and
     K; both are reused while the same ``f`` and ``p`` objects come back.
-    Per call: a fresh capacity list (a pair edge gets min(supply, demand), so
-    one at zero is never relaxed and its reverse edge never gains capacity),
-    the solve, the plan's row and column sums against the counts already
-    taken, the lying-slot realization and its O(lies) quota check.  The
-    message's payoff is ``payoff(u, result.message, f, p)``.
+    Per call: the truth's memoized counts, fresh capacities (a pair edge gets
+    min(supply, demand), so one at zero is never relaxed and its reverse edge
+    never gains capacity), the solve on the network's path memo, the plan's
+    sums against the counts, and the lying rows' realization (the truth is
+    reversed only for a row that writes higher labels) with an O(lies) quota
+    check.  The message's payoff is ``payoff(u, result.message, f, p)``.
     """
-    counts, _ = _shortfall(u, q)
+    _check_shapes(u, q)
+    counts = u._type_counts()
     types = q.types
     n = len(types)
     supply = [counts[t] for t in types]
@@ -335,13 +349,17 @@ def best_response_transport(
         raise RuntimeError("internal: transport plan misses the slot counts or the quota")
     plan = TransportPlan(types, tuple(tuple(row) for row in flows))
 
-    ue, rev = u.entries, u.entries[::-1]
+    ue, rev = u.entries, ()
     writes = []
     for i, t in enumerate(types):
+        if flows[i][i] == supply[i]:
+            continue
         lower = [r for j, r in enumerate(types[:i]) for _ in range(flows[i][j])]
         higher = [r for j, r in enumerate(types[i + 1:], i + 1) for _ in range(flows[i][j])]
         writes += ((k, r) for r, k in zip(lower, _scan(ue, t)))
-        writes += ((len(ue) - 1 - k, r) for r, k in zip(reversed(higher), _scan(rev, t)))
+        if higher:
+            rev = rev or ue[::-1]
+            writes += ((len(ue) - 1 - k, r) for r, k in zip(reversed(higher), _scan(rev, t)))
     return TransportResult(plan=plan, message=_rewritten(u, q, counts, writes))
 
 

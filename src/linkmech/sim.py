@@ -31,7 +31,6 @@ from .core import (
     ValidationError,
     Weights,
     _cut,
-    tv_distance,
 )
 from .truthfulness import (
     canonical_minimal_message,
@@ -276,9 +275,9 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     f = cfg.scf or SocialChoiceFunction.utility_argmax(problem)
     strategy = _resolve_strategy(cfg, f)
     prior = problem.prior
-    # Prior as integers P_t / D over its common denominator D, so that
-    # K * D * tv(marginal, prior) = sum_t max(c_t * D - K * P_t, 0) stays in
-    # Python ints (D may reach 2**62).
+    # Prior as integers P_t / D over its common denominator D (up to 2**62):
+    # K * D * tv(marginal, prior) = sum_t max(c_t * D - K * P_t, 0) and
+    # 2 * K * D * tv(quota, prior) = sum_t |q_t * D - K * P_t|, both Python ints.
     types, cum, denom, _ = _sampling_table(tuple(sorted(prior.items())))
     prior_num = np.diff(cum, prepend=0).tolist()
     n_types = len(types)
@@ -298,8 +297,8 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     for K in cfg.k_values:
         head = _words(seed) + _words(K)
         quota = compute_quota(prior, K)
-        d_prior_quota = tv_distance(prior, quota.distribution())
         scaled = list(zip(types, quota.counts, [K * p for p in prior_num]))
+        d_prior_quota = Fraction(sum(abs(b * denom - p) for _, b, p in scaled), 2 * K * denom)
 
         slot_lies = [0] * K
         slot_gaps = [0] * K

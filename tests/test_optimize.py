@@ -32,7 +32,7 @@ from linkmech import (
     validate_problem,
     verify_counterexample,
 )
-from linkmech.optimize import _MinCostFlow
+from linkmech.optimize import _MinCostFlow, _network
 from helpers import assert_plan_sums, oracle_best_response_transport, random_quota, random_vector
 
 ABC = ("A", "B", "C")
@@ -302,11 +302,12 @@ class TestBestResponse:
             assert lie_count(u, got.message) == fewest
 
 
-def random_oracle_case(rnd):
-    """An instance on which the tuple-weight solver's sums are exact."""
-    kind = rnd.choice(("int", "fraction", "dyadic"))
-    n = rnd.randint(1, 5)
-    K = rnd.randint(1, 30)
+def random_oracle_case(rnd, kind=None, n=None, K=None):
+    """An instance on which the tuple-weight solver's sums are exact; the
+    utility kind, type count and K are drawn unless given."""
+    kind = kind or rnd.choice(("int", "fraction", "dyadic"))
+    n = n or rnd.randint(1, 5)
+    K = K or rnd.randint(1, 30)
     types = tuple(f"t{i}" for i in range(n))
     decisions = tuple(f"d{i}" for i in range(rnd.randint(1, 4)))
     if kind == "int":
@@ -476,6 +477,58 @@ class TestShortestPath:
             cap = [c if rnd.random() < 0.7 else rnd.randint(0, 2) for c in net.cap]
             s, t = rnd.randrange(net.n), rnd.randrange(net.n)
             assert net._shortest_path(s, t, cap) == plain_shortest_path(net, s, t, cap)
+
+
+class CountingPaths(dict):
+    """A path memo that counts its lookups: one per augmentation."""
+
+    lookups = 0
+
+    def get(self, key):
+        self.lookups += 1
+        return super().get(key)
+
+
+class TestPathMemo:
+    """One network per (f, p, K) keeps its augmenting paths across calls, and
+    a replayed path gives the same plan, message and payoff as a search."""
+
+    def reused_network(self, rnd, kind, n, K):
+        p, f, _, _ = random_oracle_case(rnd, kind, n, K)
+        types = tuple(f"t{i}" for i in range(n))
+        net = _network(f, p, types, K)
+        net.paths = CountingPaths()
+        return p, f, types, net
+
+    def test_replayed_paths_match_frozen_oracle(self, monkeypatch):
+        real = _MinCostFlow._shortest_path
+        searches = []
+
+        def counted(self, s, t, cap):
+            searches.append(s)
+            return real(self, s, t, cap)
+
+        monkeypatch.setattr(_MinCostFlow, "_shortest_path", counted)
+        rnd = random.Random(46)
+        for kind, n in itertools.product(("int", "fraction", "dyadic"), range(1, 6)):
+            K = 60 if n == 5 else rnd.randint(1, 60)
+            p, f, types, net = self.reused_network(rnd, kind, n, K)
+            searches.clear()
+            for _ in range(200):
+                assert_matches_oracle(random_vector(rnd, types, K), f, p, random_quota(rnd, types, K))
+            assert _network(f, p, types, K) is net
+            assert 0 < len(searches) < net.paths.lookups  # some augmentations replayed a path
+
+    def test_memo_never_outgrows_its_cap(self, monkeypatch):
+        monkeypatch.setattr("linkmech.optimize._PATH_MEMO_CAP", 8)
+        rnd = random.Random(47)
+        p, f, types, net = self.reused_network(rnd, "fraction", 5, 40)
+        sizes = []
+        for _ in range(300):
+            assert_matches_oracle(random_vector(rnd, types, 40), f, p, random_quota(rnd, types, 40))
+            sizes.append(len(net.paths))
+        assert _network(f, p, types, 40) is net
+        assert max(sizes) <= 8 and any(a > b for a, b in zip(sizes, sizes[1:]))  # emptied when full
 
 
 def assert_matches_oracle(u, f, p, q):
