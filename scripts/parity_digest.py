@@ -26,6 +26,8 @@ these runs (exit code, stdout and stderr):
   minimal, one shuffled and one random report per K in 64, 256, 1024 and
   4096 (the audit benchmark's largest K), drawn from a fixed
   ``random.Random`` seed without linkmech code (13 runs);
+- the K=4096 shuffled ``audit`` pair again, its labels joined with ``", "``,
+  so the parse that strips padded labels runs at scale (1 run);
 - ``counterexample`` by default and with ``--utility u_cB=0.5`` (2 runs);
 - ``best-response --method bruteforce`` on three truths with K <= 8 (3 runs).
 
@@ -131,6 +133,9 @@ def runs(four_spec: str) -> list[list[str]]:
     for K, kind in product((64, 256, 1024, 4096), ("minimal", "shuffled", "random")):
         truth, report = _audit_pair(rnd, K, kind)
         out.append(["audit", "--spec", four_spec, "--truth", ",".join(truth), "--report", ",".join(report)])
+        if (K, kind) == (4096, "shuffled"):
+            padded = ["audit", "--spec", four_spec, "--truth", ", ".join(truth), "--report", ", ".join(report)]
+    out.append(padded)
     out += [["counterexample"], ["counterexample", "--utility", "u_cB=0.5"]]
     for spec, truth in ((ce_spec, "C,C,A,B,A,C,B,B"), (ce_spec, "B,B,B,B"), (bin_spec, "A,A,A,B,A,B")):
         out.append(["best-response", "--spec", spec, "--truth", truth, "--method", "bruteforce"])

@@ -6,9 +6,10 @@ decision -> number).  Two specs ship with the package: ``counterexample.json``
 (three single-peaked types, uniform prior) and ``binary.json``.
 
 Exit codes: 0 success, 1 usage or validation error or unwritable output,
-2 regression/assertion failure, 3 resource cap exceeded.  A reader that closes
-stdout early (``linkmech simulate ... | head -1``) ends the run quietly with
-exit code 1, since the output it got is incomplete.
+2 regression/assertion failure (a failed ``internal:`` check included),
+3 resource cap exceeded.  A reader that closes stdout early (``linkmech
+simulate ... | head -1``) ends the run quietly with exit code 1, since the
+output it got is incomplete.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib.resources import files
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .core import (
     EnumerationCapError,
@@ -79,10 +82,24 @@ def _load_problem(path: str) -> Problem:
 
 
 def _parse_vector(text: str, problem: Problem, field: str) -> PreferenceVector:
-    labels = tuple(map(str.strip, text.split(",")))
+    """Look the raw parts up in one C-level pass when no type label has outer
+    whitespace; a padded, empty or unknown part goes to ``_parse_stripped``."""
+    code = {t: i for i, t in enumerate(sorted(problem.types))}
+    parts = text.split(",")
+    if all(t == t.strip() for t in code):
+        try:
+            codes = np.fromiter(map(code.__getitem__, parts), np.intp, len(parts))
+        except KeyError:  # a padded, empty or unknown part
+            return _parse_stripped(parts, code, field)
+        return PreferenceVector._from_codes(tuple(parts), tuple(code), codes)
+    return _parse_stripped(parts, code, field)
+
+
+def _parse_stripped(parts: list[str], code: dict[str, int], field: str) -> PreferenceVector:
+    """The stripped ``parts`` as a vector over the sorted types in ``code``; names a bad label."""
+    labels = tuple(map(str.strip, parts))
     if "" in labels:
         raise ValidationError(f"{field}: empty label at position {labels.index('') + 1}")
-    code = {t: i for i, t in enumerate(sorted(problem.types))}
     codes = [code.get(t, -1) for t in labels]
     if -1 in codes:
         raise ValidationError(f"{field}: unknown types {_cut(str(sorted(set(labels) - set(code))))}")
@@ -117,11 +134,16 @@ def _render_audit(a: Audit) -> str:
 
     ``indent`` forces the pure-Python encoder, which at large K takes longer
     than the audit itself; the shape is fixed, so it is written out here.
+    Each slot becomes a decimal string once; pi takes its images by their
+    rank in S where the witness kept it, and joins a stride-4 interleave.
     """
     head = "".join(f'  "{f.name}": {json.dumps(getattr(a, f.name))},\n' for f in fields(a)[:-1])
-    S = _block(list(map(str, a.witness.slots)), "    ")
-    pi = _block([f"[\n        {k},\n        {p}\n      ]" for k, p in a.witness.pairs], "    ")
-    return f'{{\n{head}  "witness": {{\n    "S": {S},\n    "pi": {pi}\n  }}\n}}'
+    digits, ranks = list(map(str, a.witness.slots)), a.witness.__dict__.get("_image_ranks_memo")
+    images = list(map(digits.__getitem__, ranks)) if ranks is not None else [str(p) for _, p in a.witness.pairs]
+    cells = [None, ",\n        ", None, "\n      ],\n      [\n        "] * len(digits)
+    cells[0::4], cells[2::4] = digits, images
+    pi = "[\n      [\n        " + "".join(cells[:-1]) + "\n      ]\n    ]" if digits else "[]"
+    return f'{{\n{head}  "witness": {{\n    "S": {_block(digits, "    ")},\n    "pi": {pi}\n  }}\n}}'
 
 
 def _jsonable_number(x):
@@ -322,6 +344,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except RuntimeError as exc:  # a failed internal check is a regression, reported in one line
+        if not str(exc).startswith("internal:"):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_REGRESSION
     except BrokenPipeError:
         # Point stdout at devnull so the interpreter's final flush stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -336,9 +336,11 @@ def permutation_witness(
     K - (#types - 1) * sum_t (truth count - report count)_+.
 
     Nodes are the memoized type codes, a report's taken over the truth's
-    types.  numpy finds the fixed and lying slots and the degree balance; the
-    walk runs on int lists.  S and pi are sorted as arrays, and the bijection,
-    the report-to-truth pairing and the floor are re-checked over all of S.
+    types.  A node on the path is left by one edge at a time and an edge
+    leaves the path only when its cycle is peeled, so each node's out-edges
+    pop in edge order from one iterator.  numpy links the peeled edges to
+    their successors, drops cycles holding a balancing edge and sorts S;
+    the bijection, the pairing and the floor are re-checked over all of S.
     """
     _report_entries(u, reported)
     rv = reported.vector if isinstance(reported, Message) else reported
@@ -363,44 +365,48 @@ def permutation_witness(
     outgoing: list[list[int]] = [[] for _ in net]
     for e, a in enumerate(tail):
         outgoing[a].append(e)
-    next_out = [0] * n  # index of each node's lowest alive outgoing edge
-    alive = [True] * len(tail)
-    slot_of = (lying + 1).tolist()  # 1-based slot of each lying edge
-    on_cycles: list[int] = []  # slots on kept cycles
-    successors: list[int] = []  # their images under pi
-    for start in range(len(tail)):
-        if not alive[start]:
-            continue
+    take = [iter(out).__next__ for out in outgoing]  # pops a node's next untaken edge
+    taken, pos = bytearray(len(tail)), [-1] * n  # pos: a node's place on the path, or -1
+    path, flat, starts = [], [], []  # flat: the peeled cycles' edges; starts: where each begins
+    start = taken.find(0)
+    while start >= 0:
         # After a cycle is peeled the walk goes on from its first node, which a
         # restart from the start edge would reach along the same, untouched path.
-        path = [start]
-        pos = {tail[start]: 0}
-        cur = head[start]
-        while path:
-            while cur not in pos:
+        cur = tail[start]
+        while True:
+            while pos[cur] < 0:
                 pos[cur] = len(path)
-                out, i = outgoing[cur], next_out[cur]
-                while not alive[out[i]]:
-                    i += 1
-                next_out[cur] = i
-                path.append(out[i])
-                cur = head[out[i]]
-            cycle = path[pos[cur]:]
-            del path[pos[cur]:]
-            for e in cycle:
-                alive[e] = False
-                del pos[tail[e]]
-            if max(cycle) < len(slot_of):
-                labels = [slot_of[e] for e in cycle]
-                on_cycles += labels
-                successors += labels[1:] + labels[:1]
-    slots = np.concatenate((fixed, np.array(on_cycles, dtype=np.intp)))
-    images = np.concatenate((fixed, np.array(successors, dtype=np.intp)))
-    order = np.lexsort((images, slots))
-    slots, images = slots[order], images[order]
+                e = take[cur]()
+                taken[e] = 1
+                path.append(e)
+                cur = head[e]
+            i = pos[cur]
+            starts.append(len(flat))
+            flat += path[i:]
+            for e in path[i:]:
+                pos[tail[e]] = -1
+            del path[i:]
+            if not path:
+                break
+        start = taken.find(0, start)
+    flat_a, starts_a = np.array(flat, dtype=np.intp), np.array(starts, dtype=np.intp)
+    lengths = np.diff(starts_a, append=len(flat))
+    succ = np.arange(1, len(flat) + 1)  # each edge's in-cycle successor, as a place in ``flat``
+    succ[starts_a + lengths - 1] = starts_a
+    kept = np.repeat(np.maximum.reduceat(flat_a, starts_a) < len(lying), lengths)
+    slots = np.concatenate((fixed, lying[flat_a[kept]] + 1))
+    # each slot's image, as a place in ``slots``: a fixed point is its own
+    image_at = np.concatenate((np.arange(len(fixed)), len(fixed) - 1 + np.cumsum(kept)[succ[kept]]))
+    order = np.argsort(slots)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    slots, ranks = slots[order], rank[image_at[order]]
+    images = slots[ranks]
     _check_witness(uc, rc, n, slots, images)
     S = slots.tolist()
-    return PermutationWitness(tuple(S), tuple(zip(S, images.tolist())))
+    witness = PermutationWitness(tuple(S), tuple(zip(S, images.tolist())))
+    witness.__dict__["_image_ranks_memo"] = ranks.tolist()  # for the audit renderer, outside equality
+    return witness
 
 
 # --- the audit record ---

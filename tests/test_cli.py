@@ -7,6 +7,7 @@ import sys
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -18,9 +19,12 @@ from hypothesis import strategies as st
 import linkmech
 
 from linkmech import (
+    Audit,
     Message,
+    PermutationWitness,
     PreferenceVector,
     Quota,
+    ValidationError,
     audit,
     cli,
     compute_quota,
@@ -34,6 +38,7 @@ from linkmech import (
     sim,
     star_lie_bound,
     truthfulness,
+    validate_problem,
 )
 from linkmech.cli import _render_audit, bundled_spec_path, load_bundled_problem
 from linkmech.sim import STRATEGY_NAMES
@@ -289,6 +294,67 @@ class TestAuditCommand:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
+def parse_both_ways(text, problem, field="report"):
+    """``_parse_vector`` and the stripping parse on ``text``: each one's vector,
+    or its ``ValidationError`` text."""
+    code = {t: i for i, t in enumerate(sorted(problem.types))}
+    results = []
+    for parse in (lambda: cli._parse_vector(text, problem, field),
+                  lambda: cli._parse_stripped(text.split(","), code, field)):
+        try:
+            v = parse()
+        except ValidationError as exc:
+            results.append(str(exc))
+        else:
+            assert_same_vector(v)
+            results.append(v)
+    return results
+
+
+def spec_with_types(types):
+    return validate_problem(
+        {"decisions": ["x"], "types": list(types), "prior": [f"1/{len(types)}"] * len(types),
+         "utility": {t: {"x": 1} for t in types}}
+    )
+
+
+class TestLabelParse:
+    """The C-level lookup of raw parts agrees with the stripping parse, vector or error."""
+
+    PADDED = spec_with_types(["A ", "B"])
+
+    @pytest.mark.parametrize("text", [
+        "A,B,C", "A", " A,B", "A ,B", " C ", "A,,B", "", ",", "A,B,", "A, ,C", "A,Z,B,Y,Z", "a,B", "A B,C",
+    ])
+    def test_paths_agree(self, text):
+        fast, stripped = parse_both_ways(text, load_bundled_problem("counterexample"))
+        assert fast == stripped
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["A", "B", "C"] * 3 + ["", " A", "B ", " C ", "\tA", "Z", "a", "A B"]), max_size=8),
+           st.booleans())
+    def test_paths_agree_fuzz(self, labels, padded_types):
+        problem = self.PADDED if padded_types else load_bundled_problem("counterexample")
+        fast, stripped = parse_both_ways(",".join(labels), problem)
+        assert fast == stripped
+
+    def test_padded_type_labels_skip_the_lookup(self):
+        # the raw part "A " names a type of this spec, but the stripped one does
+        # not, so the lookup must not run
+        assert parse_both_ways("A ,B", self.PADDED) == ["report: unknown types ['A']"] * 2
+        assert parse_both_ways("B, B", self.PADDED) == [PreferenceVector(("B", "B"), ("A ", "B"))] * 2
+
+    def test_paths_agree_at_scale(self):
+        problem = load_bundled_problem("counterexample")
+        rnd = random.Random(31)
+        for K in (1, 2, 4096, 5000):
+            labels = [rnd.choice("ABC") for _ in range(K)]
+            fast, stripped = parse_both_ways(",".join(labels), problem)
+            assert fast == stripped and fast.entries == tuple(labels)
+            labels[rnd.randrange(K)] = "Q"
+            assert parse_both_ways(",".join(labels), problem) == ["report: unknown types ['Q']"] * 2
+
+
 def audit_json(a) -> dict:
     """The audit output object as ``json.dumps`` would be given it."""
     return {
@@ -325,6 +391,68 @@ class TestAuditRendering:
                 m = sample_minimal_message(u, q, np.random.default_rng(i))
             a = audit(u, m)
             assert _render_audit(a) == json.dumps(audit_json(a), indent=2)
+
+
+    def test_matches_json_dumps_at_scale(self):
+        rnd = random.Random(5000)
+        for i in range(12):
+            n = rnd.randint(1, 6)
+            K = rnd.randint(1000, 5000)
+            types = tuple(sorted({f"t{j}" for j in range(n)}))
+            u = random_vector(rnd, types, K)
+            q = random_quota(rnd, types, K)
+            m = random_quota_message(rnd, u, q) if i % 2 else sample_minimal_message(u, q, np.random.default_rng(i))
+            a = audit(u, m)
+            assert _render_audit(a) == json.dumps(audit_json(a), indent=2)
+
+    def test_witness_without_rank_memo(self):
+        # a witness built outside permutation_witness keeps no ranks; the
+        # renderer converts its images instead
+        rnd = random.Random(17)
+        types = ("A", "B", "C")
+        u = random_vector(rnd, types, 3000)
+        a = audit(u, random_quota_message(rnd, u, random_quota(rnd, types, 3000)))
+        bare = replace(a, witness=PermutationWitness(a.witness.slots, a.witness.pairs))
+        assert "_image_ranks_memo" in a.witness.__dict__ and "_image_ranks_memo" not in bare.witness.__dict__
+        assert _render_audit(bare) == _render_audit(a) == json.dumps(audit_json(a), indent=2)
+        hand = Audit(False, True, False, 2, 4, 4, PermutationWitness((2, 5, 7, 11), ((2, 11), (5, 5), (7, 2), (11, 7))))
+        assert _render_audit(hand) == json.dumps(audit_json(hand), indent=2)
+        empty = replace(hand, witness=PermutationWitness((), ()))
+        assert _render_audit(empty) == json.dumps(audit_json(empty), indent=2)
+
+
+class TestInternalFailures:
+    """A failed ``internal:`` check ends in one ``error:`` line and exit code 2."""
+
+    def test_audit_witness_check(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("internal: witness pairing does not map reports to truths")
+
+        monkeypatch.setattr(truthfulness, "_check_witness", broken)
+        argv = ["audit", "--spec", CE_SPEC, "--truth", "A,A,B", "--report", "A,B,C"]
+        assert run_cli_captured(argv) == (2, "", "error: internal: witness pairing does not map reports to truths\n")
+
+    def test_other_runtime_errors_propagate(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("not an internal check")
+
+        monkeypatch.setattr(truthfulness, "_check_witness", broken)
+        with pytest.raises(RuntimeError, match="^not an internal check$"):
+            cli.main(["audit", "--spec", CE_SPEC, "--truth", "A,A,B", "--report", "A,B,C"])
+
+    def test_simulate_builder_failure(self, monkeypatch):
+        calls = []
+
+        def canonical(u, q):
+            calls.append(u)
+            if len(calls) == 4:  # replication 3 of K 5
+                raise RuntimeError("internal: builder broke")
+            return truthfulness.canonical_minimal_message(u, q)
+
+        monkeypatch.setattr(sim, "canonical_minimal_message", canonical)
+        argv = ["simulate", "--spec", BIN_SPEC, "--K", "5,9", "--reps", "10", "--seed", "3"]
+        expected = "error: internal: builder broke (canonical-min-lie, seed 3, K 5, replication 3)\n"
+        assert run_cli_captured(argv) == (2, "", expected)
 
 
 class TestBestResponseCommand:
