@@ -29,7 +29,14 @@ these runs (exit code, stdout and stderr):
 - the K=4096 shuffled ``audit`` pair again, its labels joined with ``", "``,
   so the parse that strips padded labels runs at scale (1 run);
 - ``counterexample`` by default and with ``--utility u_cB=0.5`` (2 runs);
-- ``best-response --method bruteforce`` on three truths with K <= 8 (3 runs).
+- ``best-response --method bruteforce`` on three truths with K <= 8 (3 runs);
+- ``simulate --reps 1 --K 1,2,...,12`` with the three built-in strategies on
+  the bundled counterexample spec, seed 1: odd K, denominator 3, and twelve
+  K seeded in one chunk (3 runs);
+- ``simulate --strategy uniform-min-lie`` on a 2-type spec with prior
+  ``1/2147483649, 2147483648/2147483649``, K ``2,3,64``, seed 1 and 50
+  replications: about half of the 32-bit values drawn at that denominator
+  are redrawn, and the strategy draws from the generator after the truth (1 run).
 
 Every run must exit 0; otherwise the script names the run and exits 1.
 The package is imported from this checkout's ``src/``, not from wherever
@@ -59,6 +66,13 @@ from linkmech import cli  # noqa: E402
 
 FOUR_TYPES = ("a", "b", "c", "d")
 FOUR_PRIOR = ("2/5", "3/10", "1/5", "1/10")
+# A denominator of 2**31 + 1, where about half of all 32-bit draws are rejected and redrawn.
+REJECT_SPEC = {
+    "decisions": ["x", "y"],
+    "types": ["A", "B"],
+    "prior": ["1/2147483649", "2147483648/2147483649"],
+    "utility": {"A": {"x": 1, "y": 0}, "B": {"x": 0, "y": 1}},
+}
 FOUR_SPEC = {
     "decisions": ["w", "x", "y", "z"],
     "types": list(FOUR_TYPES),
@@ -105,7 +119,7 @@ def _audit_pair(rnd: random.Random, K: int, kind: str) -> tuple[list[str], list[
     return truth, report
 
 
-def runs(four_spec: str) -> list[list[str]]:
+def runs(four_spec: str, reject_spec: str) -> list[list[str]]:
     specs = [cli.bundled_spec_path(name) for name in cli.BUNDLED_SPECS]
     ce_spec, bin_spec = specs
     grid = product(specs, cli.STRATEGY_NAMES[:3], ("csv", "json"), ("2,8,32,256", "3,16,64"), ("1", "4242"))
@@ -139,15 +153,21 @@ def runs(four_spec: str) -> list[list[str]]:
     out += [["counterexample"], ["counterexample", "--utility", "u_cB=0.5"]]
     for spec, truth in ((ce_spec, "C,C,A,B,A,C,B,B"), (ce_spec, "B,B,B,B"), (bin_spec, "A,A,A,B,A,B")):
         out.append(["best-response", "--spec", spec, "--truth", truth, "--method", "bruteforce"])
+    for strategy in cli.STRATEGY_NAMES[:3]:
+        out.append(["simulate", "--spec", ce_spec, "--strategy", strategy, "--K", ",".join(map(str, range(1, 13))),
+                    "--reps", "1", "--seed", "1"])
+    out.append(["simulate", "--spec", reject_spec, "--strategy", "uniform-min-lie", "--K", "2,3,64",
+                "--reps", "50", "--seed", "1"])
     return out
 
 
 def main() -> int:
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        four_spec = str(Path(tmp) / "four_types.json")
+        four_spec, reject_spec = str(Path(tmp) / "four_types.json"), str(Path(tmp) / "reject.json")
         Path(four_spec).write_text(json.dumps(FOUR_SPEC), encoding="utf-8")
-        argvs = runs(four_spec)
+        Path(reject_spec).write_text(json.dumps(REJECT_SPEC), encoding="utf-8")
+        argvs = runs(four_spec, reject_spec)
         for argv in argvs:
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):

@@ -145,6 +145,9 @@ def validate_problem(spec: Mapping) -> Problem:
 
     decisions = _check_labels(spec["decisions"], "decisions")
     types = _check_labels(spec["types"], "types")
+    for t in types:
+        if "," in t:
+            raise ValidationError(f"types: label {_brief(t)} contains a comma, which separates --truth/--report labels")
 
     raw_prior = spec["prior"]
     if not isinstance(raw_prior, Sequence) or isinstance(raw_prior, (str, bytes)):

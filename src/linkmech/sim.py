@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import ne
 from typing import Callable, Optional, Sequence, Union
 
@@ -63,7 +63,7 @@ def _words(n: int) -> list[int]:
 # numpy's SeedSequence hash and mix constants, and PCG64's 128-bit LCG multiplier.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715
 _PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
-# Reps are seeded in blocks of this size, which start at its multiples, so none straddles rep 2**32.
+# A call's (K, rep) columns are seeded K-major, in chunks of at most this many, each as its first episode starts.
 _SEED_BLOCK = 1024
 
 
@@ -84,25 +84,23 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ r >> 16
 
 
-def _pcg64_states(head: list[int], start: int, stop: int) -> list[tuple[int, int]]:
-    """The ``(state, inc)`` that ``PCG64(SeedSequence(head + _words(rep)))`` sets, for each rep in
-    ``range(start, stop)``: SeedSequence's mixing of its 4-word pool runs on ``uint32`` arrays,
-    one column per rep, and ``pcg64_set_seed``'s two LCG steps run in Python ints."""
-    if start < 1 << 32 < stop:
-        return _pcg64_states(head, start, 1 << 32) + _pcg64_states(head, 1 << 32, stop)
-    reps = np.arange(start, stop, dtype=np.uint64)
-    words = [reps.astype(np.uint32)] + ([(reps >> 32).astype(np.uint32)] if start >> 32 else [])
-    h = len(head)
-    hc = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(h + len(words) - 4, 0))
-    pool = np.zeros((4, stop - start), dtype=np.uint32)  # entropy padded with zero words
-    pool[:h] = np.array(head, dtype=np.uint32)[:, None]
-    pool[h:h + len(words)] = words[:4 - h]
+def _seed_states(head: list, reps: np.ndarray) -> list[tuple[int, int]]:
+    """The ``(state, inc)`` that ``PCG64(SeedSequence(head + _words(rep)))`` sets, per column of the uint64
+    ``reps`` (each head word is an int or a uint32 column): SeedSequence's mixing of its 4-word pool runs on
+    ``uint32`` arrays, and ``pcg64_set_seed``'s two LCG steps in Python ints."""
+    words = [*head, reps.astype(np.uint32), (reps >> 32).astype(np.uint32)]
+    hc = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(len(words) - 4, 0))
+    pool = np.zeros((4, len(reps)), dtype=np.uint32)  # entropy padded with zero words
+    for i, word in enumerate(words[:4]):
+        pool[i] = word
     pool = _hashmix(pool, hc, 0, 4)
     for src in range(4):
         dst = [d for d in range(4) if d != src]
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], hc, 4 + 3 * src, 3))
-    for i, word in enumerate(words[4 - h:]):
-        pool = _mix(pool, _hashmix(word, hc, 16 + 4 * i, 4))
+    for i, word in enumerate(words[4:], 4):
+        mixed = _mix(pool, _hashmix(word, hc, 4 * i, 4))
+        # a rep below 2**32 has no high word; inside the pool its zero is the padding
+        pool = np.where(word != 0, mixed, pool) if i == len(words) - 1 else mixed
     # generate_state(4, uint64): 8 hashed words, little-endian pairs, seed then inc
     w = _hashmix(np.concatenate((pool, pool)), _hash_consts(_INIT_B, _MULT_B, 8), 0, 8).astype(np.uint64)
     out = []
@@ -112,10 +110,16 @@ def _pcg64_states(head: list[int], start: int, stop: int) -> list[tuple[int, int
     return out
 
 
+def _pcg64_states(head: list[int], start: int, stop: int) -> list[tuple[int, int]]:
+    """``_seed_states`` of the reps ``start .. stop - 1`` under one head."""
+    return _seed_states(head, np.arange(start, stop, dtype=np.uint64))
+
+
 @lru_cache(maxsize=64)
-def _sampling_table(prior_items: tuple) -> tuple[tuple[str, ...], np.ndarray, int, np.ndarray]:
-    """Sorted labels, cumulative integer thresholds, common denominator, and
-    the labels again as an object array that maps drawn indices to labels."""
+def _sampling_table(prior_items: tuple) -> tuple:
+    """Sorted labels, cumulative integer thresholds, common denominator D, the labels as an object array
+    indexed by draw, and for 1 < D <= 2**32 the uint32 cuts ceil(c * 2**32 / D) of the cumulative c < D
+    and Lemire's threshold 2**32 mod D (else no cuts and None)."""
     types = tuple(t for t, _ in prior_items)
     weights = [Fraction(w) for _, w in prior_items]
     if sum(weights) != 1 or any(w < 0 for w in weights):
@@ -125,8 +129,10 @@ def _sampling_table(prior_items: tuple) -> tuple[tuple[str, ...], np.ndarray, in
         raise ValidationError("prior denominator too large for exact integer sampling")
     cum = np.cumsum([int(w * denom) for w in weights])
     labels = np.array(types, dtype=object)
-    cum.flags.writeable = labels.flags.writeable = False  # shared by every caller of the cache
-    return types, cum, denom, labels
+    raw = 1 < denom <= 1 << 32  # the draw from raw 32-bit values applies
+    cuts = np.array([-((-c << 32) // denom) for c in cum.tolist() if c < denom and raw], dtype=np.uint32)
+    cum.flags.writeable = labels.flags.writeable = cuts.flags.writeable = False  # shared by every caller of the cache
+    return types, cum, denom, labels, cuts, (1 << 32) % denom if raw else None
 
 
 # The last Problem with its sampling table, keyed by identity as in
@@ -134,13 +140,18 @@ def _sampling_table(prior_items: tuple) -> tuple[tuple[str, ...], np.ndarray, in
 _problem_table: tuple = (None, None)
 
 
+class _EpisodeGenerator(np.random.Generator):
+    """``run_convergence``'s generator: ``fresh`` from its re-seeding, with no half word buffered, to its truth draw."""
+    fresh = False
+
+
 def sample_type_vector(prior: Union[Problem, Weights], K: int, rng: np.random.Generator) -> PreferenceVector:
     """K i.i.d. draws from the prior, exact on the prior's rational grid.
 
-    Draws integers below the prior's common denominator and thresholds them,
-    so each type is hit with exactly its prior probability.  Deterministic
-    given the generator state.  A Problem's table is looked up once per
-    Problem; a ``Weights`` mapping's by its current content.
+    Thresholds ``rng.integers(0, D, size=K)`` over the prior's common denominator D: each type is hit with
+    exactly its prior probability, deterministically given the generator state.  A ``PCG64`` with no half
+    word buffered gets the same values and end state from raw words where 1 < D <= 2**32 (README, "Seeded
+    simulation").  A Problem's table is looked up once per Problem; a ``Weights`` mapping's by its content.
     """
     global _problem_table
     if K < 1:
@@ -149,8 +160,21 @@ def sample_type_vector(prior: Union[Problem, Weights], K: int, rng: np.random.Ge
     memo = _problem_table if isinstance(prior, Problem) else (prior, _sampling_table(tuple(sorted(prior.items()))))
     if memo[0] is not prior:
         memo = _problem_table = (prior, _sampling_table(tuple(sorted(prior.prior.items()))))
-    types, cum, denom, labels = memo[1]
-    idx = cum.searchsorted(rng.integers(0, denom, size=K), "right")
+    types, cum, denom, labels, cuts, reject = memo[1]
+    bg, idx, fresh = rng.bit_generator, None, getattr(rng, "fresh", False)
+    if reject is not None and (fresh or type(bg) is np.random.PCG64 and not bg.state["has_uint32"]):
+        # the last word takes the 32-bit path, whose buffered high half rng.integers leaves in the state
+        n, ct = (K - 1) // 2, bg.ctypes
+        x = np.empty(K, dtype=np.uint32)
+        x[:2 * n] = bg.random_raw(n).view(np.uint32)
+        for k in range(2 * n, K):
+            x[k] = ct.next_uint32(ct.state)
+        if reject and (x * np.uint32(denom) < reject).any():
+            bg.advance(-1 - n)  # back to the call's state, buffer still empty
+        else:
+            idx = cuts.searchsorted(x, "right")
+    if idx is None:
+        idx = cum.searchsorted(rng.integers(0, denom, size=K), "right")
     return PreferenceVector._from_codes(tuple(labels[idx].tolist()), types, idx)
 
 
@@ -261,15 +285,14 @@ def _lottery_ids(f: SocialChoiceFunction, types: Sequence[str]) -> dict[str, int
 def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     """Run the seeded experiment on every K and aggregate per-slot lie data.
 
-    Each episode is folded in label space: one C-level pass finds the
-    lying slots (report differs from truth), the truth's type counts give
-    both tv excesses in Python ints, and the per-slot lie and decision-change
-    tallies are bumped only at lying slots, since a truthful slot cannot
-    change the decision.  For the built-in minimal-lie strategies every
-    episode is checked to lie in exactly K * tv(marginal, quota) slots;
-    every built-in strategy is checked against the relaxed budget
-    (#types - 1) times that.  A violation signals an implementation bug, not
-    bad input: it raises, naming the episode that SeedSequence([seed, K, rep]) replays.
+    Episode (K, rep) starts from SeedSequence([seed, K, rep]); the call's states come K-major from one
+    vectorized pass per chunk of ``_SEED_BLOCK`` pairs, and the generator is marked as just seeded for
+    the truth draw only.  Each episode is folded in label space: one C-level pass finds the lying slots, the
+    truth's type counts give both tv excesses in Python ints, and the per-slot lie and decision-change
+    tallies are bumped only at lying slots, since a truthful slot cannot change the decision.  Built-in
+    minimal-lie strategies must lie in exactly K * tv(marginal, quota) slots, every built-in strategy in
+    at most (#types - 1) times that.  A violation is an implementation bug, not bad input: it raises,
+    naming the episode that SeedSequence([seed, K, rep]) replays.
     """
     problem = cfg.problem
     f = cfg.scf or SocialChoiceFunction.utility_argmax(problem)
@@ -278,7 +301,7 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     # Prior as integers P_t / D over its common denominator D (up to 2**62):
     # K * D * tv(marginal, prior) = sum_t max(c_t * D - K * P_t, 0) and
     # 2 * K * D * tv(quota, prior) = sum_t |q_t * D - K * P_t|, both Python ints.
-    types, cum, denom, _ = _sampling_table(tuple(sorted(prior.items())))
+    types, cum, denom = _sampling_table(tuple(sorted(prior.items())))[:3]
     prior_num = np.diff(cum, prepend=0).tolist()
     n_types = len(types)
     lotid = _lottery_ids(f, types)
@@ -292,10 +315,12 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     out = []
     seed = cfg.seed & _SEED_MASK
     reps = cfg.replications
-    rng = np.random.Generator(np.random.PCG64())  # re-seeded before every episode
+    rng = _EpisodeGenerator(np.random.PCG64())  # re-seeded before every episode
     bitgen = rng.bit_generator
+    ks, n = np.array(cfg.k_values, dtype=np.uint32), len(cfg.k_values) * reps  # K < 2**32 is one seed word
+    chunks = (np.arange(a, min(a + _SEED_BLOCK, n), dtype=np.uint64) for a in range(0, n, _SEED_BLOCK))
+    states = chain.from_iterable(_seed_states(_words(seed) + [ks[g // reps]], g % reps) for g in chunks)
     for K in cfg.k_values:
-        head = _words(seed) + _words(K)
         quota = compute_quota(prior, K)
         scaled = list(zip(types, quota.counts, [K * p for p in prior_num]))
         d_prior_quota = Fraction(sum(abs(b * denom - p) for _, b, p in scaled), 2 * K * denom)
@@ -306,10 +331,11 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
         sum_lies_sq = 0
         sum_excess_q = 0  # sum over episodes of K * tv(marginal, quota)
         sum_excess_p = 0  # sum over episodes of K * D * tv(marginal, prior)
-        blocks = (_pcg64_states(head, a, min(a + _SEED_BLOCK, reps)) for a in range(0, reps, _SEED_BLOCK))
-        for rep, (state, inc) in enumerate(chain.from_iterable(blocks)):
+        for rep, (state, inc) in enumerate(islice(states, reps)):
             bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+            rng.fresh = True
             u = sample_type_vector(problem, K, rng)
+            rng.fresh = False
             try:
                 m = strategy(u, quota, rng)
             except RuntimeError as exc:

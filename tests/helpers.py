@@ -69,6 +69,7 @@ from linkmech import (
 )
 from linkmech import sim
 from linkmech.cli import main
+from linkmech.core import Weights
 from linkmech.sim import _SEED_MASK, _resolve_strategy, sample_type_vector
 from linkmech.truthfulness import _check_shapes, _check_witness, _report_entries
 
@@ -901,6 +902,37 @@ def oracle_run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
             )
         )
     return tuple(out)
+
+
+# --- frozen integers-based truth sampler ---
+
+# The last Problem with its sampling table, for the frozen sampler below.
+_oracle_problem_table: tuple = (None, None)
+
+
+def _table(prior_items: tuple):
+    """The sampling table as the frozen sampler reads it: labels, thresholds, denominator, label array."""
+    return sim._sampling_table(prior_items)[:4]
+
+
+def oracle_sample_type_vector(prior: Union[Problem, Weights], K: int, rng: np.random.Generator) -> PreferenceVector:
+    """K i.i.d. draws from the prior, exact on the prior's rational grid.
+
+    Draws integers below the prior's common denominator and thresholds them,
+    so each type is hit with exactly its prior probability.  Deterministic
+    given the generator state.  A Problem's table is looked up once per
+    Problem; a ``Weights`` mapping's by its current content.
+    """
+    global _oracle_problem_table
+    if K < 1:
+        raise ValidationError("K must be at least 1")
+    # the memo is read once, so a thread that swaps it cannot hand this call another Problem's table
+    memo = _oracle_problem_table if isinstance(prior, Problem) else (prior, _table(tuple(sorted(prior.items()))))
+    if memo[0] is not prior:
+        memo = _oracle_problem_table = (prior, _table(tuple(sorted(prior.prior.items()))))
+    types, cum, denom, labels = memo[1]
+    idx = cum.searchsorted(rng.integers(0, denom, size=K), "right")
+    return PreferenceVector._from_codes(tuple(labels[idx].tolist()), types, idx)
 
 
 # --- n^K expectation oracle ---

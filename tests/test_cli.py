@@ -679,6 +679,20 @@ class TestMalformedSpecs:
         argv = ["quota", "--spec", str(spec), "--K", "3"]
         assert_clean_failure(argv, capsys, f"prior[A]: more than 1000 digits in '{text}'")
 
+    @pytest.mark.parametrize("command", [
+        ["quota", "--K", "3"],
+        ["audit", "--truth", "a,b,c", "--report", "c,c,c"],
+        ["best-response", "--truth", "c,c", "--method", "transport"],
+        ["simulate", "--K", "3", "--reps", "2"],
+    ])
+    def test_type_label_with_comma(self, tmp_path, capsys, command):
+        # --truth and --report split on commas, so such a type could never be named there
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"decisions": ["x"], "types": ["c", "a,b"], "prior": ["1/2", "1/2"],
+                                    "utility": {"a,b": {"x": 1}, "c": {"x": 0}}}), encoding="utf-8")
+        assert_clean_failure([command[0], "--spec", str(spec), *command[1:]], capsys,
+                             "types: label 'a,b' contains a comma, which separates --truth/--report labels")
+
     def test_prior_denominator_too_long_together(self, tmp_path, capsys):
         # each weight fits, but their sum has a 4995-digit denominator, too
         # long for ``str`` in the "sums to" message

@@ -31,7 +31,12 @@ from linkmech import (
 )
 from linkmech import best_response_transport, is_permutation_truthful, sample_minimal_message, sim
 from linkmech.sim import CSV_COLUMNS
-from helpers import assert_same_vector, exhaustive_expected_lie_count, oracle_run_convergence
+from helpers import (
+    assert_same_vector,
+    exhaustive_expected_lie_count,
+    oracle_run_convergence,
+    oracle_sample_type_vector,
+)
 
 ABC = ("A", "B", "C")
 
@@ -473,6 +478,150 @@ class TestSeedWords:
             want = [(K, np.random.default_rng(np.random.SeedSequence([seed & self.MASK, K, rep])).bit_generator.state)
                     for K in (1, 256) for rep in range(3)]
             assert seen == want, seed
+
+
+class TestCallSeeding:
+    """A call's (K, rep) columns are seeded K-major in shared chunks of at most ``_SEED_BLOCK``."""
+
+    @staticmethod
+    def record(monkeypatch):
+        seen, original = [], sim.sample_type_vector
+
+        def recording(prior, K, rng):
+            seen.append((K, rng.bit_generator.state))
+            return original(prior, K, rng)
+
+        monkeypatch.setattr(sim, "sample_type_vector", recording)
+        return seen
+
+    @pytest.mark.parametrize("reps", [1, 3, 1023, 1024, 1025])
+    def test_every_episode_matches_seed_sequence(self, binary_problem, monkeypatch, reps):
+        # chunks of 1024 columns end mid-K, at K edges, or hold many K
+        seen = self.record(monkeypatch)
+        for seed, n_k in itertools.product((5, 2**40 + 9), range(1, 6)):
+            seen.clear()
+            k_values = tuple(range(1, n_k + 1))
+            run_convergence(cfg_for(binary_problem, k_values=k_values, replications=reps, seed=seed))
+            assert len(seen) == n_k * reps
+            for i, (K, state) in enumerate(seen):
+                want = np.random.PCG64(np.random.SeedSequence([seed, k_values[i // reps], i % reps])).state
+                assert (K, state) == (k_values[i // reps], want), (seed, n_k, i)
+
+    @pytest.mark.parametrize("k_values, reps, passes", [
+        (tuple(range(1, 13)), 1, 1), ((4, 16, 64, 256), 40, 1), ((1, 2, 3), 1024, 3), ((1, 2, 3), 1025, 4),
+    ])
+    def test_kernel_passes(self, binary_problem, monkeypatch, k_values, reps, passes):
+        calls = []
+        original = sim._seed_states
+
+        def counted(head, rep_column):
+            calls.append(len(rep_column))
+            return original(head, rep_column)
+
+        monkeypatch.setattr(sim, "_seed_states", counted)
+        run_convergence(cfg_for(binary_problem, k_values=k_values, replications=reps))
+        assert len(calls) == passes and sum(calls) == len(k_values) * reps
+        assert max(calls) <= sim._SEED_BLOCK
+
+    def test_reps_across_two_to_the_32(self):
+        # a chunk that straddles rep 2**32 mixes 4- and 5-word entropies for a two-word seed
+        for seed in (3, 2**40 + 9):
+            head = sim._words(seed) + [np.array([7, 7, 8, 8], dtype=np.uint32)]
+            reps = np.array([2**32 - 1, 2**32, 2**32 - 1, 2**32 + 5], dtype=np.uint64)
+            for (state, inc), K, rep in zip(sim._seed_states(head, reps), (7, 7, 8, 8), reps.tolist()):
+                want = np.random.PCG64(np.random.SeedSequence([seed, K, rep])).state["state"]
+                assert {"state": state, "inc": inc} == want, (seed, K, rep)
+
+
+class TestRawDraw:
+    """The truth draw equals the frozen ``rng.integers`` sampler: same vector, same generator state after."""
+
+    # 2**31 + 1 redraws about half of all 32-bit values; 2**32 + 1 and 2**40 take numpy's 64-bit path.
+    DENOMS = (1, 2, 3, 10, 2**31 + 1, 2**32, 2**32 + 1, 2**40)
+    KINDS = ("seeded", "pcg64", "pcg64-buffered", "mt19937", "philox", "sfc64")
+
+    @staticmethod
+    def prior_over(rnd, D):
+        """A 2- to 4-type prior whose common denominator is exactly D (one type may get weight 0)."""
+        if D == 1:
+            return {"A": Fraction(1), "B": Fraction(0)} if rnd.random() < 0.5 else {"A": Fraction(1)}
+        splits = sorted(rnd.randint(0, D - 1) for _ in range(rnd.randint(0, 2)))
+        parts = [1] + [b - a for a, b in zip([0, *splits], [*splits, D - 1])]
+        return {"ABCD"[i]: Fraction(p, D) for i, p in enumerate(parts)}
+
+    @staticmethod
+    def generator(rnd, kind):
+        seed = rnd.getrandbits(64)
+        if kind in ("seeded", "pcg64", "pcg64-buffered"):
+            bg = np.random.PCG64(seed)
+            bg.state = {**bg.state, "has_uint32": int(kind == "pcg64-buffered"), "uinteger": rnd.getrandbits(32)}
+        else:
+            bg = {"mt19937": np.random.MT19937, "philox": np.random.Philox, "sfc64": np.random.SFC64}[kind](seed)
+        if kind != "seeded":
+            return np.random.Generator(bg)
+        rng = sim._EpisodeGenerator(bg)  # as run_convergence hands it to the truth draw, just re-seeded
+        rng.fresh = True
+        return rng
+
+    @classmethod
+    def same_state(cls, a, b) -> bool:
+        """Equal generator states; MT19937, Philox and SFC64 hold arrays in theirs."""
+        if isinstance(a, dict):
+            return a.keys() == b.keys() and all(cls.same_state(a[k], b[k]) for k in a)
+        return np.array_equal(a, b)
+
+    def test_matches_frozen_sampler(self):
+        rnd = random.Random(20261019)
+        for case in range(2400):
+            D, kind = self.DENOMS[case % len(self.DENOMS)], self.KINDS[case // len(self.DENOMS) % len(self.KINDS)]
+            K = rnd.randint(1, 600) if case % 3 else rnd.randint(1, 4)
+            prior = self.prior_over(rnd, D)
+            got = self.generator(rnd, kind)
+            want = np.random.Generator(type(got.bit_generator)())
+            want.bit_generator.state = got.bit_generator.state
+            u, v = sample_type_vector(prior, K, got), oracle_sample_type_vector(prior, K, want)
+            where = (case, kind, D, K)
+            assert u.entries == v.entries and u.types == v.types, where
+            assert np.array_equal(u._codes(), v._codes()) and u._type_counts() == v._type_counts(), where
+            assert self.same_state(got.bit_generator.state, want.bit_generator.state), where
+            assert_same_vector(u)
+
+    def test_redraws_fall_back_from_the_same_state(self):
+        # at 2**31 + 1 a draw of 64 values all but surely holds one numpy redraws
+        prior = {"A": Fraction(1, 2**31 + 1), "B": Fraction(2**31, 2**31 + 1)}
+        for K in (63, 64):
+            got = np.random.Generator(np.random.PCG64(K))
+            want = np.random.Generator(np.random.PCG64(K))
+            assert sample_type_vector(prior, K, got) == oracle_sample_type_vector(prior, K, want)
+            assert got.bit_generator.state == want.bit_generator.state
+
+    def test_generator_is_fresh_for_the_truth_draw_only(self, binary_problem):
+        # a strategy that leaves a half word buffered and then draws a truth itself must get the
+        # frozen sampler's vector and state: the generator it is handed is no longer marked fresh
+        seen = []
+
+        def strategy(u, q, rng):
+            assert not rng.fresh
+            rng.random(dtype=np.float32)  # one 32-bit value, the high half of its word stays buffered
+            want = np.random.Generator(np.random.PCG64())
+            want.bit_generator.state = rng.bit_generator.state
+            assert sample_type_vector(binary_problem, 5, rng) == oracle_sample_type_vector(binary_problem, 5, want)
+            assert rng.bit_generator.state == want.bit_generator.state
+            seen.append(u.K)
+            return canonical_minimal_message(u, q)
+
+        run_convergence(cfg_for(binary_problem, k_values=(3, 4), replications=20,
+                                strategy="custom-permutation-truthful", custom_strategy=strategy))
+        assert seen == [3] * 20 + [4] * 20
+
+    def test_cut_points(self):
+        for prior in ({"A": Fraction(1, 3), "B": Fraction(0), "C": Fraction(2, 3), "D": Fraction(0)},
+                      {"A": Fraction(1, 2**32), "B": 1 - Fraction(1, 2**32)}):
+            types, cum, denom, _, cuts, reject = sim._sampling_table(tuple(sorted(prior.items())))
+            # x maps to code #{c in cum : c <= (x * D) >> 32}; the cuts give that count by search on x
+            for x in (0, 1, 2**31, 2**32 - 1, *(int(c) for c in cuts), *(int(c) - 1 for c in cuts if c)):
+                assert cuts.searchsorted(np.uint32(x), "right") == cum.searchsorted((x * denom) >> 32, "right"), x
+            assert reject == (2**32 - denom) % denom
 
 
 class TestInternalChecks:
