@@ -82,17 +82,15 @@ def _load_problem(path: str) -> Problem:
 
 
 def _parse_vector(text: str, problem: Problem, field: str) -> PreferenceVector:
-    """Look the raw parts up in one C-level pass when no type label has outer
-    whitespace; a padded, empty or unknown part goes to ``_parse_stripped``."""
+    """Look the raw parts up in one C-level pass (no type label has outer
+    whitespace); a padded, empty or unknown part goes to ``_parse_stripped``."""
     code = {t: i for i, t in enumerate(sorted(problem.types))}
     parts = text.split(",")
-    if all(t == t.strip() for t in code):
-        try:
-            codes = np.fromiter(map(code.__getitem__, parts), np.intp, len(parts))
-        except KeyError:  # a padded, empty or unknown part
-            return _parse_stripped(parts, code, field)
-        return PreferenceVector._from_codes(tuple(parts), tuple(code), codes)
-    return _parse_stripped(parts, code, field)
+    try:
+        codes = np.fromiter(map(code.__getitem__, parts), np.intp, len(parts))
+    except KeyError:  # a padded, empty or unknown part
+        return _parse_stripped(parts, code, field)
+    return PreferenceVector._from_codes(tuple(parts), tuple(code), codes)
 
 
 def _parse_stripped(parts: list[str], code: dict[str, int], field: str) -> PreferenceVector:
@@ -134,12 +132,13 @@ def _render_audit(a: Audit) -> str:
 
     ``indent`` forces the pure-Python encoder, which at large K takes longer
     than the audit itself; the shape is fixed, so it is written out here.
-    Each slot becomes a decimal string once; pi takes its images by their
-    rank in S where the witness kept it, and joins a stride-4 interleave.
+    Each slot becomes a decimal string once, by ``format``'s C fast path; pi
+    takes its images by their rank in S where the witness kept the ranks (its
+    ``pairs`` are then never built), and joins a stride-4 interleave.
     """
     head = "".join(f'  "{f.name}": {json.dumps(getattr(a, f.name))},\n' for f in fields(a)[:-1])
-    digits, ranks = list(map(str, a.witness.slots)), a.witness.__dict__.get("_image_ranks_memo")
-    images = list(map(digits.__getitem__, ranks)) if ranks is not None else [str(p) for _, p in a.witness.pairs]
+    digits, ranks = list(map(format, a.witness.slots)), a.witness.__dict__.get("_image_ranks_memo")
+    images = list(map(digits.__getitem__, ranks)) if ranks is not None else [format(p) for _, p in a.witness.pairs]
     cells = [None, ",\n        ", None, "\n      ],\n      [\n        "] * len(digits)
     cells[0::4], cells[2::4] = digits, images
     pi = "[\n      [\n        " + "".join(cells[:-1]) + "\n      ]\n    ]" if digits else "[]"

@@ -18,6 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -148,6 +149,8 @@ def validate_problem(spec: Mapping) -> Problem:
     for t in types:
         if "," in t:
             raise ValidationError(f"types: label {_brief(t)} contains a comma, which separates --truth/--report labels")
+        if t != t.strip():
+            raise ValidationError(f"types: label {_brief(t)} has outer whitespace, which --truth/--report strip")
 
     raw_prior = spec["prior"]
     if not isinstance(raw_prior, Sequence) or isinstance(raw_prior, (str, bytes)):
@@ -237,10 +240,10 @@ class PreferenceVector:
         """A vector whose ``entries`` are ``types[codes]`` by construction, for sorted
         distinct ``types``: unchecked, with both memos filled from the int ``codes``."""
         codes = np.asarray(codes, dtype=np.intp)
-        codes.flags.writeable = False
+        codes.setflags(write=False)
         tally = np.bincount(codes, minlength=len(types)).tolist()
         counts = Counter.__new__(Counter)  # empty, without Counter's Python-level __init__
-        dict.update(counts, (tc for tc in zip(types, tally) if tc[1]))
+        dict.update(counts, compress(zip(types, tally), tally) if 0 in tally else zip(types, tally))
         return _unchecked(cls, entries=entries, types=types, _codes_memo=codes, _counts_memo=counts)
 
     @property

@@ -32,6 +32,7 @@ from .core import (
     Quota,
     ValidationError,
     Weights,
+    _unchecked,
 )
 
 def compute_quota(prior: Union[Problem, Weights], K: int) -> Quota:
@@ -40,20 +41,23 @@ def compute_quota(prior: Union[Problem, Weights], K: int) -> Quota:
     The returned counts sum to K and minimize the total variation distance
     to the prior among all integer count vectors summing to K.  Leftover
     units after flooring go to the types with the largest fractional
-    remainders, ties broken by canonical label order.
+    remainders, ties broken by canonical label order.  The rounding runs
+    in integers over D, the weights' common denominator: each count is
+    K*w*D // D, and the remainders are K*w*D % D.
     """
     if isinstance(prior, Problem):
         prior = prior.prior
     if not isinstance(K, int) or isinstance(K, bool) or K < 1:
         raise ValidationError(f"K must be a positive integer, got {K!r}")
     types = tuple(sorted(prior))
-    scaled = {t: K * Fraction(prior[t]) for t in types}
-    counts = {t: math.floor(scaled[t]) for t in types}
-    leftover = K - sum(counts.values())
-    by_remainder = sorted(types, key=lambda t: (-(scaled[t] - counts[t]), t))
-    for t in by_remainder[:leftover]:
-        counts[t] += 1
-    return Quota(types, tuple(counts[t] for t in types))
+    weights = [Fraction(prior[t]) for t in types]
+    D = math.lcm(*(w.denominator for w in weights))
+    scaled = [K * w.numerator * (D // w.denominator) for w in weights]  # K * weight * D
+    counts = [s // D for s in scaled]
+    # the stable sort keeps equal remainders in label order
+    for i in sorted(range(len(types)), key=lambda i: -(scaled[i] % D))[:K - sum(counts)]:
+        counts[i] += 1
+    return Quota(types, tuple(counts))
 
 
 def _report_entries(u: PreferenceVector, m: Union[Message, PreferenceVector]) -> tuple[str, ...]:
@@ -297,10 +301,20 @@ class PermutationWitness:
 
     ``pairs`` lists (k, pi(k)) for every k in S; report slot k equals truth
     slot pi(k).  The pairing is explicit so bijectivity is directly checkable.
+    ``permutation_witness`` stores each image as its rank in S instead, in the
+    instance dict outside equality, and builds ``pairs`` on its first read.
     """
 
     slots: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
+
+    def __getattr__(self, name: str):
+        ranks = self.__dict__.get("_image_ranks_memo")
+        if name != "pairs" or ranks is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        S = self.slots
+        pairs = self.__dict__["pairs"] = tuple(zip(S, map(S.__getitem__, ranks)))
+        return pairs
 
     def mapping(self) -> dict[int, int]:
         return dict(self.pairs)
@@ -382,8 +396,9 @@ def permutation_witness(
                 cur = head[e]
             i = pos[cur]
             starts.append(len(flat))
-            flat += path[i:]
-            for e in path[i:]:
+            cycle = path[i:]
+            flat += cycle
+            for e in cycle:
                 pos[tail[e]] = -1
             del path[i:]
             if not path:
@@ -403,10 +418,8 @@ def permutation_witness(
     slots, ranks = slots[order], rank[image_at[order]]
     images = slots[ranks]
     _check_witness(uc, rc, n, slots, images)
-    S = slots.tolist()
-    witness = PermutationWitness(tuple(S), tuple(zip(S, images.tolist())))
-    witness.__dict__["_image_ranks_memo"] = ranks.tolist()  # for the audit renderer, outside equality
-    return witness
+    # ``pairs`` is built on its first read, from the ranks the audit renderer reads
+    return _unchecked(PermutationWitness, slots=tuple(slots.tolist()), _image_ranks_memo=ranks.tolist())
 
 
 # --- the audit record ---

@@ -27,7 +27,9 @@ arrays, before the fold moved to label space; the two must return equal
 statistics.  The recursive multiset enumerator is a frozen copy of the
 one that the iterative next-permutation walk replaced; the two must yield
 the same sequence, and the frozen minimal-lie enumerator runs on it.  The
-n^K expectation oracle at the end weights every type vector by its prior
+``Fraction`` quota rounding is a frozen copy of the one that integer rounding
+over the weights' common denominator replaced; the two must return equal
+quotas and raise on the same input.  The n^K expectation oracle at the end weights every type vector by its prior
 probability.
 """
 
@@ -603,6 +605,31 @@ def oracle_best_response_transport(
         flows[i][j] * value[i][j] for i in range(n) for j in range(n) if flows[i][j]
     )
     return OracleTransportResult(plan=plan, message=message, payoff=total)
+
+
+# --- frozen Fraction quota rounding ---
+
+
+def oracle_compute_quota(prior: Union[Problem, Weights], K: int) -> Quota:
+    """Round a prior onto the 1/K grid by largest remainders.
+
+    The returned counts sum to K and minimize the total variation distance
+    to the prior among all integer count vectors summing to K.  Leftover
+    units after flooring go to the types with the largest fractional
+    remainders, ties broken by canonical label order.
+    """
+    if isinstance(prior, Problem):
+        prior = prior.prior
+    if not isinstance(K, int) or isinstance(K, bool) or K < 1:
+        raise ValidationError(f"K must be a positive integer, got {K!r}")
+    types = tuple(sorted(prior))
+    scaled = {t: K * Fraction(prior[t]) for t in types}
+    counts = {t: math.floor(scaled[t]) for t in types}
+    leftover = K - sum(counts.values())
+    by_remainder = sorted(types, key=lambda t: (-(scaled[t] - counts[t]), t))
+    for t in by_remainder[:leftover]:
+        counts[t] += 1
+    return Quota(types, tuple(counts[t] for t in types))
 
 
 # --- frozen recursive multiset enumerator ---

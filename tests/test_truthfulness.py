@@ -28,14 +28,17 @@ from linkmech import (
     sample_minimal_message,
     star_lie_bound,
     tv_distance,
+    validate_problem,
 )
 from linkmech.truthfulness import _rewritten, iter_multiset_arrangements
 from helpers import (
+    LABELS,
     brute_min_hamming,
     brute_minimal_set,
     is_permutation_truthful_naive,
     oracle_canonical_minimal_message,
     oracle_audit,
+    oracle_compute_quota,
     oracle_count_minimal_lie_messages,
     oracle_iter_multiset_arrangements,
     oracle_minimal_lie_messages,
@@ -95,6 +98,42 @@ class TestComputeQuota:
                 if sum(counts) == K
             )
             assert tv_distance(q, prior) == best
+
+    def test_matches_frozen_fraction_rounding(self):
+        # priors of 1-6 types, zero weights and ties included, as str, float
+        # and Fraction values, K from 1 to 10**6; weights that miss 1 (floats,
+        # 3-place decimals) must round alike too
+        rnd = random.Random(1806)
+        for i in range(3000):
+            n = rnd.randint(1, 6)
+            types = rnd.sample(LABELS, n)
+            denom = rnd.choice((1, 2, 3, 4, 7, 10, 12, 64, 1000, 2**31 + 1, rnd.randint(1, 10**9)))
+            cuts = sorted(rnd.randint(0, denom) for _ in range(n - 1))
+            weights = [Fraction(b - a, denom) for a, b in zip([0, *cuts], [*cuts, denom])]
+            kind = i % 4
+            if kind == 1:
+                prior = {t: str(w) for t, w in zip(types, weights)}
+            elif kind == 2:
+                prior = {t: float(w) for t, w in zip(types, weights)}  # read as their binary value
+            elif kind == 3:
+                prior = {t: f"{float(w):.3f}" for t, w in zip(types, weights)}  # decimals near the weights
+            else:
+                prior = dict(zip(types, weights))
+            K = rnd.choice((rnd.randint(1, 20), rnd.randint(1, 5000), rnd.randint(1, 10**6), 10**6))
+            outcomes = []
+            for rounding in (compute_quota, oracle_compute_quota):
+                try:
+                    outcomes.append(rounding(prior, K))
+                except ValidationError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (prior, K)
+        problem = validate_problem({"decisions": ["x"], "types": ["B", "A"], "prior": ["2/3", "1/3"],
+                                    "utility": {"A": {"x": 1}, "B": {"x": 0}}})
+        for K in (1, 2, 3, 4, 5, 10**6):
+            assert compute_quota(problem, K) == oracle_compute_quota(problem, K)
+        for K in (0, -1, 1.0, True, "3"):
+            with pytest.raises(ValidationError, match="K must be a positive integer"):
+                compute_quota(problem, K)
 
 
 class TestMinLieCount:

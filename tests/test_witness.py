@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from linkmech import (
     Message,
+    PermutationWitness,
     PreferenceVector,
     Quota,
     ValidationError,
@@ -30,6 +33,7 @@ from helpers import (
     oracle_permutation_witness_walk,
     oracle_witness,
     random_quota,
+    random_quota_message,
     random_vector,
 )
 
@@ -299,6 +303,54 @@ def test_witness_and_audit_hold_python_ints():
     assert all(type(x) is int for x in w.slots + tuple(k for pair in w.pairs for k in pair))
     assert all(type(getattr(a, f)) is int for f in ("min_lies", "lies", "star_bound"))
     assert all(type(getattr(a, f)) is bool for f in ("approx_truthful", "approx_truthful_star", "permutation_truthful"))
+
+
+class TestLazyPairs:
+    """``permutation_witness`` builds ``pairs`` on its first read; the record
+    must behave as one built with its pairs."""
+
+    def witnesses(self):
+        rnd = random.Random(1818)
+        for K in (1, 2, 7, 300, 4096):
+            u = random_vector(rnd, ABC, K)
+            q = random_quota(rnd, ABC, K)
+            for m in (sample_minimal_message(u, q, np.random.default_rng(K)), random_quota_message(rnd, u, q)):
+                yield u, m
+
+    def test_audit_and_renderer_never_build_pairs(self):
+        for u, m in self.witnesses():
+            a = audit(u, m)
+            assert "pairs" not in a.witness.__dict__
+            _render_audit(a)
+            assert "pairs" not in a.witness.__dict__
+
+    def test_same_record_as_eager_pairs(self):
+        # a fresh lazy witness per check, so that each check is its first read
+        for u, m in self.witnesses():
+            eager = oracle_witness(u, m)  # built as PermutationWitness(S, pairs)
+            assert permutation_witness(u, m) == eager and eager == permutation_witness(u, m)
+            assert hash(permutation_witness(u, m)) == hash(eager)
+            assert repr(permutation_witness(u, m)) == repr(eager)
+            assert permutation_witness(u, m).mapping() == eager.mapping()
+            assert permutation_witness(u, m).pairs == eager.pairs
+
+    def test_pickle_copy_and_replace(self):
+        for u, m in self.witnesses():
+            eager = oracle_witness(u, m)
+            back = pickle.loads(pickle.dumps(permutation_witness(u, m)))
+            assert "pairs" not in back.__dict__ and back == eager
+            assert copy.deepcopy(permutation_witness(u, m)) == eager
+            assert replace(permutation_witness(u, m)) == eager
+            assert replace(permutation_witness(u, m), slots=()).pairs == eager.pairs
+
+    def test_unknown_attribute(self):
+        w = permutation_witness(vec("ABC"), vec("BCA"))
+        with pytest.raises(AttributeError, match="'PermutationWitness' object has no attribute 'pair'"):
+            w.pair
+        assert not hasattr(w, "_image_ranks") and not hasattr(PermutationWitness((), ()), "_image_ranks_memo")
+        with pytest.raises(AttributeError):
+            PermutationWitness.__new__(PermutationWitness).pairs  # no ranks to build from
+        assert w.pairs == ((1, 2), (2, 3), (3, 1))
 
 
 class TestWitnessChecks:
