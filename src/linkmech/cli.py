@@ -133,14 +133,12 @@ def _render_audit(a: Audit) -> str:
     ``indent`` forces the pure-Python encoder, which at large K takes longer
     than the audit itself; the shape is fixed, so it is written out here.
     Each slot becomes a decimal string once, by ``format``'s C fast path; pi
-    takes its images by their rank in S where the witness kept the ranks (its
-    ``pairs`` are then never built), and joins a stride-4 interleave.
+    picks its images from those by the witness's ``ranks``, in a stride-4 interleave.
     """
     head = "".join(f'  "{f.name}": {json.dumps(getattr(a, f.name))},\n' for f in fields(a)[:-1])
-    digits, ranks = list(map(format, a.witness.slots)), a.witness.__dict__.get("_image_ranks_memo")
-    images = list(map(digits.__getitem__, ranks)) if ranks is not None else [format(p) for _, p in a.witness.pairs]
+    digits = list(map(format, a.witness.slots))
     cells = [None, ",\n        ", None, "\n      ],\n      [\n        "] * len(digits)
-    cells[0::4], cells[2::4] = digits, images
+    cells[0::4], cells[2::4] = digits, map(digits.__getitem__, a.witness.ranks)
     pi = "[\n      [\n        " + "".join(cells[:-1]) + "\n      ]\n    ]" if digits else "[]"
     return f'{{\n{head}  "witness": {{\n    "S": {_block(digits, "    ")},\n    "pi": {pi}\n  }}\n}}'
 

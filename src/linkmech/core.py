@@ -41,6 +41,7 @@ Weights = Mapping[str, Fraction]
 # Python refuses to print an int.
 MAX_RATIONAL_DIGITS = 1000
 _RATIONAL_BOUND = 10**MAX_RATIONAL_DIGITS
+PRIOR_TOLERANCE = Fraction(1, 10**12)  # how far a fixed-precision prior may sum from 1
 
 
 def _cut(text: str) -> str:
@@ -173,7 +174,7 @@ def validate_problem(spec: Mapping) -> Problem:
     if total != 1:
         # Fixed-precision specs may miss 1 by rounding; renormalize exactly
         # when the drift is negligible, reject otherwise.
-        if total > 0 and abs(total - 1) <= Fraction(1, 10**12):
+        if total > 0 and abs(total - 1) <= PRIOR_TOLERANCE:
             weights = {t: w / total for t, w in weights.items()}
         else:
             raise ValidationError(f"prior: sums to {_cut(str(total))}, expected 1")
@@ -269,12 +270,6 @@ class PreferenceVector:
             codes = self.__dict__["_codes_memo"] = np.fromiter(map(index.__getitem__, self.entries), np.intp, self.K)
             codes.flags.writeable = False
         return codes
-
-    def permuted(self, perm: Sequence[int]) -> "PreferenceVector":
-        """Reorder slots: entry k of the result is entry perm[k] of self (0-based)."""
-        if sorted(perm) != list(range(self.K)):
-            raise ValidationError("perm: not a permutation of the slot indices")
-        return PreferenceVector(tuple(self.entries[i] for i in perm), self.types)
 
 
 @dataclass(frozen=True)

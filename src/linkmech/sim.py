@@ -110,11 +110,6 @@ def _seed_states(head: list, reps: np.ndarray) -> list[tuple[int, int]]:
     return out
 
 
-def _pcg64_states(head: list[int], start: int, stop: int) -> list[tuple[int, int]]:
-    """``_seed_states`` of the reps ``start .. stop - 1`` under one head."""
-    return _seed_states(head, np.arange(start, stop, dtype=np.uint64))
-
-
 @lru_cache(maxsize=64)
 def _sampling_table(prior_items: tuple) -> tuple:
     """Sorted labels, cumulative integer thresholds, common denominator D, the labels as an object array

@@ -26,13 +26,14 @@ import numpy as np
 
 from .core import (
     EnumerationCapError,
+    PRIOR_TOLERANCE,
     Message,
     PreferenceVector,
     Problem,
     Quota,
     ValidationError,
     Weights,
-    _unchecked,
+    _cut,
 )
 
 def compute_quota(prior: Union[Problem, Weights], K: int) -> Quota:
@@ -43,7 +44,9 @@ def compute_quota(prior: Union[Problem, Weights], K: int) -> Quota:
     units after flooring go to the types with the largest fractional
     remainders, ties broken by canonical label order.  The rounding runs
     in integers over D, the weights' common denominator: each count is
-    K*w*D // D, and the remainders are K*w*D % D.
+    K*w*D // D, and the remainders are K*w*D % D.  A negative weight, or a sum
+    off 1 by over ``PRIOR_TOLERANCE`` or by enough to move the counts' total,
+    is a ``prior:`` error.
     """
     if isinstance(prior, Problem):
         prior = prior.prior
@@ -51,11 +54,17 @@ def compute_quota(prior: Union[Problem, Weights], K: int) -> Quota:
         raise ValidationError(f"K must be a positive integer, got {K!r}")
     types = tuple(sorted(prior))
     weights = [Fraction(prior[t]) for t in types]
+    for t, w in zip(types, weights):
+        if w.numerator < 0:
+            raise ValidationError(f"prior: negative weight {_cut(str(w))} for {t!r}")
     D = math.lcm(*(w.denominator for w in weights))
     scaled = [K * w.numerator * (D // w.denominator) for w in weights]  # K * weight * D
     counts = [s // D for s in scaled]
+    left = K - sum(counts)
+    if sum(scaled) != K * D and (abs(sum(weights) - 1) > PRIOR_TOLERANCE or not 0 <= left <= len(types)):
+        raise ValidationError(f"prior: sums to {_cut(str(sum(weights)))}, expected 1")
     # the stable sort keeps equal remainders in label order
-    for i in sorted(range(len(types)), key=lambda i: -(scaled[i] % D))[:K - sum(counts)]:
+    for i in sorted(range(len(types)), key=lambda i: -(scaled[i] % D))[:left]:
         counts[i] += 1
     return Quota(types, tuple(counts))
 
@@ -297,27 +306,19 @@ def is_permutation_truthful(u: PreferenceVector, m: Union[Message, PreferenceVec
 
 @dataclass(frozen=True)
 class PermutationWitness:
-    """A slot subset S and bijection on it along which the report permutes truths.
+    """A slot subset S and bijection pi on it along which the report permutes truths.
 
-    ``pairs`` lists (k, pi(k)) for every k in S; report slot k equals truth
-    slot pi(k).  The pairing is explicit so bijectivity is directly checkable.
-    ``permutation_witness`` stores each image as its rank in S instead, in the
-    instance dict outside equality, and builds ``pairs`` on its first read.
+    ``slots`` is S in increasing order and ``ranks[i]`` the position in S of
+    pi(slots[i]): report slot ``slots[i]`` equals truth slot ``slots[ranks[i]]``.
     """
 
     slots: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
+    ranks: tuple[int, ...]
 
-    def __getattr__(self, name: str):
-        ranks = self.__dict__.get("_image_ranks_memo")
-        if name != "pairs" or ranks is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        S = self.slots
-        pairs = self.__dict__["pairs"] = tuple(zip(S, map(S.__getitem__, ranks)))
-        return pairs
-
-    def mapping(self) -> dict[int, int]:
-        return dict(self.pairs)
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """(k, pi(k)) for every k in S, in slot order."""
+        return tuple(zip(self.slots, map(self.slots.__getitem__, self.ranks)))
 
 
 def _check_witness(uc: np.ndarray, rc: np.ndarray, n: int, slots: np.ndarray, images: np.ndarray) -> None:
@@ -352,9 +353,9 @@ def permutation_witness(
     Nodes are the memoized type codes, a report's taken over the truth's
     types.  A node on the path is left by one edge at a time and an edge
     leaves the path only when its cycle is peeled, so each node's out-edges
-    pop in edge order from one iterator.  numpy links the peeled edges to
-    their successors, drops cycles holding a balancing edge and sorts S;
-    the bijection, the pairing and the floor are re-checked over all of S.
+    pop in edge order from one iterator.  numpy writes the kept cycles'
+    successors into a per-slot image array, -1 off S, and ranks each image by
+    a running count of S; the bijection, pairing and floor are re-checked.
     """
     _report_entries(u, reported)
     rv = reported.vector if isinstance(reported, Message) else reported
@@ -369,9 +370,7 @@ def permutation_witness(
     # 1-cycle, which changes the walk on no other edge, so it enters S as a
     # fixed point and only the lying slots (edges 0..L-1 below, in slot
     # order) and the balancing edges are walked.
-    lies = uc != rc
-    fixed = np.flatnonzero(~lies) + 1
-    lying = np.flatnonzero(lies)
+    lying = np.flatnonzero(uc != rc)
     net = (np.bincount(uc, minlength=n) - np.bincount(rc, minlength=n)).tolist()
     tail = uc[lying].tolist() + [v for v, d in enumerate(net) for _ in range(-d)]
     head = rc[lying].tolist() + [v for v, d in enumerate(net) for _ in range(d)]
@@ -409,17 +408,12 @@ def permutation_witness(
     succ = np.arange(1, len(flat) + 1)  # each edge's in-cycle successor, as a place in ``flat``
     succ[starts_a + lengths - 1] = starts_a
     kept = np.repeat(np.maximum.reduceat(flat_a, starts_a) < len(lying), lengths)
-    slots = np.concatenate((fixed, lying[flat_a[kept]] + 1))
-    # each slot's image, as a place in ``slots``: a fixed point is its own
-    image_at = np.concatenate((np.arange(len(fixed)), len(fixed) - 1 + np.cumsum(kept)[succ[kept]]))
-    order = np.argsort(slots)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    slots, ranks = slots[order], rank[image_at[order]]
-    images = slots[ranks]
-    _check_witness(uc, rc, n, slots, images)
-    # ``pairs`` is built on its first read, from the ranks the audit renderer reads
-    return _unchecked(PermutationWitness, slots=tuple(slots.tolist()), _image_ranks_memo=ranks.tolist())
+    image = np.where(uc == rc, np.arange(len(uc)), -1)  # each 0-based slot's image under pi, or -1 off S
+    image[lying[flat_a[kept]]] = lying[flat_a[succ[kept]]]
+    slots = np.flatnonzero(image >= 0)
+    ranks = np.cumsum(image >= 0)[image[slots]] - 1
+    _check_witness(uc, rc, n, slots + 1, slots[ranks] + 1)
+    return PermutationWitness(tuple((slots + 1).tolist()), tuple(ranks.tolist()))
 
 
 # --- the audit record ---

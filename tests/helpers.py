@@ -29,7 +29,9 @@ one that the iterative next-permutation walk replaced; the two must yield
 the same sequence, and the frozen minimal-lie enumerator runs on it.  The
 ``Fraction`` quota rounding is a frozen copy of the one that integer rounding
 over the weights' common denominator replaced; the two must return equal
-quotas and raise on the same input.  The n^K expectation oracle at the end weights every type vector by its prior
+quotas and raise on the same input wherever the weights sum to 1 within the
+tolerance, beyond which the library rejects the prior.  The n^K expectation
+oracle at the end weights every type vector by its prior
 probability.
 """
 
@@ -92,6 +94,13 @@ def brute_minimal_set(u: PreferenceVector, q: Quota) -> set[tuple[str, ...]]:
 
 def random_vector(rnd: random.Random, types: tuple[str, ...], K: int) -> PreferenceVector:
     return PreferenceVector(tuple(rnd.choice(types) for _ in range(K)), types)
+
+
+def permuted(v: PreferenceVector, perm: Sequence[int]) -> PreferenceVector:
+    """Reorder slots: entry k of the result is entry perm[k] of ``v`` (0-based)."""
+    if sorted(perm) != list(range(v.K)):
+        raise ValidationError("perm: not a permutation of the slot indices")
+    return PreferenceVector(tuple(v.entries[i] for i in perm), v.types)
 
 
 def random_quota(rnd: random.Random, types: tuple[str, ...], K: int) -> Quota:
@@ -301,6 +310,13 @@ def cycle_partition(g: LinkGraph) -> CyclePartition:
     return CyclePartition(tuple(cycles))
 
 
+def witness_from_pairs(pairs: Sequence[tuple[int, int]]) -> PermutationWitness:
+    """The witness whose bijection is the (k, pi(k)) ``pairs``, listed in slot order."""
+    S = tuple(k for k, _ in pairs)
+    rank = {k: i for i, k in enumerate(S)}
+    return PermutationWitness(S, tuple(rank[p] for _, p in pairs))
+
+
 def oracle_witness(u: PreferenceVector, reported: VectorLike) -> PermutationWitness:
     """Certify the largest slot subset on which the report permutes truths.
 
@@ -323,10 +339,9 @@ def oracle_witness(u: PreferenceVector, reported: VectorLike) -> PermutationWitn
             pairs.append((lab, cycle[(i + 1) % len(cycle)]))
     slots.sort()
     pairs.sort()
-    witness = PermutationWitness(tuple(slots), tuple(pairs))
 
     re = _entries(reported)
-    pi = witness.mapping()
+    pi = dict(pairs)
     if sorted(pi) != slots or sorted(pi.values()) != slots:
         raise RuntimeError("internal: witness mapping is not a bijection on S")
     for k, pk in pi.items():
@@ -335,7 +350,7 @@ def oracle_witness(u: PreferenceVector, reported: VectorLike) -> PermutationWitn
     floor = K - (len(u.types) - 1) * K * tv_distance(marginal(u), marginal(_vector(reported)))
     if len(slots) < floor:
         raise RuntimeError("internal: witness covers fewer slots than guaranteed")
-    return witness
+    return witness_from_pairs(pairs)
 
 
 def oracle_permutation_witness_walk(
@@ -419,8 +434,7 @@ def oracle_permutation_witness_walk(
     order = np.lexsort((images, slots))
     slots, images = slots[order], images[order]
     _check_witness(uc, rc, n, slots, images)
-    S = slots.tolist()
-    return PermutationWitness(tuple(S), tuple(zip(S, images.tolist())))
+    return witness_from_pairs(list(zip(slots.tolist(), images.tolist())))
 
 
 # --- frozen lookahead canonical pick ---

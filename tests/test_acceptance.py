@@ -40,6 +40,7 @@ from helpers import (
     balance_graph,
     build_link_graph,
     is_permutation_truthful_naive,
+    permuted,
     random_quota,
     random_quota_message,
     random_vector,
@@ -124,7 +125,7 @@ def test_criterion_03_witness_suite():
         assert g.new_edge_count == K * d
 
         witness = permutation_witness(u, w)
-        pi = witness.mapping()
+        pi = dict(witness.pairs)
         assert sorted(pi) == list(witness.slots)
         assert sorted(pi.values()) == list(witness.slots)
         for k, pk in pi.items():
@@ -310,7 +311,7 @@ def test_criterion_10_label_freeness():
     q2 = Quota(("A", "B"), (1, 1))
     uu = PreferenceVector(("A", "A"), ("A", "B"))
     pick = canonical_minimal_message(uu, q2)
-    assert canonical_minimal_message(uu.permuted([1, 0]), q2).entries != pick.vector.permuted([1, 0]).entries
+    assert canonical_minimal_message(permuted(uu, [1, 0]), q2).entries != permuted(pick.vector, [1, 0]).entries
 
     # The label-free object is the minimal-lie *set* (the uniform mixture over
     # it): permuting the truth permutes the set elementwise, exactly.
@@ -324,17 +325,17 @@ def test_criterion_10_label_freeness():
         perm = list(range(K))
         rnd.shuffle(perm)
         base_set = minimal_lie_messages(u, q)
-        permuted_set = {m.vector.permuted(perm).entries for m in base_set}
-        direct_set = {m.entries for m in minimal_lie_messages(u.permuted(perm), q)}
+        permuted_set = {permuted(m.vector, perm).entries for m in base_set}
+        direct_set = {m.entries for m in minimal_lie_messages(permuted(u, perm), q)}
         assert permuted_set == direct_set
 
         # the canonical pick stays inside the permuted set with an identical
         # (truth, report) pairing pattern, the invariance a deterministic
         # selection can honor
         base_pick = canonical_minimal_message(u, q)
-        moved_pick = canonical_minimal_message(u.permuted(perm), q)
+        moved_pick = canonical_minimal_message(permuted(u, perm), q)
         assert moved_pick.entries in direct_set
         assert sorted(zip(u.entries, base_pick.entries)) == sorted(
-            zip(u.permuted(perm).entries, moved_pick.entries)
+            zip(permuted(u, perm).entries, moved_pick.entries)
         )
     _report("10 label-freeness", "(1000 fuzzed permutation instances, set-equivariant)")

@@ -412,7 +412,11 @@ class TestAuditRendering:
         assert _render_audit(a) == json.dumps(audit_json(a), indent=2)
 
     def test_matches_json_dumps(self):
-        # independent and minimal reports, so S runs from empty to all of K
+        # independent and minimal reports, so S runs from empty to all of K,
+        # and hand-built witnesses, one with images out of slot order
+        hand = Audit(False, True, False, 2, 4, 4, PermutationWitness((2, 5, 7, 11), (3, 1, 0, 2)))
+        for a in (hand, replace(hand, witness=PermutationWitness((), ()))):
+            assert _render_audit(a) == json.dumps(audit_json(a), indent=2)
         rnd = random.Random(4096)
         for i in range(400):
             n = rnd.randint(1, 6)
@@ -439,21 +443,6 @@ class TestAuditRendering:
             m = random_quota_message(rnd, u, q) if i % 2 else sample_minimal_message(u, q, np.random.default_rng(i))
             a = audit(u, m)
             assert _render_audit(a) == json.dumps(audit_json(a), indent=2)
-
-    def test_witness_without_rank_memo(self):
-        # a witness built outside permutation_witness keeps no ranks; the
-        # renderer converts its images instead
-        rnd = random.Random(17)
-        types = ("A", "B", "C")
-        u = random_vector(rnd, types, 3000)
-        a = audit(u, random_quota_message(rnd, u, random_quota(rnd, types, 3000)))
-        bare = replace(a, witness=PermutationWitness(a.witness.slots, a.witness.pairs))
-        assert "_image_ranks_memo" in a.witness.__dict__ and "_image_ranks_memo" not in bare.witness.__dict__
-        assert _render_audit(bare) == _render_audit(a) == json.dumps(audit_json(a), indent=2)
-        hand = Audit(False, True, False, 2, 4, 4, PermutationWitness((2, 5, 7, 11), ((2, 11), (5, 5), (7, 2), (11, 7))))
-        assert _render_audit(hand) == json.dumps(audit_json(hand), indent=2)
-        empty = replace(hand, witness=PermutationWitness((), ()))
-        assert _render_audit(empty) == json.dumps(audit_json(empty), indent=2)
 
 
 class TestInternalFailures:

@@ -16,6 +16,7 @@ from linkmech import (
     validate_problem,
 )
 from linkmech.core import as_fraction
+from helpers import permuted
 
 UNIFORM3 = {
     "decisions": ["a", "b", "c"],
@@ -146,7 +147,7 @@ class TestMarginal:
         v = PreferenceVector(tuple(entries), ("A", "B", "C"))
         perm = list(range(v.K))
         rnd.shuffle(perm)
-        assert marginal(v) == marginal(v.permuted(perm))
+        assert marginal(v) == marginal(permuted(v, perm))
 
 
 def _random_distribution(rnd, types, denom):

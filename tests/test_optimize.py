@@ -33,7 +33,7 @@ from linkmech import (
     verify_counterexample,
 )
 from linkmech.optimize import _MinCostFlow, _network
-from helpers import assert_plan_sums, oracle_best_response_transport, random_quota, random_vector
+from helpers import assert_plan_sums, oracle_best_response_transport, permuted, random_quota, random_vector
 
 ABC = ("A", "B", "C")
 Q3 = Quota(ABC, (1, 1, 1))
@@ -142,8 +142,8 @@ class TestPayoff:
             best = best_response_bruteforce(u, f, p, Q3)
             perm = list(range(3))
             rnd.shuffle(perm)
-            best_permuted = best_response_bruteforce(u.permuted(perm), f, p, Q3)
-            assert payoff(u, best[0], f, p) == payoff(u.permuted(perm), best_permuted[0], f, p)
+            best_permuted = best_response_bruteforce(permuted(u, perm), f, p, Q3)
+            assert payoff(u, best[0], f, p) == payoff(permuted(u, perm), best_permuted[0], f, p)
 
     def test_constant_shift_keeps_argmax(self):
         base = {"A": {"a": 2, "b": 1, "c": 0}, "B": {"a": 0, "b": 2, "c": 1}, "C": {"a": 1, "b": 0, "c": 2}}

@@ -454,7 +454,7 @@ class TestSeedWords:
         got = np.random.Generator(np.random.PCG64())
         for seed, K, (start, stop) in itertools.product(self.SEEDS, (1, 256, 10**7), sorted(blocks)):
             seed &= self.MASK
-            states = sim._pcg64_states(sim._words(seed) + sim._words(K), start, stop)
+            states = sim._seed_states(sim._words(seed) + sim._words(K), np.arange(start, stop, dtype=np.uint64))
             assert len(states) == stop - start
             for rep in (r for r in reps if start <= r < stop):
                 state, inc = states[rep - start]

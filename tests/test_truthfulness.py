@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from linkmech import (
     tv_distance,
     validate_problem,
 )
+from linkmech.core import PRIOR_TOLERANCE
 from linkmech.truthfulness import _rewritten, iter_multiset_arrangements
 from helpers import (
     LABELS,
@@ -43,6 +45,7 @@ from helpers import (
     oracle_iter_multiset_arrangements,
     oracle_minimal_lie_messages,
     oracle_sample_minimal_message,
+    permuted,
     random_quota,
     random_quota_message,
     random_vector,
@@ -101,9 +104,11 @@ class TestComputeQuota:
 
     def test_matches_frozen_fraction_rounding(self):
         # priors of 1-6 types, zero weights and ties included, as str, float
-        # and Fraction values, K from 1 to 10**6; weights that miss 1 (floats,
-        # 3-place decimals) must round alike too
+        # and Fraction values, K from 1 to 10**6; floats, which miss 1 by
+        # their binary rounding, must round alike too, while 3-place decimals
+        # that miss 1 by more than the tolerance are rejected
         rnd = random.Random(1806)
+        rejected = 0
         for i in range(3000):
             n = rnd.randint(1, 6)
             types = rnd.sample(LABELS, n)
@@ -120,6 +125,12 @@ class TestComputeQuota:
             else:
                 prior = dict(zip(types, weights))
             K = rnd.choice((rnd.randint(1, 20), rnd.randint(1, 5000), rnd.randint(1, 10**6), 10**6))
+            if abs(sum(map(Fraction, prior.values())) - 1) > PRIOR_TOLERANCE:
+                assert kind == 3
+                with pytest.raises(ValidationError, match="^prior: sums to "):
+                    compute_quota(prior, K)
+                rejected += 1
+                continue
             outcomes = []
             for rounding in (compute_quota, oracle_compute_quota):
                 try:
@@ -127,6 +138,7 @@ class TestComputeQuota:
                 except ValidationError as exc:
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1], (prior, K)
+        assert 50 < rejected < 750
         problem = validate_problem({"decisions": ["x"], "types": ["B", "A"], "prior": ["2/3", "1/3"],
                                     "utility": {"A": {"x": 1}, "B": {"x": 0}}})
         for K in (1, 2, 3, 4, 5, 10**6):
@@ -134,6 +146,27 @@ class TestComputeQuota:
         for K in (0, -1, 1.0, True, "3"):
             with pytest.raises(ValidationError, match="K must be a positive integer"):
                 compute_quota(problem, K)
+
+    @pytest.mark.parametrize("prior, message", [
+        ({"A": "0.3", "B": "0.3"}, "prior: sums to 3/5, expected 1"),
+        ({"A": "0.3", "B": "0.3", "C": "0.4000000000011"}, "prior: sums to 10000000000011/10000000000000, expected 1"),
+        ({"A": "-0.5", "B": "1.5"}, "prior: negative weight -1/2 for 'A'"),
+        ({"A": 0, "B": 0}, "prior: sums to 0, expected 1"),
+    ])
+    def test_rejects_a_prior_that_is_no_distribution(self, prior, message):
+        # each used to give a quota (of total 8 for the first) or a quota error
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            compute_quota(prior, 10)
+
+    def test_drift_within_tolerance(self):
+        # a drift the tolerance admits is rounded, unless K is large enough
+        # for it to move the counts' total off K
+        for drift in (PRIOR_TOLERANCE, -PRIOR_TOLERANCE, Fraction(1, 10**13)):
+            prior = {"A": Fraction(1, 2) + drift, "B": Fraction(1, 4), "C": Fraction(1, 4)}
+            for K in (1, 3, 10, 10**6, 10**11):
+                assert compute_quota(prior, K).K == K
+            with pytest.raises(ValidationError, match="^prior: sums to "):
+                compute_quota(prior, 10**15)
 
 
 class TestMinLieCount:
@@ -581,8 +614,8 @@ class TestLabelFreeness:
             q = random_quota(rnd, types, K)
             perm = list(range(K))
             rnd.shuffle(perm)
-            permuted_set = {m.vector.permuted(perm).entries for m in minimal_lie_messages(u, q)}
-            direct_set = {m.entries for m in minimal_lie_messages(u.permuted(perm), q)}
+            permuted_set = {permuted(m.vector, perm).entries for m in minimal_lie_messages(u, q)}
+            direct_set = {m.entries for m in minimal_lie_messages(permuted(u, perm), q)}
             assert permuted_set == direct_set
 
     def test_canonical_pick_has_slot_invariant_lie_pattern(self):
@@ -596,9 +629,9 @@ class TestLabelFreeness:
             perm = list(range(K))
             rnd.shuffle(perm)
             base = canonical_minimal_message(u, q)
-            shuffled = canonical_minimal_message(u.permuted(perm), q)
+            shuffled = canonical_minimal_message(permuted(u, perm), q)
             pattern = sorted(zip(u.entries, base.entries))
-            shuffled_pattern = sorted(zip(u.permuted(perm).entries, shuffled.entries))
+            shuffled_pattern = sorted(zip(permuted(u, perm).entries, shuffled.entries))
             assert pattern == shuffled_pattern
 
     def test_no_deterministic_pick_commutes_with_slot_swaps(self):
@@ -608,5 +641,5 @@ class TestLabelFreeness:
         q = Quota(("A", "B"), (1, 1))
         u = PreferenceVector(("A", "A"), ("A", "B"))
         m = canonical_minimal_message(u, q)
-        swapped = m.vector.permuted([1, 0])
-        assert canonical_minimal_message(u.permuted([1, 0]), q).entries != swapped.entries
+        swapped = permuted(m.vector, [1, 0])
+        assert canonical_minimal_message(permuted(u, [1, 0]), q).entries != swapped.entries

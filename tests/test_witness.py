@@ -1,5 +1,3 @@
-import copy
-import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -32,8 +30,8 @@ from helpers import (
     oracle_audit,
     oracle_permutation_witness_walk,
     oracle_witness,
+    permuted,
     random_quota,
-    random_quota_message,
     random_vector,
 )
 
@@ -155,18 +153,23 @@ class TestPermutationWitness:
     def test_worked_example(self):
         w = permutation_witness(vec("AAB"), vec("ABC"))
         assert w.slots == (1,)
-        assert w.mapping() == {1: 1}
+        assert dict(w.pairs) == {1: 1}
 
     def test_identity_report(self):
         u = vec("BCA")
         w = permutation_witness(u, u)
         assert w.slots == (1, 2, 3)
-        assert w.mapping() == {1: 1, 2: 2, 3: 3}
+        assert dict(w.pairs) == {1: 1, 2: 2, 3: 3}
 
     def test_full_rotation(self):
         w = permutation_witness(vec("ABC"), vec("BCA"))
         assert w.slots == (1, 2, 3)
-        assert w.mapping() == {1: 2, 2: 3, 3: 1}
+        assert dict(w.pairs) == {1: 2, 2: 3, 3: 1}
+
+    def test_pairs_read_the_ranks(self):
+        w = PermutationWitness((2, 5, 7, 11), (3, 1, 0, 2))
+        assert w.pairs == ((2, 11), (5, 5), (7, 2), (11, 7))
+        assert PermutationWitness((), ()).pairs == ()
 
     def test_rejects_report_with_unknown_type(self):
         with pytest.raises(ValidationError, match=r"unknown types \['D'\]"):
@@ -184,7 +187,7 @@ class TestPermutationWitness:
             if i % 3 == 0:
                 w = random_vector(rnd, types, K)
             elif i % 3 == 1:
-                w = u.permuted(rnd.sample(range(K), K))
+                w = permuted(u, rnd.sample(range(K), K))
             else:
                 entries = list(u.entries)
                 for k in rnd.sample(range(K), rnd.randint(0, K // 4)):
@@ -207,7 +210,7 @@ class TestPermutationWitness:
             if kind == 0:
                 w = random_vector(rnd, types, K)
             elif kind == 1:
-                w = u.permuted(rnd.sample(range(K), K))
+                w = permuted(u, rnd.sample(range(K), K))
             elif kind == 2:
                 entries = list(u.entries)
                 for k in rnd.sample(range(K), rnd.randint(0, K // 4)):
@@ -233,7 +236,7 @@ class TestPermutationWitness:
             types = tuple(sorted({f"t{i}" for i in range(n)}))
             u, w = random_vector(rnd, types, K), random_vector(rnd, types, K)
             witness = permutation_witness(u, w)
-            pi = witness.mapping()
+            pi = dict(witness.pairs)
             assert sorted(pi) == list(witness.slots)
             assert sorted(pi.values()) == list(witness.slots)
             for k, pk in pi.items():
@@ -252,7 +255,7 @@ class TestPermutationWitness:
         u = PreferenceVector(tuple(rnd.choice(types) for _ in range(K)), types)
         w = PreferenceVector(tuple(rnd.choice(types) for _ in range(K)), types)
         witness = permutation_witness(u, w)
-        pi = witness.mapping()
+        pi = dict(witness.pairs)
         for k, pk in pi.items():
             assert w.entries[k - 1] == u.entries[pk - 1]
         assert len(witness.slots) >= K - (n - 1) * K * tv_distance(marginal(u), marginal(w))
@@ -303,54 +306,6 @@ def test_witness_and_audit_hold_python_ints():
     assert all(type(x) is int for x in w.slots + tuple(k for pair in w.pairs for k in pair))
     assert all(type(getattr(a, f)) is int for f in ("min_lies", "lies", "star_bound"))
     assert all(type(getattr(a, f)) is bool for f in ("approx_truthful", "approx_truthful_star", "permutation_truthful"))
-
-
-class TestLazyPairs:
-    """``permutation_witness`` builds ``pairs`` on its first read; the record
-    must behave as one built with its pairs."""
-
-    def witnesses(self):
-        rnd = random.Random(1818)
-        for K in (1, 2, 7, 300, 4096):
-            u = random_vector(rnd, ABC, K)
-            q = random_quota(rnd, ABC, K)
-            for m in (sample_minimal_message(u, q, np.random.default_rng(K)), random_quota_message(rnd, u, q)):
-                yield u, m
-
-    def test_audit_and_renderer_never_build_pairs(self):
-        for u, m in self.witnesses():
-            a = audit(u, m)
-            assert "pairs" not in a.witness.__dict__
-            _render_audit(a)
-            assert "pairs" not in a.witness.__dict__
-
-    def test_same_record_as_eager_pairs(self):
-        # a fresh lazy witness per check, so that each check is its first read
-        for u, m in self.witnesses():
-            eager = oracle_witness(u, m)  # built as PermutationWitness(S, pairs)
-            assert permutation_witness(u, m) == eager and eager == permutation_witness(u, m)
-            assert hash(permutation_witness(u, m)) == hash(eager)
-            assert repr(permutation_witness(u, m)) == repr(eager)
-            assert permutation_witness(u, m).mapping() == eager.mapping()
-            assert permutation_witness(u, m).pairs == eager.pairs
-
-    def test_pickle_copy_and_replace(self):
-        for u, m in self.witnesses():
-            eager = oracle_witness(u, m)
-            back = pickle.loads(pickle.dumps(permutation_witness(u, m)))
-            assert "pairs" not in back.__dict__ and back == eager
-            assert copy.deepcopy(permutation_witness(u, m)) == eager
-            assert replace(permutation_witness(u, m)) == eager
-            assert replace(permutation_witness(u, m), slots=()).pairs == eager.pairs
-
-    def test_unknown_attribute(self):
-        w = permutation_witness(vec("ABC"), vec("BCA"))
-        with pytest.raises(AttributeError, match="'PermutationWitness' object has no attribute 'pair'"):
-            w.pair
-        assert not hasattr(w, "_image_ranks") and not hasattr(PermutationWitness((), ()), "_image_ranks_memo")
-        with pytest.raises(AttributeError):
-            PermutationWitness.__new__(PermutationWitness).pairs  # no ranks to build from
-        assert w.pairs == ((1, 2), (2, 3), (3, 1))
 
 
 class TestWitnessChecks:
