@@ -35,7 +35,8 @@ from .core import (
     ValidationError,
     _brief,
     _cut,
-    tv_distance,
+    _prior_ints,
+    _quota_tv,
     validate_problem,
 )
 from .truthfulness import Audit, _report_entries, audit, compute_quota
@@ -61,11 +62,6 @@ def bundled_spec_path(name: str) -> str:
     if name not in BUNDLED_SPECS:
         raise ValidationError(f"unknown bundled spec {name!r}; choose from {BUNDLED_SPECS}")
     return str(files("linkmech").joinpath(f"data/{name}.json"))
-
-
-def load_bundled_problem(name: str) -> Problem:
-    with open(bundled_spec_path(name), "r", encoding="utf-8") as fh:
-        return validate_problem(json.load(fh))
 
 
 def _load_problem(path: str) -> Problem:
@@ -155,13 +151,12 @@ def cmd_quota(args) -> int:
     if args.K > MAX_K:
         raise EnumerationCapError(f"K={_cut(str(args.K))} exceeds the cap {MAX_K}")
     quota = compute_quota(problem, args.K)
-    dist = quota.distribution()
     _emit_json(
         {
             "K": args.K,
             "counts": quota.as_dict(),
-            "distribution": {t: str(w) for t, w in dist.as_dict().items()},
-            "tv_to_prior": str(tv_distance(problem.prior, dist)),
+            "distribution": {t: str(Fraction(c, args.K)) for t, c in zip(quota.types, quota.counts)},
+            "tv_to_prior": str(_quota_tv(quota, *_prior_ints(problem.prior)[1:])),
         },
         args.output,
     )

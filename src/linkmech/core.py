@@ -95,6 +95,26 @@ def as_fraction(value: Union[int, str, float, Fraction], field: str = "value") -
     return out
 
 
+def _prior_ints(prior: Weights) -> tuple[tuple[str, ...], tuple[int, ...], int]:
+    """The sorted labels, each weight as an int P_t over the weights' common denominator D, and D.  A float
+    weight is read by its exact binary value, any other by ``as_fraction``; a weight that is no number or is
+    negative, or a D of more than ``MAX_RATIONAL_DIGITS`` digits, is a ``prior:`` error."""
+    types, weights, D = tuple(sorted(prior)), [], 1
+    for t in types:
+        w = prior[t]
+        try:
+            w = Fraction(w) if isinstance(w, float) and math.isfinite(w) else as_fraction(w, "prior")
+        except ValidationError as exc:
+            raise ValidationError(f"{exc} for {_brief(t)}") from None
+        if w < 0:
+            raise ValidationError(f"prior: negative weight {_cut(str(w))} for {_brief(t)}")
+        D = math.lcm(D, w.denominator)
+        if D >= _RATIONAL_BOUND:
+            raise ValidationError(f"prior: common denominator has more than {MAX_RATIONAL_DIGITS} digits")
+        weights.append(w)
+    return types, tuple(w.numerator * (D // w.denominator) for w in weights), D
+
+
 def _check_labels(labels: Sequence[str], field: str) -> tuple[str, ...]:
     if not isinstance(labels, (list, tuple)):
         raise ValidationError(f"{field}: must be a list of labels")
@@ -326,10 +346,6 @@ class Quota:
     def as_dict(self) -> dict[str, int]:
         return dict(zip(self.types, self.counts))
 
-    def distribution(self) -> Marginal:
-        k = self.K
-        return Marginal(self.types, tuple(Fraction(c, k) for c in self.counts))
-
 
 @dataclass(frozen=True)
 class Message:
@@ -373,7 +389,8 @@ def _weights_of(dist: Union[Marginal, Quota, Weights], field: str) -> dict[str, 
     if isinstance(dist, Marginal):
         return dist.as_dict()
     if isinstance(dist, Quota):
-        return dist.distribution().as_dict()
+        k = dist.K
+        return {t: Fraction(c, k) for t, c in zip(dist.types, dist.counts)}
     if isinstance(dist, Mapping):
         return {t: Fraction(w) for t, w in dist.items()}
     raise ValidationError(f"{field}: expected a distribution, got {type(dist).__name__}")
@@ -392,3 +409,9 @@ def tv_distance(q: Union[Marginal, Quota, Weights], q_prime: Union[Marginal, Quo
             f"tv_distance: mismatched type sets {sorted(a)} vs {sorted(b)}"
         )
     return sum((a[t] - b[t] for t in a if a[t] > b[t]), start=Fraction(0))
+
+
+def _quota_tv(quota: Quota, prior_nums: Sequence[int], D: int) -> Fraction:
+    """tv(quota, prior) for a prior of ints P_t over D (see ``_prior_ints``): sum_t |q_t * D - K * P_t| / (2KD)."""
+    K = quota.K
+    return Fraction(sum(abs(c * D - K * P) for c, P in zip(quota.counts, prior_nums)), 2 * K * D)

@@ -86,17 +86,26 @@ class SocialChoiceFunction:
         return sum(w * problem.utility[true_type][d] for d, w in self.lotteries[reported].items())
 
 
-# The last (f, p, types) with its pair table and the last K with its network,
-# keyed by identity: f and p are held, so their ids cannot be reused, and
-# neither is mutated after construction.  Keying on content would mix int
-# and float utilities, since 1 == 1.0.
-_cached: tuple = (None,) * 6
+# The last (f, p, types) with its pair table and transport network, keyed by
+# identity: f and p are held, so their ids cannot be reused, and neither is
+# mutated after construction.  Keying on content would mix int and float
+# utilities, since 1 == 1.0.
+_cached: tuple = (None,) * 4
+
+# The transport costs' payoff unit, above K + 4n + 2 on every problem: K, the
+# most lies a plan holds, is a tuple's length, at most sys.maxsize < 2**63,
+# and 4n + 2, the widest gap between two paths' lie sums, is below 2**34,
+# since the network's n**2 pair edges fit in a list.
+_LIE_SCALE = 1 << 64
 
 
 def _pair_table(f: SocialChoiceFunction, p: Problem, types: tuple[str, ...]):
     """Each (true, reported) pair's exact value as an int over one common
     denominator, floats read as their exact binary value; the set of pairs
-    whose ``f.expected_utility`` is a float; and that denominator."""
+    whose ``f.expected_utility`` is a float; that denominator; and the
+    transport network: a source edge per true type, a sink edge per reported
+    type, then every pair edge in row order, all at zero capacity, a pair
+    costing its ``top - value`` gap times ``_LIE_SCALE``, plus its lie bit."""
     global _cached
     if not (_cached[0] is f and _cached[1] is p and _cached[2] == types):
         pairs = [(t, r) for t in types for r in types]
@@ -104,14 +113,23 @@ def _pair_table(f: SocialChoiceFunction, p: Problem, types: tuple[str, ...]):
         denom = math.lcm(*(v.denominator for v in exact))
         scaled = {pair: v.numerator * (denom // v.denominator) for pair, v in zip(pairs, exact)}
         floats = {(t, r) for t, r in pairs if isinstance(f.expected_utility(r, t, p), float)}
-        _cached = (f, p, types, (scaled, floats, denom), None, None)
+        n, top = len(types), max(scaled.values())
+        net = _MinCostFlow(2 * n + 2)
+        for i in range(n):
+            net.add_edge(2 * n, i, 0, 0)
+        for j in range(n):
+            net.add_edge(n + j, 2 * n + 1, 0, 0)
+        for i, t in enumerate(types):
+            for j, r in enumerate(types):
+                net.add_edge(i, n + j, 0, (top - scaled[t, r]) * _LIE_SCALE + (i != j))
+        _cached = (f, p, types, (scaled, floats, denom, net))
     return _cached[3]
 
 
 def payoff(u: PreferenceVector, m: Union[Message, PreferenceVector], f: SocialChoiceFunction, p: Problem):
     """Total payoff: the exact sum of the slots' (true, reported) pair values, rounded
     once, to a float if a used pair's ``f.expected_utility`` is a float, else a Fraction."""
-    scaled, floats, denom = _pair_table(f, p, u.types)
+    scaled, floats, denom, _ = _pair_table(f, p, u.types)
     pairs = Counter(zip(u.entries, _report_entries(u, m)))
     exact = Fraction(sum(c * scaled[pair] for pair, c in pairs.items()), denom)
     return float(exact) if floats.intersection(pairs) else exact
@@ -214,25 +232,17 @@ class _MinCostFlow:
         self.cost.append(-cost)
 
     def _shortest_path(self, s: int, t: int, cap: list[int]):
-        """Bellman-Ford passes in vertex order over edges with capacity left.
-
-        A vertex is skipped while its distance equals the one its edges were
-        last relaxed from: capacities do not change during the search and
-        distances only drop, so those edges cannot improve a neighbour, and
-        ``dist``, ``prev_edge`` and the pass count match relaxing every vertex.
-        """
+        """Bellman-Ford passes in vertex order over edges with capacity left."""
         head, to, cost = self.head, self.to, self.cost
         dist: list[Optional[int]] = [None] * self.n
-        relaxed_at: list[Optional[int]] = [None] * self.n
         prev_edge = [-1] * self.n
         dist[s] = 0
         for _ in range(self.n - 1):
             changed = False
             for v in range(self.n):
                 dv = dist[v]
-                if dv is None or dv == relaxed_at[v]:
+                if dv is None:
                     continue
-                relaxed_at[v] = dv
                 for eid in head[v]:
                     if cap[eid] == 0:
                         continue
@@ -276,32 +286,6 @@ class _MinCostFlow:
             sent += bottleneck
 
 
-def _network(f: SocialChoiceFunction, p: Problem, types: tuple[str, ...], K: int) -> _MinCostFlow:
-    """The transport network for K copies, from the pair table's exact values.
-
-    It has a source edge per true type, a sink edge per reported type, then
-    every (true, reported) pair edge in row order, all at zero capacity.  A
-    pair costs its ``top - value`` gap, times ``K + 4n + 3``, plus its lie bit.
-    """
-    global _cached
-    scaled = _pair_table(f, p, types)[0]
-    if _cached[4] != K:
-        n = len(types)
-        top = max(scaled.values())
-        lie_scale = K + 4 * n + 3
-        source, sink = 2 * n, 2 * n + 1
-        net = _MinCostFlow(2 * n + 2)
-        for i in range(n):
-            net.add_edge(source, i, 0, 0)
-        for j in range(n):
-            net.add_edge(n + j, sink, 0, 0)
-        for i, t in enumerate(types):
-            for j, r in enumerate(types):
-                net.add_edge(i, n + j, 0, (top - scaled[t, r]) * lie_scale + (i != j))
-        _cached = (*_cached[:4], K, net)
-    return _cached[5]
-
-
 def best_response_transport(
     u: PreferenceVector, f: SocialChoiceFunction, p: Problem, q: Quota
 ) -> TransportResult:
@@ -313,16 +297,16 @@ def best_response_transport(
     (true, reported) payoff is summed exactly over the lottery, floats read
     as their exact binary value, and ``top - value`` is scaled to integers
     over the common denominator.  The lie indicator is folded in below one
-    payoff unit as ``cost * M + lie``.  ``M`` exceeds K (the most lies a plan
-    holds) and 4n + 2 (the widest gap between the lie sums of two paths of
-    at most 2n + 1 edges), so int comparisons order paths and plans exactly
-    as ``(cost, lies)`` pairs would: among payoff-optimal plans the solver
-    returns one with the fewest lies.  The plan is realized slot by slot,
-    filling each true type's slots with its reported types in canonical
-    order, so a lying row overwrites a prefix of its slots with the lower
-    labels and a suffix with the higher ones.  ``_pair_table`` is built once
-    per problem and ``_network`` with all n^2 pair edges once per problem and
-    K; both are reused while the same ``f`` and ``p`` objects come back.
+    payoff unit as ``cost * M + lie`` with ``M = _LIE_SCALE``, which exceeds
+    K (the most lies a plan holds) and 4n + 2 (the widest gap between the
+    lie sums of two paths of at most 2n + 1 edges), so int comparisons order
+    paths and plans exactly as ``(cost, lies)`` pairs would: among
+    payoff-optimal plans the solver returns one with the fewest lies.  The
+    plan is realized slot by slot, filling each true type's slots with its
+    reported types in canonical order, so a lying row overwrites a prefix of
+    its slots with the lower labels and a suffix with the higher ones.
+    ``_pair_table`` builds the network with all n^2 pair edges once per
+    problem, for every K, while the same ``f`` and ``p`` objects come back.
     Per call: the truth's memoized counts, fresh capacities (a pair edge gets
     min(supply, demand), so one at zero is never relaxed and its reverse edge
     never gains capacity), the solve on the network's path memo, the plan's
@@ -336,7 +320,7 @@ def best_response_transport(
     n = len(types)
     supply = [counts[t] for t in types]
     demand = list(q.counts)
-    net = _network(f, p, types, q.K)
+    net = _pair_table(f, p, types)[3]
     cap = net.cap[:]
     cap[0:2 * n:2] = supply
     cap[2 * n:4 * n:2] = demand

@@ -31,6 +31,8 @@ from .core import (
     ValidationError,
     Weights,
     _cut,
+    _prior_ints,
+    _quota_tv,
 )
 from .truthfulness import (
     canonical_minimal_message,
@@ -111,18 +113,15 @@ def _seed_states(head: list, reps: np.ndarray) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=64)
-def _sampling_table(prior_items: tuple) -> tuple:
-    """Sorted labels, cumulative integer thresholds, common denominator D, the labels as an object array
-    indexed by draw, and for 1 < D <= 2**32 the uint32 cuts ceil(c * 2**32 / D) of the cumulative c < D
-    and Lemire's threshold 2**32 mod D (else no cuts and None)."""
-    types = tuple(t for t, _ in prior_items)
-    weights = [Fraction(w) for _, w in prior_items]
-    if sum(weights) != 1 or any(w < 0 for w in weights):
+def _sampling_table(types: tuple[str, ...], nums: tuple[int, ...], denom: int) -> tuple:
+    """For a prior parsed by ``_prior_ints``: the sorted labels, cumulative integer thresholds, common
+    denominator D, the labels as an object array indexed by draw, and for 1 < D <= 2**32 the uint32 cuts
+    ceil(c * 2**32 / D) of the cumulative c < D and Lemire's threshold 2**32 mod D (else no cuts and None)."""
+    if sum(nums) != denom:
         raise ValidationError("prior must be a distribution")
-    denom = math.lcm(*(w.denominator for w in weights))
     if denom > 1 << 62:
         raise ValidationError("prior denominator too large for exact integer sampling")
-    cum = np.cumsum([int(w * denom) for w in weights])
+    cum = np.cumsum(nums)
     labels = np.array(types, dtype=object)
     raw = 1 < denom <= 1 << 32  # the draw from raw 32-bit values applies
     cuts = np.array([-((-c << 32) // denom) for c in cum.tolist() if c < denom and raw], dtype=np.uint32)
@@ -145,27 +144,28 @@ def sample_type_vector(prior: Union[Problem, Weights], K: int, rng: np.random.Ge
 
     Thresholds ``rng.integers(0, D, size=K)`` over the prior's common denominator D: each type is hit with
     exactly its prior probability, deterministically given the generator state.  A ``PCG64`` with no half
-    word buffered gets the same values and end state from raw words where 1 < D <= 2**32 (README, "Seeded
-    simulation").  A Problem's table is looked up once per Problem; a ``Weights`` mapping's by its content.
+    word buffered gets the same values and end state from raw words where 1 < D <= 2**32, bar the
+    ``uinteger`` word no draw reads while ``has_uint32`` is 0 (README, "Seeded simulation").  A Problem's
+    table is looked up once per Problem; a ``Weights`` mapping's by its parsed content.
     """
     global _problem_table
     if K < 1:
         raise ValidationError("K must be at least 1")
     # the memo is read once, so a thread that swaps it cannot hand this call another Problem's table
-    memo = _problem_table if isinstance(prior, Problem) else (prior, _sampling_table(tuple(sorted(prior.items()))))
+    memo = _problem_table if isinstance(prior, Problem) else (prior, _sampling_table(*_prior_ints(prior)))
     if memo[0] is not prior:
-        memo = _problem_table = (prior, _sampling_table(tuple(sorted(prior.prior.items()))))
+        memo = _problem_table = (prior, _sampling_table(*_prior_ints(prior.prior)))
     types, cum, denom, labels, cuts, reject = memo[1]
     bg, idx, fresh = rng.bit_generator, None, getattr(rng, "fresh", False)
     if reject is not None and (fresh or type(bg) is np.random.PCG64 and not bg.state["has_uint32"]):
-        # the last word takes the 32-bit path, whose buffered high half rng.integers leaves in the state
-        n, ct = (K - 1) // 2, bg.ctypes
+        # an odd K's last value takes the 32-bit path, whose buffered high half rng.integers leaves in the state
+        n, ct = K // 2, bg.ctypes
         x = np.empty(K, dtype=np.uint32)
         x[:2 * n] = bg.random_raw(n).view(np.uint32)
-        for k in range(2 * n, K):
-            x[k] = ct.next_uint32(ct.state)
+        if K % 2:
+            x[-1] = ct.next_uint32(ct.state)
         if reject and (x * np.uint32(denom) < reject).any():
-            bg.advance(-1 - n)  # back to the call's state, buffer still empty
+            bg.advance(-n - K % 2)  # back to the call's state, buffer still empty
         else:
             idx = cuts.searchsorted(x, "right")
     if idx is None:
@@ -293,11 +293,9 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     f = cfg.scf or SocialChoiceFunction.utility_argmax(problem)
     strategy = _resolve_strategy(cfg, f)
     prior = problem.prior
-    # Prior as integers P_t / D over its common denominator D (up to 2**62):
-    # K * D * tv(marginal, prior) = sum_t max(c_t * D - K * P_t, 0) and
-    # 2 * K * D * tv(quota, prior) = sum_t |q_t * D - K * P_t|, both Python ints.
-    types, cum, denom = _sampling_table(tuple(sorted(prior.items())))[:3]
-    prior_num = np.diff(cum, prepend=0).tolist()
+    # Prior as integers P_t / D over its common denominator D:
+    # K * D * tv(marginal, prior) = sum_t max(c_t * D - K * P_t, 0), in Python ints.
+    types, prior_num, denom = _prior_ints(prior)
     n_types = len(types)
     lotid = _lottery_ids(f, types)
 
@@ -318,7 +316,7 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     for K in cfg.k_values:
         quota = compute_quota(prior, K)
         scaled = list(zip(types, quota.counts, [K * p for p in prior_num]))
-        d_prior_quota = Fraction(sum(abs(b * denom - p) for _, b, p in scaled), 2 * K * denom)
+        d_prior_quota = _quota_tv(quota, prior_num, denom)
 
         slot_lies = [0] * K
         slot_gaps = [0] * K

@@ -34,6 +34,7 @@ from .core import (
     ValidationError,
     Weights,
     _cut,
+    _prior_ints,
 )
 
 def compute_quota(prior: Union[Problem, Weights], K: int) -> Quota:
@@ -43,26 +44,22 @@ def compute_quota(prior: Union[Problem, Weights], K: int) -> Quota:
     to the prior among all integer count vectors summing to K.  Leftover
     units after flooring go to the types with the largest fractional
     remainders, ties broken by canonical label order.  The rounding runs
-    in integers over D, the weights' common denominator: each count is
-    K*w*D // D, and the remainders are K*w*D % D.  A negative weight, or a sum
-    off 1 by over ``PRIOR_TOLERANCE`` or by enough to move the counts' total,
-    is a ``prior:`` error.
+    in integers over D, the weights' common denominator (``_prior_ints``):
+    each count is K*w*D // D, and the remainders are K*w*D % D.  A weight
+    ``_prior_ints`` rejects, or a sum off 1 by over ``PRIOR_TOLERANCE`` or by
+    enough to move the counts' total, is a ``prior:`` error.
     """
     if isinstance(prior, Problem):
         prior = prior.prior
     if not isinstance(K, int) or isinstance(K, bool) or K < 1:
         raise ValidationError(f"K must be a positive integer, got {K!r}")
-    types = tuple(sorted(prior))
-    weights = [Fraction(prior[t]) for t in types]
-    for t, w in zip(types, weights):
-        if w.numerator < 0:
-            raise ValidationError(f"prior: negative weight {_cut(str(w))} for {t!r}")
-    D = math.lcm(*(w.denominator for w in weights))
-    scaled = [K * w.numerator * (D // w.denominator) for w in weights]  # K * weight * D
+    types, nums, D = _prior_ints(prior)
+    scaled = [K * P for P in nums]  # K * weight * D
     counts = [s // D for s in scaled]
     left = K - sum(counts)
-    if sum(scaled) != K * D and (abs(sum(weights) - 1) > PRIOR_TOLERANCE or not 0 <= left <= len(types)):
-        raise ValidationError(f"prior: sums to {_cut(str(sum(weights)))}, expected 1")
+    total = Fraction(sum(nums), D)
+    if total != 1 and (abs(total - 1) > PRIOR_TOLERANCE or not 0 <= left <= len(types)):
+        raise ValidationError(f"prior: sums to {_cut(str(total))}, expected 1")
     # the stable sort keeps equal remainders in label order
     for i in sorted(range(len(types)), key=lambda i: -(scaled[i] % D))[:left]:
         counts[i] += 1

@@ -73,7 +73,7 @@ from linkmech import (
 )
 from linkmech import sim
 from linkmech.cli import main
-from linkmech.core import Weights
+from linkmech.core import Weights, _prior_ints
 from linkmech.sim import _SEED_MASK, _resolve_strategy, sample_type_vector
 from linkmech.truthfulness import _check_shapes, _check_witness, _report_entries
 
@@ -834,7 +834,7 @@ def oracle_audit(u: PreferenceVector, m: Message) -> Audit:
 
 def _sampling_table(prior_items: tuple):
     """The sampling table as the fold below reads it: labels, thresholds, denominator."""
-    return sim._sampling_table(prior_items)[:3]
+    return sim._sampling_table(*_prior_ints(dict(prior_items)))[:3]
 
 
 def _lottery_ids(f: SocialChoiceFunction, types: Sequence[str]) -> np.ndarray:
@@ -884,7 +884,7 @@ def oracle_run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     seed = cfg.seed & _SEED_MASK
     for K in cfg.k_values:
         quota = compute_quota(prior, K)
-        d_prior_quota = tv_distance(prior, quota.distribution())
+        d_prior_quota = tv_distance(prior, quota)
         quota_counts = np.array(quota.counts, dtype=np.int64)
         prior_scaled = [K * p for p in prior_num]
 
@@ -953,7 +953,7 @@ _oracle_problem_table: tuple = (None, None)
 
 def _table(prior_items: tuple):
     """The sampling table as the frozen sampler reads it: labels, thresholds, denominator, label array."""
-    return sim._sampling_table(prior_items)[:4]
+    return sim._sampling_table(*_prior_ints(dict(prior_items)))[:4]
 
 
 def oracle_sample_type_vector(prior: Union[Problem, Weights], K: int, rng: np.random.Generator) -> PreferenceVector:

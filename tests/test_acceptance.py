@@ -34,7 +34,7 @@ from linkmech import (
     tv_distance,
 )
 from linkmech.core import Problem
-from linkmech.cli import bundled_spec_path, load_bundled_problem
+from linkmech.cli import bundled_spec_path
 from helpers import (
     assert_plan_sums,
     balance_graph,

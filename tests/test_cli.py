@@ -41,7 +41,7 @@ from linkmech import (
     truthfulness,
     validate_problem,
 )
-from linkmech.cli import _render_audit, bundled_spec_path, load_bundled_problem
+from linkmech.cli import _render_audit, bundled_spec_path
 from linkmech.sim import STRATEGY_NAMES
 from helpers import assert_same_vector, random_quota, random_quota_message, random_vector, run_cli, run_cli_json
 
@@ -188,8 +188,8 @@ class TestAuditCommand:
         argv = ["audit", "--spec", CE_SPEC, "--truth", "A,A,B", "--report", "A,B,C", "--K", "3"]
         assert_clean_failure(argv, capsys, "unrecognized arguments: --K 3")
 
-    def test_agrees_with_library_on_fuzzed_inputs(self):
-        problem = load_bundled_problem("counterexample")
+    def test_agrees_with_library_on_fuzzed_inputs(self, counterexample_problem):
+        problem = counterexample_problem
         types = tuple(sorted(problem.types))
         rnd = random.Random(13)
         for _ in range(200):
@@ -261,8 +261,8 @@ class TestAuditCommand:
         argv = ["audit", "--spec", CE_SPEC, "--truth", truth, "--report", report]
         assert_clean_failure(argv, capsys, message)
 
-    def test_parsed_vectors_match_validated_ones(self):
-        problem = load_bundled_problem("counterexample")
+    def test_parsed_vectors_match_validated_ones(self, counterexample_problem):
+        problem = counterexample_problem
         rnd = random.Random(29)
         for K in list(range(1, 12)) + [rnd.randint(12, 600) for _ in range(40)]:
             labels = [rnd.choice("ABC"[:rnd.randint(1, 3)]) for _ in range(K)]
@@ -369,18 +369,18 @@ class TestLabelParse:
     @pytest.mark.parametrize("text", [
         "A,B,C", "A", " A,B", "A ,B", " C ", "A,,B", "", ",", "A,B,", "A, ,C", "A,Z,B,Y,Z", "a,B", "A B,C",
     ])
-    def test_paths_agree(self, text):
-        fast, stripped = parse_both_ways(text, load_bundled_problem("counterexample"))
+    def test_paths_agree(self, text, counterexample_problem):
+        fast, stripped = parse_both_ways(text, counterexample_problem)
         assert fast == stripped
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(["A", "B", "C"] * 3 + ["", " A", "B ", " C ", "\tA", "Z", "a", "A B"]), max_size=8))
-    def test_paths_agree_fuzz(self, labels):
-        fast, stripped = parse_both_ways(",".join(labels), load_bundled_problem("counterexample"))
+    def test_paths_agree_fuzz(self, counterexample_problem, labels):
+        fast, stripped = parse_both_ways(",".join(labels), counterexample_problem)
         assert fast == stripped
 
-    def test_paths_agree_at_scale(self):
-        problem = load_bundled_problem("counterexample")
+    def test_paths_agree_at_scale(self, counterexample_problem):
+        problem = counterexample_problem
         rnd = random.Random(31)
         for K in (1, 2, 4096, 5000):
             labels = [rnd.choice("ABC") for _ in range(K)]
@@ -509,9 +509,9 @@ class TestBestResponseCommand:
         assert out["payoff"] == 4.5
         assert out["plan"]["flows"] == {"A": {"A": 1, "B": 1}, "B": {"C": 1}, "C": {}}
 
-    def test_methods_agree_on_payoff(self):
+    def test_methods_agree_on_payoff(self, counterexample_problem):
         rnd = random.Random(3)
-        problem = load_bundled_problem("counterexample")
+        problem = counterexample_problem
         for _ in range(20):
             u = random_vector(rnd, tuple(sorted(problem.types)), 3)
             truth = ",".join(u.entries)

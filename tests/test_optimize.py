@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -32,7 +33,7 @@ from linkmech import (
     validate_problem,
     verify_counterexample,
 )
-from linkmech.optimize import _MinCostFlow, _network
+from linkmech.optimize import _MinCostFlow, _pair_table
 from helpers import assert_plan_sums, oracle_best_response_transport, permuted, random_quota, random_vector
 
 ABC = ("A", "B", "C")
@@ -445,8 +446,8 @@ def plain_shortest_path(net, s, t, cap):
 
 
 class TestShortestPath:
-    """Skipping vertices whose distance has not dropped changes no distance,
-    no predecessor edge and no tie."""
+    """The search matches a plain Bellman-Ford: every distance, predecessor
+    edge and tie."""
 
     def test_matches_plain_bellman_ford_mid_solve(self, monkeypatch):
         real = _MinCostFlow._shortest_path
@@ -490,13 +491,13 @@ class CountingPaths(dict):
 
 
 class TestPathMemo:
-    """One network per (f, p, K) keeps its augmenting paths across calls, and
+    """One network per (f, p) keeps its augmenting paths across calls, and
     a replayed path gives the same plan, message and payoff as a search."""
 
     def reused_network(self, rnd, kind, n, K):
         p, f, _, _ = random_oracle_case(rnd, kind, n, K)
         types = tuple(f"t{i}" for i in range(n))
-        net = _network(f, p, types, K)
+        net = _pair_table(f, p, types)[3]
         net.paths = CountingPaths()
         return p, f, types, net
 
@@ -516,7 +517,7 @@ class TestPathMemo:
             searches.clear()
             for _ in range(200):
                 assert_matches_oracle(random_vector(rnd, types, K), f, p, random_quota(rnd, types, K))
-            assert _network(f, p, types, K) is net
+            assert _pair_table(f, p, types)[3] is net
             assert 0 < len(searches) < net.paths.lookups  # some augmentations replayed a path
 
     def test_memo_never_outgrows_its_cap(self, monkeypatch):
@@ -527,7 +528,7 @@ class TestPathMemo:
         for _ in range(300):
             assert_matches_oracle(random_vector(rnd, types, 40), f, p, random_quota(rnd, types, 40))
             sizes.append(len(net.paths))
-        assert _network(f, p, types, 40) is net
+        assert _pair_table(f, p, types)[3] is net
         assert max(sizes) <= 8 and any(a > b for a, b in zip(sizes, sizes[1:]))  # emptied when full
 
 
@@ -600,26 +601,35 @@ class TestValueTableCache:
         run_convergence(cfg)
         assert len(calls) == 9  # one pair payoff per (true, reported) type pair
 
-    def test_one_network_per_k(self, monkeypatch, counterexample_problem):
-        builds, solves = [], []
-        real_init, real_run = _MinCostFlow.__init__, _MinCostFlow.run
+    def test_one_network_for_every_k(self, monkeypatch, counterexample_problem):
+        builds, solves, searches, augmentations = [], [], Counter(), Counter()
+        real_init, real_run, real_search = _MinCostFlow.__init__, _MinCostFlow.run, _MinCostFlow._shortest_path
 
         def counted_init(self, n_nodes):
             builds.append(n_nodes)
             real_init(self, n_nodes)
+            self.paths = CountingPaths()
 
         def counted_run(self, s, t, amount, cap):
             solves.append(amount)
+            before = self.paths.lookups
             real_run(self, s, t, amount, cap)
+            augmentations[amount] += self.paths.lookups - before
+
+        def counted_search(self, s, t, cap):
+            searches[solves[-1]] += 1
+            return real_search(self, s, t, cap)
 
         monkeypatch.setattr(_MinCostFlow, "__init__", counted_init)
         monkeypatch.setattr(_MinCostFlow, "run", counted_run)
+        monkeypatch.setattr(_MinCostFlow, "_shortest_path", counted_search)
         cfg = SimConfig(
             problem=counterexample_problem, k_values=(3, 8, 16), replications=20, seed=5, strategy="best-response"
         )
         run_convergence(cfg)
-        assert builds == [8, 8, 8]
+        assert builds == [8]
         assert solves == [3] * 20 + [8] * 20 + [16] * 20
+        assert all(0 < searches[K] < augmentations[K] for K in (8, 16))  # paths found at a smaller K replayed
 
     def test_payoff_summed_on_first_read(self):
         f = SocialChoiceFunction.point_mass({"A": "a", "B": "b", "C": "c"})

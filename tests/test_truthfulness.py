@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -31,7 +32,8 @@ from linkmech import (
     tv_distance,
     validate_problem,
 )
-from linkmech.core import PRIOR_TOLERANCE
+from linkmech.core import PRIOR_TOLERANCE, _prior_ints, _quota_tv
+from linkmech.sim import sample_type_vector
 from linkmech.truthfulness import _rewritten, iter_multiset_arrangements
 from helpers import (
     LABELS,
@@ -167,6 +169,39 @@ class TestComputeQuota:
                 assert compute_quota(prior, K).K == K
             with pytest.raises(ValidationError, match="^prior: sums to "):
                 compute_quota(prior, 10**15)
+
+    @pytest.mark.parametrize("weight, message", [
+        ("abc", "prior: cannot parse rational from 'abc' for 'A'"),
+        (None, "prior: cannot parse rational from None for 'A'"),
+        (float("nan"), "prior: cannot parse rational from 'nan' for 'A'"),
+        (float("inf"), "prior: cannot parse rational from 'inf' for 'A'"),
+        (True, "prior: expected a number, got a bool for 'A'"),
+        ("1e-100000000", "prior: more than 1000 digits in '1e-100000000' for 'A'"),
+    ])
+    def test_rejects_a_weight_that_is_no_number(self, weight, message):
+        # each used to raise a bare ValueError, TypeError or OverflowError, give
+        # a quota (True), or build a hundred-million-digit power of ten for minutes
+        prior = {"A": weight, "B": 0}
+        for parse in (lambda: compute_quota(prior, 4), lambda: sample_type_vector(prior, 4, np.random.default_rng(0))):
+            start = time.perf_counter()
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                parse()
+            assert time.perf_counter() - start < 1
+
+    def test_rejects_an_unbounded_common_denominator(self):
+        prior = {"A": Fraction(1, 10**600), "B": Fraction(1, 3**1300), "C": 1}
+        with pytest.raises(ValidationError, match="^prior: common denominator has more than 1000 digits$"):
+            compute_quota(prior, 4)
+
+    def test_quota_distance_in_ints_matches_fractions(self):
+        rnd = random.Random(2020)
+        for _ in range(500):
+            types = rnd.sample(LABELS, rnd.randint(1, 5))
+            denom = rnd.choice((1, 3, 10, 2**31 + 1, rnd.randint(1, 10**9)))
+            cuts = sorted(rnd.randint(0, denom) for _ in range(len(types) - 1))
+            prior = {t: Fraction(b - a, denom) for t, a, b in zip(types, [0, *cuts], [*cuts, denom])}
+            q = compute_quota(prior, rnd.randint(1, 10**6))
+            assert _quota_tv(q, *_prior_ints(prior)[1:]) == tv_distance(prior, q)
 
 
 class TestMinLieCount:
