@@ -38,6 +38,9 @@ these runs (exit code, stdout and stderr):
   replications: about half of the 32-bit values drawn at that denominator
   are redrawn, and the strategy draws from the generator after the truth (1 run).
 
+The first line printed is the digest over every run.  One line per
+subcommand follows, each a digest over that subcommand's runs alone, so a
+change that moves the bytes of one subcommand shows the others unchanged.
 Every run must exit 0; otherwise the script names the run and exits 1.
 The package is imported from this checkout's ``src/``, not from wherever
 ``linkmech`` happens to be installed.
@@ -54,6 +57,7 @@ import math
 import random
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import product
@@ -161,8 +165,12 @@ def runs(four_spec: str, reject_spec: str) -> list[list[str]]:
     return out
 
 
+SUBCOMMANDS = ("simulate", "audit", "quota", "best-response", "counterexample")
+
+
 def main() -> int:
     digest = hashlib.sha256()
+    digests = {name: hashlib.sha256() for name in SUBCOMMANDS}
     with tempfile.TemporaryDirectory() as tmp:
         four_spec, reject_spec = str(Path(tmp) / "four_types.json"), str(Path(tmp) / "reject.json")
         Path(four_spec).write_text(json.dumps(FOUR_SPEC), encoding="utf-8")
@@ -178,8 +186,13 @@ def main() -> int:
             # Spec paths differ between checkouts; hash only what the run printed.
             for part in (str(code), out.getvalue(), err.getvalue()):
                 data = part.encode()
-                digest.update(len(data).to_bytes(8, "big") + data)
+                block = len(data).to_bytes(8, "big") + data
+                digest.update(block)
+                digests[argv[0]].update(block)
     print(f"{digest.hexdigest()}  {len(argvs)} runs")
+    runs_of = Counter(argv[0] for argv in argvs)
+    for name, own in digests.items():
+        print(f"{own.hexdigest()}  {runs_of[name]} {name} runs")
     return 0
 
 

@@ -42,7 +42,6 @@ from .optimize import (
     TransportResult,
     best_response_bruteforce,
     best_response_transport,
-    enumerate_messages,
     message_count,
     payoff,
     verify_counterexample,

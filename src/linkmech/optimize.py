@@ -151,11 +151,6 @@ def _arrangements(q: Quota, cap: int) -> Iterator[tuple[str, ...]]:
     return iter_multiset_arrangements(q.as_dict())
 
 
-def enumerate_messages(q: Quota, cap: int = 10**6) -> Iterator[Message]:
-    """All quota-feasible messages in canonical lexicographic order, lazily."""
-    return (Message(PreferenceVector(entries, q.types), q) for entries in _arrangements(q, cap))
-
-
 def best_response_bruteforce(
     u: PreferenceVector, f: SocialChoiceFunction, p: Problem, q: Quota, cap: int = 10**6
 ) -> tuple[Message, ...]:

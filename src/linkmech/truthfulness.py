@@ -5,10 +5,9 @@ The quota forces an agent whose type vector has the wrong frequencies to
 lie in some slots.  The minimum number of lies equals K times the total
 variation distance between the vector's marginal and the quota
 distribution; this module constructs the minimizers, checks reports against
-three increasingly permissive standards, produces an explicit
-slot-subset-plus-bijection witness via a balanced-multigraph cycle
-decomposition, and bundles every verdict with the witness in one audit
-record.
+three increasingly permissive standards, produces the largest
+slot-subset-plus-bijection witness from one unit-cost min-cost flow, and
+bundles every verdict with the witness in one audit record.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import bisect
 import itertools
 import math
 import operator
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
@@ -298,7 +297,7 @@ def is_permutation_truthful(u: PreferenceVector, m: Union[Message, PreferenceVec
     return _is_acyclic({(a, b) for a, b in zip(u.entries, _report_entries(u, m)) if a != b})
 
 
-# --- balanced-multigraph permutation witness ---
+# --- maximum permutation witness, from a unit-cost flow ---
 
 
 @dataclass(frozen=True)
@@ -330,29 +329,121 @@ def _check_witness(uc: np.ndarray, rc: np.ndarray, n: int, slots: np.ndarray, im
         raise RuntimeError("internal: witness covers fewer slots than guaranteed")
 
 
+def _min_routing(m: int, tails: list[int], heads: list[int], caps: list[int], left: list[int]) -> list[int]:
+    """Route every node's excess to the deficit nodes over the fewest arcs.
+
+    Arc i runs tails[i] -> heads[i], carries at most caps[i] units and costs
+    1 per unit; ``left[v]`` is node v's excess (> 0) or deficit (< 0), the
+    whole summing to 0, and is spent in place.  Returns the units on each arc
+    of a cheapest routing, by successive shortest paths.  Residual edge 2i is
+    arc i's spare room (cost +1) and edge 2i + 1 its routed units, which a
+    unit may cancel (cost -1).
+
+    First each excess node fills the deficit nodes it has an arc to.  These
+    one-arc paths leave every cancelling edge running from a deficit node to
+    an excess node, so no residual cycle costs less than 0.  Then each round
+    labels every node with its cheapest (cost, arcs) distance from the excess
+    nodes, as ``key = cost * B + arcs``, by a queue-based Bellman-Ford, and
+    augments from the excess nodes along edges that are tight for the labels
+    (each adds one arc, so they form a DAG) to deficit nodes at the least
+    cost, until none is reachable.  No residual path out of an excess node
+    costs less than 0, so the excess nodes keep key 0 and no tight edge
+    enters one.
+    """
+    A = len(tails)
+    to = [0] * (2 * A)
+    to[0::2], to[1::2] = heads, tails
+    room = [0] * (2 * A)
+    room[0::2] = caps
+    head: list[list[int]] = [[] for _ in range(m)]
+    for e, v in enumerate(itertools.chain.from_iterable(zip(tails, heads))):
+        head[v].append(e)
+    for a in range(m):
+        for e in head[a]:
+            if left[a] <= 0:
+                break
+            b = to[e]
+            if not e & 1 and left[b] < 0:
+                k = min(left[a], -left[b], room[e])
+                room[e] -= k
+                room[e ^ 1] += k
+                left[a] -= k
+                left[b] += k
+    B = m + 1  # more than the arcs on any cheapest path
+    weight = (B + 1, 1 - B)  # per edge parity: spare room, cancel
+    while True:
+        sources = [v for v in range(m) if left[v] > 0]
+        if not sources:
+            return room[1::2]
+        key = [m * B] * m  # above every reachable key
+        queued = [False] * m
+        for v in sources:
+            key[v], queued[v] = 0, True
+        queue = deque(sources)
+        while queue:
+            u = queue.popleft()
+            queued[u] = False
+            ku = key[u]
+            for e in head[u]:
+                if room[e]:
+                    v = to[e]
+                    kv = ku + weight[e & 1]
+                    if kv < key[v]:
+                        key[v] = kv
+                        if not queued[v]:
+                            queued[v] = True
+                            queue.append(v)
+        cost = min(key[v] // B for v in range(m) if left[v] < 0)
+        if cost == m:  # pragma: no cover - c itself routes every excess
+            raise RuntimeError("internal: excess cannot reach a deficit")
+        done = [0] * m  # each node's first head edge not yet ruled out this round
+        for a in sources:
+            while left[a] > 0:
+                path, v = [], a
+                while not (left[v] < 0 and key[v] // B == cost):
+                    hv, i, kv = head[v], done[v], key[v]
+                    while i < len(hv) and not (room[hv[i]] and key[to[hv[i]]] == kv + weight[hv[i] & 1]):
+                        i += 1
+                    done[v] = i
+                    if i < len(hv):
+                        path.append(hv[i])
+                        v = to[hv[i]]
+                    elif path:  # a dead end: back up and rule out the edge into it
+                        v = to[path.pop() ^ 1]
+                        done[v] += 1
+                    else:
+                        break
+                if not path:
+                    break
+                k = min(left[a], -left[v], *(room[e] for e in path))
+                for e in path:
+                    room[e] -= k
+                    room[e ^ 1] += k
+                left[a] -= k
+                left[v] += k
+
+
 def permutation_witness(
     u: PreferenceVector, reported: Union[Message, PreferenceVector]
 ) -> PermutationWitness:
     """Certify the largest slot subset on which the report permutes truths.
 
-    Edge k (0-based) runs from the true type in slot k+1 to the reported
-    type there.  Balancing edges, numbered after the K slot edges, run from
-    each node that receives more than it sends to one that sends more than
-    it receives, matched in canonical node order.  The balanced multigraph
-    is peeled into edge-disjoint cycles: each walk starts at the lowest
-    alive edge, leaves every node by its lowest alive outgoing edge, and is
-    cut at the first repeated node, so every cycle's nodes are distinct.
-    Cycles through a balancing edge are dropped; the rest form S, with the
-    in-cycle successor as the bijection.  S covers at least
+    Nodes are the types that occur in lying slots, and c[a, b] counts the
+    slots with truth a and report b.  A subset S permutes truths exactly when
+    its lying slots form a circulation x <= c on the lie arcs a -> b
+    (a != b); truthful slots are fixed points, always in S.  The complement
+    y = c - x routes each type's excess (truth count - report count) to the
+    deficit types, so the largest S has K - min sum(y) slots: a min-cost
+    routing with unit arc costs and capacities c[a, b] (``_min_routing``).
+    Each unit of excess crosses at most #types - 1 arcs, so S covers at least
     K - (#types - 1) * K * tv(marginal(u), marginal(report)) slots, that is
     K - (#types - 1) * sum_t (truth count - report count)_+.
 
-    Nodes are the memoized type codes, a report's taken over the truth's
-    types.  A node on the path is left by one edge at a time and an edge
-    leaves the path only when its cycle is peeled, so each node's out-edges
-    pop in edge order from one iterator.  numpy writes the kept cycles'
-    successors into a per-slot image array, -1 off S, and ranks each image by
-    a running count of S; the bijection, pairing and floor are re-checked.
+    Each arc keeps its first x[a, b] lying slots in slot order (one stable
+    sort of the lying slots' arc codes), and pi pairs S's report-t lying
+    slots with its truth-t lying slots in slot order (two stable sorts).
+    Ranks come from a running count of S; the bijection, pairing and floor
+    are re-checked.
     """
     _report_entries(u, reported)
     rv = reported.vector if isinstance(reported, Message) else reported
@@ -363,50 +454,29 @@ def permutation_witness(
         rv = PreferenceVector(rv.entries, u.types)
     uc, rc = u._codes(), rv._codes()
     n = len(u.types)
-    # A truthful slot is a self-loop.  The walk would peel it as its own
-    # 1-cycle, which changes the walk on no other edge, so it enters S as a
-    # fixed point and only the lying slots (edges 0..L-1 below, in slot
-    # order) and the balancing edges are walked.
     lying = np.flatnonzero(uc != rc)
-    net = (np.bincount(uc, minlength=n) - np.bincount(rc, minlength=n)).tolist()
-    tail = uc[lying].tolist() + [v for v, d in enumerate(net) for _ in range(-d)]
-    head = rc[lying].tolist() + [v for v, d in enumerate(net) for _ in range(d)]
-
-    outgoing: list[list[int]] = [[] for _ in net]
-    for e, a in enumerate(tail):
-        outgoing[a].append(e)
-    take = [iter(out).__next__ for out in outgoing]  # pops a node's next untaken edge
-    taken, pos = bytearray(len(tail)), [-1] * n  # pos: a node's place on the path, or -1
-    path, flat, starts = [], [], []  # flat: the peeled cycles' edges; starts: where each begins
-    start = taken.find(0)
-    while start >= 0:
-        # After a cycle is peeled the walk goes on from its first node, which a
-        # restart from the start edge would reach along the same, untouched path.
-        cur = tail[start]
-        while True:
-            while pos[cur] < 0:
-                pos[cur] = len(path)
-                e = take[cur]()
-                taken[e] = 1
-                path.append(e)
-                cur = head[e]
-            i = pos[cur]
-            starts.append(len(flat))
-            cycle = path[i:]
-            flat += cycle
-            for e in cycle:
-                pos[tail[e]] = -1
-            del path[i:]
-            if not path:
-                break
-        start = taken.find(0, start)
-    flat_a, starts_a = np.array(flat, dtype=np.intp), np.array(starts, dtype=np.intp)
-    lengths = np.diff(starts_a, append=len(flat))
-    succ = np.arange(1, len(flat) + 1)  # each edge's in-cycle successor, as a place in ``flat``
-    succ[starts_a + lengths - 1] = starts_a
-    kept = np.repeat(np.maximum.reduceat(flat_a, starts_a) < len(lying), lengths)
+    occurs = np.zeros(n, dtype=bool)
+    occurs[uc[lying]] = occurs[rc[lying]] = True
+    node = np.cumsum(occurs) - 1  # each type's node, where it occurs in a lie
+    m = int(occurs.sum())
+    lu, lr = node[uc[lying]], node[rc[lying]]
+    small = np.min_scalar_type(m * m)  # 8 or 16 bits get numpy's radix sort
+    arc = (lu * m + lr).astype(small)
+    order = np.argsort(arc, kind="stable")  # the lying slots by arc, each arc's in slot order
+    starts = np.ones(len(arc), dtype=bool)
+    starts[1:] = arc[order[1:]] != arc[order[:-1]]
+    first = np.flatnonzero(starts)  # where each arc's run begins in ``order``
+    c = np.diff(first, append=len(arc))
+    tails, heads = np.divmod(arc[order[first]], max(m, 1))
+    left = np.bincount(lu, minlength=m) - np.bincount(lr, minlength=m)
+    x = c - _min_routing(m, tails.tolist(), heads.tolist(), c.tolist(), left.tolist())
+    in_s = np.zeros(len(uc), dtype=bool)
+    in_s[lying[order[np.arange(len(arc)) - np.repeat(first, c) < np.repeat(x, c)]]] = True
+    kept = np.flatnonzero(in_s)  # S's lying slots, in slot order
+    by_report = kept[np.argsort(node[rc[kept]].astype(small), kind="stable")]
+    by_truth = kept[np.argsort(node[uc[kept]].astype(small), kind="stable")]
     image = np.where(uc == rc, np.arange(len(uc)), -1)  # each 0-based slot's image under pi, or -1 off S
-    image[lying[flat_a[kept]]] = lying[flat_a[succ[kept]]]
+    image[by_report] = by_truth  # the i-th report-t slot of S maps to its i-th truth-t slot
     slots = np.flatnonzero(image >= 0)
     ranks = np.cumsum(image >= 0)[image[slots]] - 1
     _check_witness(uc, rc, n, slots + 1, slots[ranks] + 1)
@@ -433,30 +503,29 @@ class Audit:
 
 
 def audit(u: PreferenceVector, m: Message) -> Audit:
-    """Judge a quota-feasible report from one count of its slot pairs.
+    """Judge a quota-feasible report from its type codes and its witness.
 
-    One ``np.bincount`` of the (truth, report) type code pairs gives the
-    n x n grid of pair counts: its row sums are the truth's type counts, its
-    off-diagonal cells the lies and the distinct lie arcs.  The minimum lie
-    count, the relaxed budget and both approximate verdicts are integer
-    comparisons on those counts, the acyclicity test runs on at most n(n-1)
-    arcs, and the witness is built once.  Agrees with ``min_lie_count``,
+    The minimum lie count and the relaxed budget come from the truth's type
+    counts and the quota, the lie count from one comparison of the type
+    codes, and both approximate verdicts are integer comparisons on those
+    counts.  A circulation fits in the lie arcs exactly when they close a
+    cycle, so the report is permutation-truthful exactly when the maximum
+    witness keeps no lying slot.  Agrees with ``min_lie_count``,
     ``lie_count``, ``star_lie_bound``, the three ``is_*`` checkers and
     ``permutation_witness``.
     """
     _check_shapes(u, m.quota)
-    n = len(u.types)
-    grid = np.bincount(u._codes() * n + m.vector._codes(), minlength=n * n).reshape(n, n)
-    arcs = {(a, b) for a, b in zip(*np.nonzero(grid)) if a != b}
-    lies = u.K - int(grid.trace())
-    min_lies = sum(max(c - b, 0) for c, b in zip(grid.sum(axis=1).tolist(), m.quota.counts))
-    star_bound = (n - 1) * min_lies
+    counts = u._type_counts()
+    min_lies = sum(max(counts[t] - b, 0) for t, b in zip(m.quota.types, m.quota.counts))
+    lies = int(np.count_nonzero(u._codes() != m.vector._codes()))
+    star_bound = (len(u.types) - 1) * min_lies
+    witness = permutation_witness(u, m)
     return Audit(
         approx_truthful=lies == min_lies,
         approx_truthful_star=lies <= star_bound,
-        permutation_truthful=_is_acyclic(arcs),
+        permutation_truthful=len(witness.slots) == u.K - lies,
         min_lies=min_lies,
         lies=lies,
         star_bound=star_bound,
-        witness=permutation_witness(u, m),
+        witness=witness,
     )

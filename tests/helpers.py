@@ -3,12 +3,13 @@
 The oracles here are deliberately independent of the library paths they
 check: minimal Hamming distance by full enumeration, subset scans, and
 hand-rolled random instances driven by ``random.Random`` seeds.  The
-link-graph pipeline below is a frozen copy of the object-based witness
-construction that ``permutation_witness`` replaced with a flat pass; the
-two must return identical witnesses.  The flat walk after it is a frozen
-copy of that pass as it stood on an alive list with per-node skip pointers,
-before the walk moved to per-node edge queues; the two must also return
-identical witnesses.  Likewise the lookahead greedy is a
+link-graph pipeline below is a frozen copy of the object-based greedy
+cycle peel, and the flat walk after it a frozen copy of the same peel on an
+alive list with per-node skip pointers; the two return identical witnesses.
+``permutation_witness`` replaced the peel with a min-cost flow, so both are
+now a lower bound on its witness size.  The exact oracles for that size
+follow them: a subset scan for small K, and a negative-cycle certificate
+on the witness's lie counts for any K.  Likewise the lookahead greedy is a
 frozen copy of the slot-by-slot search that ``canonical_minimal_message``
 replaced with a closed rule, and the transport solver at the end is a
 frozen copy of the successive-shortest-paths solve on ``(cost, lies)``
@@ -65,7 +66,6 @@ from linkmech import (
     TransportPlan,
     ValidationError,
     compute_quota,
-    enumerate_messages,
     lie_count,
     marginal,
     min_lie_count,
@@ -74,10 +74,16 @@ from linkmech import (
 from linkmech import sim
 from linkmech.cli import main
 from linkmech.core import Weights, _prior_ints
+from linkmech.optimize import _arrangements
 from linkmech.sim import _SEED_MASK, _resolve_strategy, sample_type_vector
 from linkmech.truthfulness import _check_shapes, _check_witness, _report_entries
 
 LABELS = ("A", "B", "C", "D", "E", "F")
+
+
+def enumerate_messages(q: Quota, cap: int = 10**6) -> Iterator[Message]:
+    """All quota-feasible messages in canonical lexicographic order, lazily."""
+    return (Message(PreferenceVector(entries, q.types), q) for entries in _arrangements(q, cap))
 
 
 def brute_min_hamming(u: PreferenceVector, q: Quota) -> int:
@@ -318,7 +324,8 @@ def witness_from_pairs(pairs: Sequence[tuple[int, int]]) -> PermutationWitness:
 
 
 def oracle_witness(u: PreferenceVector, reported: VectorLike) -> PermutationWitness:
-    """Certify the largest slot subset on which the report permutes truths.
+    """The frozen greedy lower bound: a slot subset on which the report
+    permutes truths, not always the largest.
 
     Builds the slot graph, balances it, peels cycles, and drops every cycle
     touching a balancing edge.  The surviving slot labels form S with the
@@ -356,7 +363,8 @@ def oracle_witness(u: PreferenceVector, reported: VectorLike) -> PermutationWitn
 def oracle_permutation_witness_walk(
     u: PreferenceVector, reported: Union[Message, PreferenceVector]
 ) -> PermutationWitness:
-    """Certify the largest slot subset on which the report permutes truths.
+    """The frozen greedy lower bound, as a flat walk: a slot subset on which
+    the report permutes truths, not always the largest.
 
     Edge k (0-based) runs from the true type in slot k+1 to the reported
     type there.  Balancing edges, numbered after the K slot edges, run from
@@ -435,6 +443,76 @@ def oracle_permutation_witness_walk(
     slots, images = slots[order], images[order]
     _check_witness(uc, rc, n, slots, images)
     return witness_from_pairs(list(zip(slots.tolist(), images.tolist())))
+
+
+def assert_witness_sound(u: PreferenceVector, reported: VectorLike, witness: PermutationWitness) -> None:
+    """pi is a bijection on S, maps each report slot to a truth slot of the same
+    label, and S meets the floor K - (#types - 1) * sum_t (truth count - report count)_+."""
+    re = _entries(reported)
+    pi = dict(witness.pairs)
+    assert list(witness.slots) == sorted(set(witness.slots)) == sorted(pi) == sorted(pi.values())
+    assert all(1 <= k <= u.K for k in pi)
+    for k, pk in pi.items():
+        assert re[k - 1] == u.entries[pk - 1]
+    truth, report = Counter(u.entries), Counter(re)
+    excess = sum(max(c - report[t], 0) for t, c in truth.items())
+    assert len(witness.slots) >= u.K - (len(u.types) - 1) * excess
+
+
+def max_witness_size(u: PreferenceVector, reported: VectorLike) -> int:
+    """The size of the largest slot subset on which the report's labels are a
+    rearrangement of the truth's, by a scan of all 2^K subsets (K <= 16).
+
+    Slot k adds B^i(truth) - B^i(report) to its subset's sum, with i a label's
+    index and B = 2K + 1.  A subset's per-label count differences lie in
+    [-K, K], so its sum is 0 exactly when every difference is.
+    """
+    re = _entries(reported)
+    K = u.K
+    assert K <= 16
+    index = {t: i for i, t in enumerate(sorted(set(u.entries) | set(re)))}
+    B = 2 * K + 1
+    sums, sizes = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for a, b in zip(u.entries, re):
+        d = B ** index[a] - B ** index[b]
+        sums, sizes = np.concatenate((sums, sums + d)), np.concatenate((sizes, sizes + 1))
+    return int(sizes[sums == 0].max())
+
+
+def assert_maximum_witness(u: PreferenceVector, reported: VectorLike, witness: PermutationWitness) -> None:
+    """Certify that no slot subset beats ``witness``, from its lie counts alone.
+
+    With c[a, b] the lying slots of truth a and report b, and x[a, b] those in
+    S, y = c - x routes each label's excess to the deficit labels, and S is
+    maximum exactly when it holds every truthful slot and y is a min-cost
+    routing at unit arc cost: its residual graph over the labels, a -> b at
+    cost +1 where y < c and b -> a at cost -1 where y > 0, has no negative
+    cycle.  Bellman-Ford from every label at distance 0 must settle in
+    fewer passes than there are labels.
+    """
+    re = _entries(reported)
+    S = set(witness.slots)
+    assert all(k in S for k, (a, b) in enumerate(zip(u.entries, re), start=1) if a == b)
+    c = Counter((a, b) for a, b in zip(u.entries, re) if a != b)
+    x = Counter((u.entries[k - 1], re[k - 1]) for k in S if u.entries[k - 1] != re[k - 1])
+    arcs = []
+    for (a, b), cab in c.items():
+        y = cab - x[a, b]
+        assert 0 <= y <= cab
+        if y < cab:
+            arcs.append((a, b, 1))
+        if y > 0:
+            arcs.append((b, a, -1))
+    dist = dict.fromkeys(set(u.entries) | set(re), 0)
+    for _ in range(len(dist)):
+        changed = False
+        for a, b, w in arcs:
+            if dist[a] + w < dist[b]:
+                dist[b] = dist[a] + w
+                changed = True
+        if not changed:
+            return
+    raise AssertionError("witness is not maximum: y's residual graph has a negative cycle")
 
 
 # --- frozen lookahead canonical pick ---

@@ -20,7 +20,6 @@ from linkmech import (
     best_response_transport,
     canonical_minimal_message,
     compute_quota,
-    enumerate_messages,
     is_approx_truthful,
     is_approx_truthful_star,
     is_permutation_truthful,
@@ -39,6 +38,7 @@ from helpers import (
     assert_plan_sums,
     balance_graph,
     build_link_graph,
+    enumerate_messages,
     is_permutation_truthful_naive,
     permuted,
     random_quota,

@@ -321,18 +321,18 @@ def audit_pinned_pairs(rnd):
 
 class TestAuditBytes:
     # sha256 of ``audit`` stdout on the pairs of ``audit_pinned_pairs(Random(18))``.
-    # A change to the witness walk or to the renderer changes these; update
+    # A change to the witness construction or to the renderer changes these; update
     # them with a CHANGES.md line that says why.
     DIGESTS = {
         (256, "minimal"): "f1bed27bdf307a9edbd55b00b4471dd62f31b72c57269d94f4eae9736475f0ea",
-        (256, "shuffled"): "28937adfbda519936f92b53e5de937745800a1e3400bcf2f182cadd10230de76",
-        (256, "random"): "20468160ba46df0a23de0d0e9a08b88d6c13922d1d85b69d2af9a590ee8f8494",
+        (256, "shuffled"): "32dd7cfe1d80ab770840aea88a9b6429e3a0750095423ec9e654a31cfe86f2cb",
+        (256, "random"): "73ecc9abf7e4b75b19276ffcbea0708105fe78a36f09dc69537bc1b6339719df",
         (1024, "minimal"): "bbce96e15b613ff17feb83d429732a2050f6ca6db58fe8153427eeb86d603c95",
-        (1024, "shuffled"): "86960629e719f48c7029912569099559abfa29922c73dfeb1f9e1048a561d20c",
-        (1024, "random"): "05df76776f09682ef9e712f14b8916748538fd50130bb152fb32f2050e24cbac",
+        (1024, "shuffled"): "50db0acfc64734fb90a4814a2cf05b0bd217b1ae72553ccddb409bfa013a9631",
+        (1024, "random"): "64ea2ba989b6e43d346f76e73415d8beb4d598e9c8284d1388048ae5e8840eb9",
         (4096, "minimal"): "53ec8a03141677c65c92f10f05e15a959b0f33d1f33b284eb98613d46602f2f6",
-        (4096, "shuffled"): "f1c19219c07844ffdc2c075cb6bf7f1e2c7c734b8341ce4bb047dea1774507ce",
-        (4096, "random"): "281f6848b28ac7031207416faaf1178c13822ed5a87312c5401ccd4d74c80b19",
+        (4096, "shuffled"): "4b5c0212699e3f3b85b3565f4b306d35f564561da6ae04b7f67ffa09340b85ed",
+        (4096, "random"): "79f9bd87180b236f12fae98cf373a652bbba0a6f208a7003ebbb5b55b8c73946",
     }
 
     def test_bytes_pinned(self, tmp_path):

@@ -23,7 +23,6 @@ from linkmech import (
     best_response_bruteforce,
     best_response_transport,
     compute_quota,
-    enumerate_messages,
     is_approx_truthful,
     lie_count,
     message_count,
@@ -34,7 +33,14 @@ from linkmech import (
     verify_counterexample,
 )
 from linkmech.optimize import _MinCostFlow, _pair_table
-from helpers import assert_plan_sums, oracle_best_response_transport, permuted, random_quota, random_vector
+from helpers import (
+    assert_plan_sums,
+    enumerate_messages,
+    oracle_best_response_transport,
+    permuted,
+    random_quota,
+    random_vector,
+)
 
 ABC = ("A", "B", "C")
 Q3 = Quota(ABC, (1, 1, 1))

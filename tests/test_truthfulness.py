@@ -3,6 +3,7 @@ import random
 import re
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -37,9 +38,12 @@ from linkmech.sim import sample_type_vector
 from linkmech.truthfulness import _rewritten, iter_multiset_arrangements
 from helpers import (
     LABELS,
+    assert_maximum_witness,
+    assert_witness_sound,
     brute_min_hamming,
     brute_minimal_set,
     is_permutation_truthful_naive,
+    max_witness_size,
     oracle_canonical_minimal_message,
     oracle_audit,
     oracle_compute_quota,
@@ -566,11 +570,14 @@ class TestAudit:
                     for k, j in zip(sub, rnd.sample(sub, len(sub))):
                         entries[k] = m.entries[j]
                     m = Message(PreferenceVector(tuple(entries), types), q)
-            a = audit(u, m)
-            assert a == oracle_audit(u, m)
+            a, frozen = audit(u, m), oracle_audit(u, m)
+            assert replace(a, witness=None) == replace(frozen, witness=None)
+            assert_witness_sound(u, m, a.witness)
+            assert len(a.witness.slots) >= len(frozen.witness.slots)
             if K <= 10:
                 scanned += 1
                 assert a.permutation_truthful == is_permutation_truthful_naive(u, m)
+                assert len(a.witness.slots) == max_witness_size(u, m)
         assert scanned > 1500
 
     @pytest.mark.parametrize("K", [256, 1024, 4096])
@@ -589,9 +596,12 @@ class TestAudit:
             entries[k] = minimal.entries[j]
         shuffled = Message(PreferenceVector(tuple(entries), types), q)
         for m in (minimal, shuffled, random_quota_message(rnd, u, q)):
-            a = audit(u, m)
+            a, frozen = audit(u, m), oracle_audit(u, m)
             assert a.witness == permutation_witness(u, m)
-            assert a == oracle_audit(u, m)
+            assert replace(a, witness=None) == replace(frozen, witness=None)
+            assert_witness_sound(u, m, a.witness)
+            assert_maximum_witness(u, m, a.witness)
+            assert len(a.witness.slots) >= len(frozen.witness.slots)
 
 
 class TestMemoizedCounts:
