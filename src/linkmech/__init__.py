@@ -25,15 +25,12 @@ from .truthfulness import (
     canonical_minimal_message,
     compute_quota,
     count_minimal_lie_messages,
-    is_approx_truthful,
-    is_approx_truthful_star,
     is_permutation_truthful,
     lie_count,
     min_lie_count,
     minimal_lie_messages,
     permutation_witness,
     sample_minimal_message,
-    star_lie_bound,
 )
 from .optimize import (
     CounterexampleReport,

@@ -35,7 +35,6 @@ from .core import (
     ValidationError,
     _brief,
     _cut,
-    _prior_ints,
     _quota_tv,
     validate_problem,
 )
@@ -156,7 +155,7 @@ def cmd_quota(args) -> int:
             "K": args.K,
             "counts": quota.as_dict(),
             "distribution": {t: str(Fraction(c, args.K)) for t, c in zip(quota.types, quota.counts)},
-            "tv_to_prior": str(_quota_tv(quota, *_prior_ints(problem.prior)[1:])),
+            "tv_to_prior": str(_quota_tv(quota, *problem._int_prior()[1:])),
         },
         args.output,
     )

@@ -150,6 +150,14 @@ class Problem:
         """Build a type vector over this problem's type universe."""
         return PreferenceVector(tuple(entries), self.types)
 
+    def _int_prior(self) -> tuple[tuple[str, ...], tuple[int, ...], int]:
+        """``_prior_ints(self.prior)``, computed at most once: like ``PreferenceVector``'s
+        memos it lives in the instance dict, outside equality, hashing and repr."""
+        ints = self.__dict__.get("_int_prior_memo")
+        if ints is None:
+            ints = self.__dict__["_int_prior_memo"] = _prior_ints(self.prior)
+        return ints
+
 
 def validate_problem(spec: Mapping) -> Problem:
     """Check an untrusted problem description and return a ``Problem``.
@@ -190,7 +198,8 @@ def validate_problem(spec: Mapping) -> Problem:
         if denom >= _RATIONAL_BOUND:
             raise ValidationError(f"prior: common denominator has more than {MAX_RATIONAL_DIGITS} digits")
         weights[t] = w
-    total = sum(weights.values())
+    nums = tuple(weights[t].numerator * (denom // weights[t].denominator) for t in sorted(types))
+    total = Fraction(sum(nums), denom)
     if total != 1:
         # Fixed-precision specs may miss 1 by rounding; renormalize exactly
         # when the drift is negligible, reject otherwise.
@@ -227,7 +236,10 @@ def validate_problem(spec: Mapping) -> Problem:
             if not isinstance(val, float) and abs(val) >= _RATIONAL_BOUND:
                 raise ValidationError(f"utility[{t}][{d}]: more than {MAX_RATIONAL_DIGITS} digits")
             utility[t][d] = val
-    return Problem(decisions=decisions, types=types, utility=utility, prior=weights)
+    problem = Problem(decisions=decisions, types=types, utility=utility, prior=weights)
+    if total == 1:  # the weights as parsed: denom is their common denominator
+        problem.__dict__["_int_prior_memo"] = (tuple(sorted(types)), nums, denom)
+    return problem
 
 
 def _unchecked(cls, **values):

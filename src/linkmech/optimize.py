@@ -30,15 +30,10 @@ from .truthfulness import (
     _report_entries,
     _rewritten,
     _scan,
+    audit,
     compute_quota,
-    is_approx_truthful,
-    is_approx_truthful_star,
-    is_permutation_truthful,
     iter_multiset_arrangements,
-    lie_count,
-    min_lie_count,
     minimal_lie_messages,
-    star_lie_bound,
 )
 
 
@@ -392,7 +387,8 @@ def verify_counterexample(
     t3; whenever u(d2|t1) + u(d3|t2) > u(d3|t1) + u(d2|t2) the agent instead
     prefers the two-lie reports {(t1,t2,t3), (t2,t1,t3)}, which stay within
     the relaxed lie budget and never permute truths.  All claims are checked
-    against the enumeration oracle, never assumed.
+    against the enumeration oracle, never assumed; every verdict, lie count
+    and bound comes from ``audit``.
     """
     types = tuple(sorted(problem.types))
     if len(types) != 3 or len(problem.decisions) != 3:
@@ -418,7 +414,9 @@ def verify_counterexample(
     def record(name: str, passed: bool, details: str) -> None:
         checks.append(CheckOutcome(name, passed, details))
 
-    min_lies = min_lie_count(u, quota)
+    best = best_response_bruteforce(u, f, problem, quota)
+    judged = [audit(u, m) for m in best]
+    min_lies = judged[0].min_lies
     minimal = minimal_lie_messages(u, quota)
     expected_minimal = {(t1, t3, t2), (t3, t1, t2)}
     record(
@@ -427,7 +425,6 @@ def verify_counterexample(
         f"min_lies={min_lies}, minimal set={sorted(m.entries for m in minimal)}",
     )
 
-    best = best_response_bruteforce(u, f, problem, quota)
     best_pay = payoff(u, best[0], f, problem)
     minimal_pay = {m.entries: payoff(u, m, f, problem) for m in sorted(minimal, key=lambda m: m.entries)}
     gain = (
@@ -449,22 +446,20 @@ def verify_counterexample(
             f"best={sorted(m.entries for m in best)} at {best_pay}, "
             f"minimal payoffs={ {','.join(k): v for k, v in minimal_pay.items()} }",
         )
-        deviation = Message(problem.vector((t1, t2, t3)), quota)
+        deviation = audit(u, Message(problem.vector((t1, t2, t3)), quota))
         record(
             "deviation_fails_exact_budget",
-            not is_approx_truthful(u, deviation)
-            and all(not is_approx_truthful(u, m) for m in best),
-            f"lie counts={[lie_count(u, m) for m in best]} vs min {min_lies}",
+            not deviation.approx_truthful and not any(a.approx_truthful for a in judged),
+            f"lie counts={[a.lies for a in judged]} vs min {min_lies}",
         )
         record(
             "deviation_within_relaxed_budget",
-            is_approx_truthful_star(u, deviation)
-            and all(is_approx_truthful_star(u, m) for m in best),
-            f"bound={star_lie_bound(u, quota)}",
+            deviation.approx_truthful_star and all(a.approx_truthful_star for a in judged),
+            f"bound={deviation.star_bound}",
         )
         record(
             "deviation_never_permutes_truths",
-            all(is_permutation_truthful(u, m) for m in best),
+            all(a.permutation_truthful for a in judged),
             "lie arcs form a path, no cycle",
         )
         record(
@@ -475,7 +470,7 @@ def verify_counterexample(
     else:
         record(
             "no_deviation_incentive",
-            all(is_approx_truthful(u, m) for m in best),
+            all(a.approx_truthful for a in judged),
             f"best responses {sorted(m.entries for m in best)} are minimal-lie messages",
         )
 

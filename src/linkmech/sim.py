@@ -30,6 +30,7 @@ from .core import (
     Quota,
     ValidationError,
     Weights,
+    _brief,
     _cut,
     _prior_ints,
     _quota_tv,
@@ -129,11 +130,6 @@ def _sampling_table(types: tuple[str, ...], nums: tuple[int, ...], denom: int) -
     return types, cum, denom, labels, cuts, (1 << 32) % denom if raw else None
 
 
-# The last Problem with its sampling table, keyed by identity as in
-# optimize._pair_table: the Problem is held, so its id cannot be reused.
-_problem_table: tuple = (None, None)
-
-
 class _EpisodeGenerator(np.random.Generator):
     """``run_convergence``'s generator: ``fresh`` from its re-seeding, with no half word buffered, to its truth draw."""
     fresh = False
@@ -145,17 +141,17 @@ def sample_type_vector(prior: Union[Problem, Weights], K: int, rng: np.random.Ge
     Thresholds ``rng.integers(0, D, size=K)`` over the prior's common denominator D: each type is hit with
     exactly its prior probability, deterministically given the generator state.  A ``PCG64`` with no half
     word buffered gets the same values and end state from raw words where 1 < D <= 2**32, bar the
-    ``uinteger`` word no draw reads while ``has_uint32`` is 0 (README, "Seeded simulation").  A Problem's
-    table is looked up once per Problem; a ``Weights`` mapping's by its parsed content.
+    ``uinteger`` word no draw reads while ``has_uint32`` is 0 (README, "Seeded simulation").  A Problem
+    keeps its table beside its integer prior, in its instance dict; a ``Weights`` mapping's table is looked
+    up by its parsed content.
     """
-    global _problem_table
     if K < 1:
         raise ValidationError("K must be at least 1")
-    # the memo is read once, so a thread that swaps it cannot hand this call another Problem's table
-    memo = _problem_table if isinstance(prior, Problem) else (prior, _sampling_table(*_prior_ints(prior)))
-    if memo[0] is not prior:
-        memo = _problem_table = (prior, _sampling_table(*_prior_ints(prior.prior)))
-    types, cum, denom, labels, cuts, reject = memo[1]
+    if not isinstance(prior, Problem):
+        table = _sampling_table(*_prior_ints(prior))
+    elif (table := prior.__dict__.get("_sampling_memo")) is None:
+        table = prior.__dict__["_sampling_memo"] = _sampling_table(*prior._int_prior())
+    types, cum, denom, labels, cuts, reject = table
     bg, idx, fresh = rng.bit_generator, None, getattr(rng, "fresh", False)
     if reject is not None and (fresh or type(bg) is np.random.PCG64 and not bg.state["has_uint32"]):
         # an odd K's last value takes the 32-bit path, whose buffered high half rng.integers leaves in the state
@@ -187,14 +183,19 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "k_values", tuple(self.k_values))
-        if not self.k_values or any(not isinstance(k, int) or k < 1 for k in self.k_values):
+        if not self.k_values or any(not isinstance(k, int) or isinstance(k, bool) or k < 1 for k in self.k_values):
             raise ValidationError("k_values must be positive integers")
         if any(a >= b for a, b in zip(self.k_values, self.k_values[1:])):
             raise ValidationError("k_values must be strictly increasing")
         if self.k_values[-1] > MAX_K:
             raise EnumerationCapError(f"K={_cut(str(self.k_values[-1]))} exceeds the simulation cap {MAX_K}")
+        if isinstance(self.replications, bool):
+            raise ValidationError(f"replications must be an integer, got {self.replications}")
         if not isinstance(self.replications, int) or self.replications < 1:
             raise ValidationError("replications must be at least 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValidationError(f"seed must be an integer, got {_brief(self.seed)}")
+        object.__setattr__(self, "seed", int(self.seed))  # a numpy integer would overflow the 64-bit mask
         if self.strategy not in STRATEGY_NAMES:
             raise ValidationError(
                 f"unknown strategy {self.strategy!r}; choose from {', '.join(STRATEGY_NAMES)}"
@@ -286,16 +287,16 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     truth's type counts give both tv excesses in Python ints, and the per-slot lie and decision-change
     tallies are bumped only at lying slots, since a truthful slot cannot change the decision.  Built-in
     minimal-lie strategies must lie in exactly K * tv(marginal, quota) slots, every built-in strategy in
-    at most (#types - 1) times that.  A violation is an implementation bug, not bad input: it raises,
-    naming the episode that SeedSequence([seed, K, rep]) replays.
+    at most (#types - 1) times that, bar best responses to a given ``cfg.scf``: those go unchecked, and
+    ``star_bound`` is still reported (ROADMAP item 9 replaces this guard).  A violation is an implementation
+    bug, not bad input: it raises, naming the episode that SeedSequence([seed, K, rep]) replays.
     """
     problem = cfg.problem
     f = cfg.scf or SocialChoiceFunction.utility_argmax(problem)
     strategy = _resolve_strategy(cfg, f)
-    prior = problem.prior
     # Prior as integers P_t / D over its common denominator D:
     # K * D * tv(marginal, prior) = sum_t max(c_t * D - K * P_t, 0), in Python ints.
-    types, prior_num, denom = _prior_ints(prior)
+    types, prior_num, denom = problem._int_prior()
     n_types = len(types)
     lotid = _lottery_ids(f, types)
 
@@ -314,7 +315,7 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     chunks = (np.arange(a, min(a + _SEED_BLOCK, n), dtype=np.uint64) for a in range(0, n, _SEED_BLOCK))
     states = chain.from_iterable(_seed_states(_words(seed) + [ks[g // reps]], g % reps) for g in chunks)
     for K in cfg.k_values:
-        quota = compute_quota(prior, K)
+        quota = compute_quota(problem, K)
         scaled = list(zip(types, quota.counts, [K * p for p in prior_num]))
         d_prior_quota = _quota_tv(quota, prior_num, denom)
 

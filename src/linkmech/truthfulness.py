@@ -43,16 +43,15 @@ def compute_quota(prior: Union[Problem, Weights], K: int) -> Quota:
     to the prior among all integer count vectors summing to K.  Leftover
     units after flooring go to the types with the largest fractional
     remainders, ties broken by canonical label order.  The rounding runs
-    in integers over D, the weights' common denominator (``_prior_ints``):
-    each count is K*w*D // D, and the remainders are K*w*D % D.  A weight
-    ``_prior_ints`` rejects, or a sum off 1 by over ``PRIOR_TOLERANCE`` or by
-    enough to move the counts' total, is a ``prior:`` error.
+    in integers over D, the weights' common denominator (``_prior_ints``, or
+    a Problem's integer prior): each count is K*w*D // D, and the remainders
+    are K*w*D % D.  A weight ``_prior_ints`` rejects, or a sum off 1 by over
+    ``PRIOR_TOLERANCE`` or by enough to move the counts' total, is a
+    ``prior:`` error.
     """
-    if isinstance(prior, Problem):
-        prior = prior.prior
     if not isinstance(K, int) or isinstance(K, bool) or K < 1:
         raise ValidationError(f"K must be a positive integer, got {K!r}")
-    types, nums, D = _prior_ints(prior)
+    types, nums, D = prior._int_prior() if isinstance(prior, Problem) else _prior_ints(prior)
     scaled = [K * P for P in nums]  # K * weight * D
     counts = [s // D for s in scaled]
     left = K - sum(counts)
@@ -132,11 +131,6 @@ def min_lie_count(u: PreferenceVector, q: Quota) -> int:
     rewrites the rest.
     """
     return len(_shortfall(u, q)[1])
-
-
-def star_lie_bound(u: PreferenceVector, q: Quota) -> int:
-    """The relaxed lie budget: (#types - 1) times the minimum lie count."""
-    return (len(u.types) - 1) * min_lie_count(u, q)
 
 
 def iter_multiset_arrangements(counts: Mapping[str, int]) -> Iterator[tuple[str, ...]]:
@@ -254,16 +248,6 @@ def sample_minimal_message(u: PreferenceVector, q: Quota, rng) -> Message:
             free.extend(itertools.compress(slots, freed.tolist()))
     free.sort()
     return _rewritten(u, q, counts, zip(free, map(owed.__getitem__, rng.permutation(len(owed)).tolist())))
-
-
-def is_approx_truthful(u: PreferenceVector, m: Message) -> bool:
-    """True when the report lies in exactly the minimum feasible number of slots."""
-    return lie_count(u, m) == min_lie_count(u, m.quota)
-
-
-def is_approx_truthful_star(u: PreferenceVector, m: Message) -> bool:
-    """True when the lies stay within (#types - 1) times the minimum."""
-    return lie_count(u, m) <= star_lie_bound(u, m.quota)
 
 
 def _is_acyclic(arcs: set[tuple[str, str]]) -> bool:
@@ -511,8 +495,7 @@ def audit(u: PreferenceVector, m: Message) -> Audit:
     counts.  A circulation fits in the lie arcs exactly when they close a
     cycle, so the report is permutation-truthful exactly when the maximum
     witness keeps no lying slot.  Agrees with ``min_lie_count``,
-    ``lie_count``, ``star_lie_bound``, the three ``is_*`` checkers and
-    ``permutation_witness``.
+    ``lie_count``, ``is_permutation_truthful`` and ``permutation_witness``.
     """
     _check_shapes(u, m.quota)
     counts = u._type_counts()

@@ -16,12 +16,11 @@ from linkmech import (
     PreferenceVector,
     SimConfig,
     SocialChoiceFunction,
+    audit,
     best_response_bruteforce,
     best_response_transport,
     canonical_minimal_message,
     compute_quota,
-    is_approx_truthful,
-    is_approx_truthful_star,
     is_permutation_truthful,
     lie_count,
     marginal,
@@ -85,9 +84,10 @@ def test_criterion_01_counterexample_reproduction(counterexample_problem):
     for m in minimal_lie_messages(u, quota):
         assert payoff(u, m, f, p) < best_pay
 
-    assert not is_approx_truthful(u, deviation)
-    assert is_approx_truthful_star(u, deviation)
-    assert is_permutation_truthful(u, deviation)
+    judged = audit(u, deviation)
+    assert not judged.approx_truthful
+    assert judged.approx_truthful_star
+    assert judged.permutation_truthful
 
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -173,12 +173,12 @@ def test_criterion_05_implication_chain():
         types = tuple(sorted({f"t{i}" for i in range(n)}))
         u = random_vector(rnd, types, K)
         q = random_quota(rnd, types, K)
-        m = random_quota_message(rnd, u, q)
-        if is_approx_truthful(u, m):
-            assert is_approx_truthful_star(u, m)
-        if is_permutation_truthful(u, m):
+        a = audit(u, random_quota_message(rnd, u, q))
+        if a.approx_truthful:
+            assert a.approx_truthful_star
+        if a.permutation_truthful:
             permutation_truthful_seen += 1
-            assert is_approx_truthful_star(u, m)
+            assert a.approx_truthful_star
     assert permutation_truthful_seen > 1000
 
     # on binary universes the exact and relaxed verdicts coincide everywhere
@@ -192,7 +192,8 @@ def test_criterion_05_implication_chain():
             entries = tuple(types2[bits >> i & 1] for i in range(K))
             u = PreferenceVector(entries, types2)
             for m in feasible:
-                assert is_approx_truthful(u, m) == is_approx_truthful_star(u, m)
+                a = audit(u, m)
+                assert a.approx_truthful == a.approx_truthful_star
                 pairs += 1
     elapsed = time.perf_counter() - started
     _report("05 implication-chain", f"({permutation_truthful_seen} filtered + {pairs} binary pairs, {elapsed:.1f}s)")

@@ -29,21 +29,28 @@ from linkmech import (
     audit,
     cli,
     compute_quota,
-    is_approx_truthful,
-    is_approx_truthful_star,
     is_permutation_truthful,
     lie_count,
     min_lie_count,
     optimize,
     sample_minimal_message,
     sim,
-    star_lie_bound,
     truthfulness,
     validate_problem,
 )
 from linkmech.cli import _render_audit, bundled_spec_path
 from linkmech.sim import STRATEGY_NAMES
-from helpers import assert_same_vector, random_quota, random_quota_message, random_vector, run_cli, run_cli_json
+from helpers import (
+    assert_same_vector,
+    oracle_is_approx_truthful,
+    oracle_is_approx_truthful_star,
+    oracle_star_lie_bound,
+    random_quota,
+    random_quota_message,
+    random_vector,
+    run_cli,
+    run_cli_json,
+)
 
 CE_SPEC = bundled_spec_path("counterexample")
 BIN_SPEC = bundled_spec_path("binary")
@@ -65,6 +72,24 @@ def assert_clean_failure(argv, capsys, message):
 
 
 class TestQuotaCommand:
+    # sha256 of ``quota`` stdout on the parity grid's quota runs: both bundled specs at K 1, 3 and 1000.
+    DIGESTS = {
+        ("counterexample", "1"): "632e231905f16558e35e8ad53bff646b6237db80c125b0a3bf231868cea97913",
+        ("counterexample", "3"): "2600d3bdb601758970b2aedfb5a6797480dd106e4ee2836387d57cc5c64a86fd",
+        ("counterexample", "1000"): "0726b2997e1e9180bda9fd218ce47a65d114e264da3188f8aef7a6ced2a93d1a",
+        ("binary", "1"): "a541124e17d86acc49d779286d2f8d5151e7da01a7d0e8e5b16c60bcb4ae8fb2",
+        ("binary", "3"): "a3838808788a2af15d6ba0a9a7408b2017cef7c27a408dee59ba278e0b069855",
+        ("binary", "1000"): "2de2d9a32c9f80022878fc85c3c539d1b33051c390764d9a12ea05cb99e46866",
+    }
+
+    def test_bytes_pinned(self):
+        digests = {}
+        for name, K in self.DIGESTS:
+            code, out = run_cli(["quota", "--spec", bundled_spec_path(name), "--K", K])
+            assert code == 0
+            digests[name, K] = hashlib.sha256(out.encode()).hexdigest()
+        assert digests == self.DIGESTS
+
     def test_counterexample_spec(self):
         code, out = run_cli_json(["quota", "--spec", CE_SPEC, "--K", "3"])
         assert code == 0
@@ -209,12 +234,12 @@ class TestAuditCommand:
                 ]
             )
             assert code == 0
-            assert out["approx_truthful"] == is_approx_truthful(u, m)
-            assert out["approx_truthful_star"] == is_approx_truthful_star(u, m)
+            assert out["approx_truthful"] == oracle_is_approx_truthful(u, m)
+            assert out["approx_truthful_star"] == oracle_is_approx_truthful_star(u, m)
             assert out["permutation_truthful"] == is_permutation_truthful(u, m)
             assert out["lies"] == lie_count(u, m)
             assert out["min_lies"] == min_lie_count(u, quota)
-            assert out["star_bound"] == star_lie_bound(u, quota)
+            assert out["star_bound"] == oracle_star_lie_bound(u, quota)
 
     def test_one_witness_and_no_recount_per_audit(self, monkeypatch):
         # names are counted wherever a linkmech module binds them, as the
@@ -611,6 +636,20 @@ class TestBestResponseCommand:
 
 
 class TestCounterexampleCommand:
+    # sha256 of ``counterexample`` stdout on the parity grid's two runs.
+    DIGESTS = {
+        (): "e4c4d56127503e2f62ace06f3b1455142d6bdf540f4cf49b39bb0da99c68c727",
+        ("--utility", "u_cB=0.5"): "bc7c19fe3209eac95a01b46956bf235a2d0a78c6f9f3f6480e837489b3fbe733",
+    }
+
+    def test_bytes_pinned(self):
+        digests = {}
+        for flags in self.DIGESTS:
+            code, out = run_cli(["counterexample", *flags])
+            assert code == 0
+            digests[flags] = hashlib.sha256(out.encode()).hexdigest()
+        assert digests == self.DIGESTS
+
     def test_default_fixture_passes(self):
         code, out = run_cli_json(["counterexample"])
         assert code == 0

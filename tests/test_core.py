@@ -9,14 +9,22 @@ from linkmech import (
     Marginal,
     Message,
     PreferenceVector,
+    Problem,
     Quota,
+    SimConfig,
     ValidationError,
+    cli,
+    core,
     marginal,
+    run_convergence,
+    sim,
+    truthfulness,
     tv_distance,
     validate_problem,
 )
-from linkmech.core import as_fraction
-from helpers import permuted
+from linkmech.cli import bundled_spec_path
+from linkmech.core import _prior_ints, as_fraction
+from helpers import permuted, run_cli
 
 UNIFORM3 = {
     "decisions": ["a", "b", "c"],
@@ -247,3 +255,87 @@ class TestPreferenceVector:
         q = Quota(("A", "B", "C"), (1, 2, 1))
         assert Message(v, q) == Message(fresh, q)
         assert hash(Message(v, q)) == hash(Message(fresh, q))
+
+
+class TestIntegerPrior:
+    """A Problem carries its prior as ints P_t over D, parsed at most once."""
+
+    UTILITY = {"A": {"a": 1}, "B": {"a": 0}, "C": {"a": 2}}
+
+    def direct(self, prior):
+        return Problem(("a",), ("C", "A", "B"), self.UTILITY, prior)
+
+    def test_validated_memo_matches_the_parse(self):
+        # priors that sum to 1 as parsed, and near-one floats that are renormalized
+        rnd = random.Random(22)
+        for i in range(300):
+            n = rnd.randint(1, 5)
+            raw = [rnd.randint(0, 9) for _ in range(n)]
+            raw[rnd.randrange(n)] += 1
+            if i % 3:
+                prior = [str(Fraction(w, sum(raw))) for w in raw]
+            else:
+                prior = [w / sum(raw) for w in raw]
+            types = [f"t{j}" for j in rnd.sample(range(n), n)]
+            p = validate_problem({"decisions": ["d"], "types": types, "prior": prior,
+                                  "utility": {t: {"d": 0} for t in types}})
+            assert p._int_prior() == _prior_ints(p.prior)
+
+    @pytest.mark.parametrize("prior", [
+        {"A": Fraction(1, 2), "B": Fraction(1, 3), "C": Fraction(1, 6)},
+        {"A": 0.5, "B": 0.25, "C": 0.25},
+        {"A": "1/2", "B": Fraction(1, 3), "C": 1},
+        {"A": Fraction(-1, 2), "B": Fraction(1), "C": Fraction(1, 2)},
+        {"A": "x", "B": 0, "C": 1},
+        {"A": Fraction(1, 10**999), "B": Fraction(1, 10**999 - 1), "C": 0},
+    ])
+    def test_direct_problem_parses_on_first_read(self, prior):
+        try:
+            want = _prior_ints(prior)
+        except ValidationError as exc:
+            want = str(exc)
+        p = self.direct(prior)
+        assert "_int_prior_memo" not in vars(p)
+        for _ in range(2):  # a rejected prior is rejected again, a parsed one read back
+            try:
+                got = p._int_prior()
+            except ValidationError as exc:
+                got = str(exc)
+            assert got == want
+
+    def test_memo_leaves_equality_hash_and_repr_alone(self):
+        prior = {"A": Fraction(1, 2), "B": Fraction(1, 4), "C": Fraction(1, 4)}
+        p, fresh = self.direct(prior), self.direct(dict(prior))
+        assert p._int_prior() == (("A", "B", "C"), (2, 1, 1), 4)
+        assert "_int_prior_memo" in vars(p) and "_int_prior_memo" not in vars(fresh)
+        assert p == fresh and repr(p) == repr(fresh)
+        with pytest.raises(TypeError):  # the dict fields keep a Problem unhashable, memo or not
+            hash(p)
+
+    def test_one_parse_per_problem(self, monkeypatch):
+        # counted wherever a linkmech module binds the parse
+        calls = []
+
+        def counted(prior, _fn=core._prior_ints):
+            calls.append(prior)
+            return _fn(prior)
+
+        for mod in (core, truthfulness, sim, cli):
+            if hasattr(mod, "_prior_ints"):
+                monkeypatch.setattr(mod, "_prior_ints", counted)
+        spec = bundled_spec_path("binary")
+        parses = {}
+        for name, argv in (
+            ("simulate", ["simulate", "--spec", spec, "--K", "4,16,64,256", "--reps", "3", "--seed", "1"]),
+            ("quota", ["quota", "--spec", spec, "--K", "7"]),
+            ("audit", ["audit", "--spec", spec, "--truth", "A,A,B", "--report", "A,B,A"]),
+        ):
+            calls.clear()
+            assert run_cli(argv)[0] == 0
+            parses[name] = len(calls)
+        calls.clear()
+        problem = Problem(("d", "e"), ("B", "A"), {"A": {"d": 1, "e": 0}, "B": {"d": 0, "e": 1}},
+                          {"A": Fraction(2, 3), "B": Fraction(1, 3)})
+        run_convergence(SimConfig(problem=problem, k_values=(4, 16, 64), replications=3, seed=1))
+        parses["run_convergence"] = len(calls)
+        assert all(n <= 1 for n in parses.values()), parses

@@ -20,10 +20,10 @@ from linkmech import (
     SimConfig,
     SocialChoiceFunction,
     ValidationError,
+    audit,
     best_response_bruteforce,
     best_response_transport,
     compute_quota,
-    is_approx_truthful,
     lie_count,
     message_count,
     min_lie_count,
@@ -740,5 +740,5 @@ class TestApproxTruthfulBestResponseInteraction:
         f = SocialChoiceFunction.utility_argmax(p)
         u = vec("AAB")
         for m in best_response_bruteforce(u, f, p, Q3):
-            assert not is_approx_truthful(u, m)
+            assert not audit(u, m).approx_truthful
             assert lie_count(u, m) == 2 > min_lie_count(u, Q3) == 1

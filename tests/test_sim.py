@@ -117,6 +117,33 @@ class TestSimConfig:
         with pytest.raises(ValidationError, match="custom_strategy"):
             cfg_for(binary_problem, strategy="custom-permutation-truthful")
 
+    @pytest.mark.parametrize("seed, shown", [(1.5, "1.5"), ("3", "'3'"), (None, "None"), (True, "True")])
+    def test_rejects_non_integer_seed(self, binary_problem, seed, shown):
+        with pytest.raises(ValidationError) as exc:
+            cfg_for(binary_problem, seed=seed)
+        assert str(exc.value) == f"seed must be an integer, got {shown}"
+
+    def test_numpy_seed_is_stored_as_int(self, binary_problem):
+        cfg = cfg_for(binary_problem, seed=np.int64(5))
+        assert type(cfg.seed) is int
+        assert stats_to_csv(run_convergence(cfg)) == stats_to_csv(run_convergence(cfg_for(binary_problem, seed=5)))
+
+    def test_rejects_bool_replications(self, binary_problem):
+        with pytest.raises(ValidationError) as exc:
+            cfg_for(binary_problem, replications=True)
+        assert str(exc.value) == "replications must be an integer, got True"
+
+    def test_rejects_bool_k(self, binary_problem):
+        with pytest.raises(ValidationError, match="k_values must be positive integers"):
+            cfg_for(binary_problem, k_values=(True, 2))
+
+    def test_negative_and_wide_seeds_are_masked(self, binary_problem):
+        for seed in (-1, 2**64 + 7):
+            got = run_convergence(cfg_for(binary_problem, seed=seed))
+            want = run_convergence(cfg_for(binary_problem, seed=seed & sim._SEED_MASK))
+            assert [s.seed for s in got] == [seed, seed]
+            assert [dataclasses.replace(s, seed=0) for s in got] == [dataclasses.replace(s, seed=0) for s in want]
+
 
 class TestRunConvergence:
     def test_stats_shape_and_schema(self, binary_problem):

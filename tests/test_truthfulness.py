@@ -21,15 +21,12 @@ from linkmech import (
     canonical_minimal_message,
     compute_quota,
     count_minimal_lie_messages,
-    is_approx_truthful,
-    is_approx_truthful_star,
     is_permutation_truthful,
     lie_count,
     min_lie_count,
     minimal_lie_messages,
     permutation_witness,
     sample_minimal_message,
-    star_lie_bound,
     tv_distance,
     validate_problem,
 )
@@ -48,9 +45,12 @@ from helpers import (
     oracle_audit,
     oracle_compute_quota,
     oracle_count_minimal_lie_messages,
+    oracle_is_approx_truthful,
+    oracle_is_approx_truthful_star,
     oracle_iter_multiset_arrangements,
     oracle_minimal_lie_messages,
     oracle_sample_minimal_message,
+    oracle_star_lie_bound,
     permuted,
     random_quota,
     random_quota_message,
@@ -411,17 +411,17 @@ class TestApproxCheckers:
 
     def test_table_rows(self):
         u = vec("AAB")
-        assert is_approx_truthful(u, msg("ACB", self.Q3))
-        assert not is_approx_truthful(u, msg("ABC", self.Q3))
+        assert audit(u, msg("ACB", self.Q3)).approx_truthful
+        assert not audit(u, msg("ABC", self.Q3)).approx_truthful
 
     def test_truthful_report_always_minimal(self):
         u = vec("ABC")
-        assert is_approx_truthful(u, msg("ABC", self.Q3))
+        assert audit(u, msg("ABC", self.Q3)).approx_truthful
 
     def test_relaxed_bound_admits_two_lies_here(self):
-        u = vec("AAB")
-        assert star_lie_bound(u, self.Q3) == 2
-        assert is_approx_truthful_star(u, msg("ABC", self.Q3))
+        a = audit(vec("AAB"), msg("ABC", self.Q3))
+        assert a.star_bound == 2
+        assert a.approx_truthful_star
 
     def test_exact_implies_relaxed(self):
         rnd = random.Random(31)
@@ -432,18 +432,18 @@ class TestApproxCheckers:
             u = random_vector(rnd, types, K)
             q = random_quota(rnd, types, K)
             for m in minimal_lie_messages(u, q):
-                assert is_approx_truthful(u, m) and is_approx_truthful_star(u, m)
+                a = audit(u, m)
+                assert a.approx_truthful and a.approx_truthful_star
 
     def test_binary_three_lies_exceed_bound(self):
         q = Quota(("A", "B"), (1, 2))
         u = PreferenceVector(("A", "A", "B"), ("A", "B"))
-        assert star_lie_bound(u, q) == 1
-        bad = Message(PreferenceVector(("B", "B", "A"), ("A", "B")), q)
-        assert lie_count(u, bad) == 3
-        assert not is_approx_truthful_star(u, bad)
-        ok = Message(PreferenceVector(("B", "A", "B"), ("A", "B")), q)
-        assert lie_count(u, ok) == 1
-        assert is_approx_truthful_star(u, ok) and is_approx_truthful(u, ok)
+        bad = audit(u, Message(PreferenceVector(("B", "B", "A"), ("A", "B")), q))
+        assert (bad.star_bound, bad.lies) == (1, 3)
+        assert not bad.approx_truthful_star
+        ok = audit(u, Message(PreferenceVector(("B", "A", "B"), ("A", "B")), q))
+        assert ok.lies == 1
+        assert ok.approx_truthful_star and ok.approx_truthful
 
     def test_definitions_coincide_on_binary_universes_exhaustively(self):
         types = ("A", "B")
@@ -457,12 +457,12 @@ class TestApproxCheckers:
                 for entries in itertools.product(types, repeat=K):
                     u = PreferenceVector(entries, types)
                     for m in feasible:
-                        assert is_approx_truthful(u, m) == is_approx_truthful_star(u, m)
+                        a = audit(u, m)
+                        assert a.approx_truthful == a.approx_truthful_star
 
     def test_strictly_weaker_beyond_binary(self):
-        u = vec("AAB")
-        m = msg("ABC", self.Q3)
-        assert is_approx_truthful_star(u, m) and not is_approx_truthful(u, m)
+        a = audit(vec("AAB"), msg("ABC", self.Q3))
+        assert a.approx_truthful_star and not a.approx_truthful
 
 
 class TestPermutationCheckers:
@@ -543,10 +543,10 @@ class TestAudit:
     def test_checkers_are_views_of_the_record(self):
         u, m = vec("AAB"), msg("BCA", self.Q3)
         a = audit(u, m)
-        assert a.approx_truthful == is_approx_truthful(u, m)
-        assert a.approx_truthful_star == is_approx_truthful_star(u, m)
+        assert a.approx_truthful == oracle_is_approx_truthful(u, m)
+        assert a.approx_truthful_star == oracle_is_approx_truthful_star(u, m)
         assert a.permutation_truthful == is_permutation_truthful(u, m) is False
-        assert a.star_bound == star_lie_bound(u, m.quota)
+        assert a.star_bound == oracle_star_lie_bound(u, m.quota)
         assert a.witness == permutation_witness(u, m)
 
     def test_matches_frozen_checkers(self):
