@@ -189,17 +189,13 @@ def validate_problem(spec: Mapping) -> Problem:
             f"prior: has {len(raw_prior)} entries for {len(types)} types"
         )
     weights = {}
-    denom = 1  # bounded as it grows, so neither it nor the sum below can blow up
     for t, raw in zip(types, raw_prior):
         w = as_fraction(raw, field=f"prior[{t}]")
         if w < 0:
             raise ValidationError(f"prior[{t}]: negative weight {_cut(str(w))}")
-        denom = math.lcm(denom, w.denominator)
-        if denom >= _RATIONAL_BOUND:
-            raise ValidationError(f"prior: common denominator has more than {MAX_RATIONAL_DIGITS} digits")
         weights[t] = w
-    nums = tuple(weights[t].numerator * (denom // weights[t].denominator) for t in sorted(types))
-    total = Fraction(sum(nums), denom)
+    ints = _prior_ints(weights)  # bounds the common denominator, so the sum below cannot blow up
+    total = Fraction(sum(ints[1]), ints[2])
     if total != 1:
         # Fixed-precision specs may miss 1 by rounding; renormalize exactly
         # when the drift is negligible, reject otherwise.
@@ -237,8 +233,8 @@ def validate_problem(spec: Mapping) -> Problem:
                 raise ValidationError(f"utility[{t}][{d}]: more than {MAX_RATIONAL_DIGITS} digits")
             utility[t][d] = val
     problem = Problem(decisions=decisions, types=types, utility=utility, prior=weights)
-    if total == 1:  # the weights as parsed: denom is their common denominator
-        problem.__dict__["_int_prior_memo"] = (tuple(sorted(types)), nums, denom)
+    if total == 1:  # renormalized weights are parsed on first read instead
+        problem.__dict__["_int_prior_memo"] = ints
     return problem
 
 

@@ -266,7 +266,8 @@ class TestIntegerPrior:
         return Problem(("a",), ("C", "A", "B"), self.UTILITY, prior)
 
     def test_validated_memo_matches_the_parse(self):
-        # priors that sum to 1 as parsed, and near-one floats that are renormalized
+        # priors that sum to 1 as parsed, and near-one floats whose renormalized
+        # weights must not be paired with the ints parsed before renormalizing
         rnd = random.Random(22)
         for i in range(300):
             n = rnd.randint(1, 5)
