@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterator, Mapping, Optional, Union
 
 from .core import (
@@ -29,7 +30,6 @@ from .truthfulness import (
     _check_shapes,
     _report_entries,
     _rewritten,
-    _scan,
     audit,
     compute_quota,
     iter_multiset_arrangements,
@@ -123,11 +123,17 @@ def _pair_table(f: SocialChoiceFunction, p: Problem, types: tuple[str, ...]):
 
 def payoff(u: PreferenceVector, m: Union[Message, PreferenceVector], f: SocialChoiceFunction, p: Problem):
     """Total payoff: the exact sum of the slots' (true, reported) pair values, rounded
-    once, to a float if a used pair's ``f.expected_utility`` is a float, else a Fraction."""
+    once, to a float if a used pair's ``f.expected_utility`` is a float, else a Fraction.
+    A float payoff beyond the float range is a ``payoff:`` ValidationError."""
     scaled, floats, denom, _ = _pair_table(f, p, u.types)
     pairs = Counter(zip(u.entries, _report_entries(u, m)))
     exact = Fraction(sum(c * scaled[pair] for pair, c in pairs.items()), denom)
-    return float(exact) if floats.intersection(pairs) else exact
+    if not floats.intersection(pairs):
+        return exact
+    try:
+        return float(exact)
+    except OverflowError:
+        raise ValidationError("payoff: the exact sum is beyond the float range") from None
 
 
 def message_count(q: Quota) -> int:
@@ -198,9 +204,12 @@ class _MinCostFlow:
 
     Topology and costs are fixed at build time; ``run`` works on a caller's
     residual capacities, one per edge, and keeps each augmenting path under
-    (s, t, which edges have capacity left), all that the search reads.
-    Exact weights leave no negative cycle in the residual graph; the checks
-    in ``run`` fail loudly anyway if an invariant breaks.
+    (s, t, live), where the int ``live`` has bit e set while edge e has
+    capacity left: all that the search reads.  ``run`` builds ``live`` once
+    per solve and flips only the bits that an augmentation moves, on the
+    path's edges and their reverses.  Exact weights leave no negative cycle
+    in the residual graph; the checks in ``run`` fail loudly anyway if an
+    invariant breaks.
     """
 
     def __init__(self, n_nodes: int):
@@ -209,17 +218,17 @@ class _MinCostFlow:
         self.to: list[int] = []
         self.cap: list[int] = []
         self.cost: list[int] = []
-        self.paths: dict[tuple[int, int, bytes], list[int]] = {}
+        self.bit: list[int] = []  # edge e's bit, 1 << e, in the live-edge mask
+        self.paths: dict[tuple[int, int, int], list[int]] = {}
 
     def add_edge(self, a: int, b: int, cap: int, cost: int) -> None:
-        self.head[a].append(len(self.to))
-        self.to.append(b)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.head[b].append(len(self.to))
-        self.to.append(a)
-        self.cap.append(0)
-        self.cost.append(-cost)
+        e = len(self.to)
+        self.head[a].append(e)
+        self.head[b].append(e + 1)
+        self.to += (b, a)
+        self.cap += (cap, 0)
+        self.cost += (cost, -cost)
+        self.bit += (1 << e, 2 << e)
 
     def _shortest_path(self, s: int, t: int, cap: list[int]):
         """Bellman-Ford passes in vertex order over edges with capacity left."""
@@ -248,9 +257,11 @@ class _MinCostFlow:
 
     def run(self, s: int, t: int, amount: int, cap: list[int]) -> None:
         """Send ``amount`` units from s to t, updating ``cap`` in place."""
+        bit = self.bit
+        live = sum(compress(bit, cap))  # bit e set while edge e has capacity left
         sent = 0
         while sent < amount:
-            key = (s, t, bytes(map(bool, cap)))
+            key = (s, t, live)
             path = self.paths.get(key)
             if path is None:
                 d, prev_edge = self._shortest_path(s, t, cap)
@@ -267,11 +278,15 @@ class _MinCostFlow:
                 if len(self.paths) == _PATH_MEMO_CAP:
                     self.paths.clear()
                 self.paths[key] = path
-            bottleneck = min(amount - sent, *(cap[eid] for eid in path))
+            bottleneck = min(amount - sent, *map(cap.__getitem__, path))
             if bottleneck < 1:
                 raise RuntimeError("internal: augmenting path has no capacity left")
-            for eid in path:
+            for eid in path:  # a simple path never holds both an edge and its reverse
                 cap[eid] -= bottleneck
+                if not cap[eid]:
+                    live ^= bit[eid]
+                if not cap[eid ^ 1]:
+                    live ^= bit[eid ^ 1]
                 cap[eid ^ 1] += bottleneck
             sent += bottleneck
 
@@ -300,9 +315,12 @@ def best_response_transport(
     Per call: the truth's memoized counts, fresh capacities (a pair edge gets
     min(supply, demand), so one at zero is never relaxed and its reverse edge
     never gains capacity), the solve on the network's path memo, the plan's
-    sums against the counts, and the lying rows' realization (the truth is
-    reversed only for a row that writes higher labels) with an O(lies) quota
-    check.  The message's payoff is ``payoff(u, result.message, f, p)``.
+    row and column sums against the counts and the quota, and the lying
+    rows' realization with an O(lies) quota check.  A lying row's slots are
+    found by ``tuple.index`` hops, one per lie: forward for the lower labels,
+    and on the reversed truth, built once and only if some row writes a
+    higher label, for the higher ones.  The message's payoff is
+    ``payoff(u, result.message, f, p)``.
     """
     _check_shapes(u, q)
     counts = u._type_counts()
@@ -319,21 +337,29 @@ def best_response_transport(
 
     shipped = cap[4 * n + 1::2]  # reverse capacity == shipped units
     flows = [shipped[i * n:(i + 1) * n] for i in range(n)]
-    if [sum(row) for row in flows] != supply or [sum(col) for col in zip(*flows)] != demand:
+    if list(map(sum, flows)) != supply or [sum(shipped[j::n]) for j in range(n)] != demand:
         raise RuntimeError("internal: transport plan misses the slot counts or the quota")
-    plan = TransportPlan(types, tuple(tuple(row) for row in flows))
+    plan = TransportPlan(types, tuple(map(tuple, flows)))
 
-    ue, rev = u.entries, ()
+    ue, rev, last = u.entries, (), u.K - 1
     writes = []
+    write = writes.append
     for i, t in enumerate(types):
-        if flows[i][i] == supply[i]:
+        row = flows[i]
+        if row[i] == supply[i]:
             continue
-        lower = [r for j, r in enumerate(types[:i]) for _ in range(flows[i][j])]
-        higher = [r for j, r in enumerate(types[i + 1:], i + 1) for _ in range(flows[i][j])]
-        writes += ((k, r) for r, k in zip(lower, _scan(ue, t)))
-        if higher:
-            rev = rev or ue[::-1]
-            writes += ((len(ue) - 1 - k, r) for r, k in zip(reversed(higher), _scan(rev, t)))
+        k = -1  # the lower labels, in canonical order, on the row's first slots
+        for j in range(i):
+            for _ in range(row[j]):
+                k = ue.index(t, k + 1)
+                write((k, types[j]))
+        k = -1  # the higher labels, highest first, on its last slots
+        for j in range(n - 1, i, -1):
+            if row[j]:
+                rev = rev or ue[::-1]
+                for _ in range(row[j]):
+                    k = rev.index(t, k + 1)
+                    write((last - k, types[j]))
     return TransportResult(plan=plan, message=_rewritten(u, q, counts, writes))
 
 

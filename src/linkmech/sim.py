@@ -202,6 +202,17 @@ class SimConfig:
             )
         if self.strategy == "custom-permutation-truthful" and not callable(self.custom_strategy):
             raise ValidationError("custom-permutation-truthful requires a custom_strategy callable")
+        if self.scf is not None:
+            if not isinstance(self.scf, SocialChoiceFunction):
+                raise ValidationError(f"scf must be a SocialChoiceFunction, got {_brief(self.scf)}")
+            types = sorted(self.problem.types)
+            missing = [t for t in types if t not in self.scf.lotteries]
+            if missing:
+                raise ValidationError(f"scf: no lottery for types {_cut(str(missing))}")
+            for t in types:
+                unknown = [d for d in self.scf.lottery(t) if d not in self.problem.decisions]
+                if unknown:
+                    raise ValidationError(f"scf: lottery[{t}] names unknown decisions {_cut(str(unknown))}")
 
 
 @dataclass(frozen=True)

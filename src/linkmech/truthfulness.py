@@ -304,7 +304,8 @@ class PermutationWitness:
 def _check_witness(uc: np.ndarray, rc: np.ndarray, n: int, slots: np.ndarray, images: np.ndarray) -> None:
     """Re-check a witness: 1-based ``slots`` in increasing order and their ``images`` under pi."""
     K = len(uc)
-    if np.any(np.diff(slots, prepend=0, append=K + 1) <= 0) or not np.array_equal(np.sort(images), slots):
+    in_range = not len(slots) or 1 <= slots[0] and slots[-1] <= K
+    if not in_range or (slots[1:] <= slots[:-1]).any() or not np.array_equal(np.sort(images), slots):
         raise RuntimeError("internal: witness mapping is not a bijection on S")
     if np.any(rc[slots - 1] != uc[images - 1]):
         raise RuntimeError("internal: witness pairing does not map reports to truths")
@@ -450,7 +451,9 @@ def permutation_witness(
     starts = np.ones(len(arc), dtype=bool)
     starts[1:] = arc[order[1:]] != arc[order[:-1]]
     first = np.flatnonzero(starts)  # where each arc's run begins in ``order``
-    c = np.diff(first, append=len(arc))
+    c = np.full_like(first, len(arc))  # each arc's run length: the next run's start (or the end) minus its own
+    c[:-1] = first[1:]
+    c -= first
     tails, heads = np.divmod(arc[order[first]], max(m, 1))
     left = np.bincount(lu, minlength=m) - np.bincount(lr, minlength=m)
     x = c - _min_routing(m, tails.tolist(), heads.tolist(), c.tolist(), left.tolist())

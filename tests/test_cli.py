@@ -505,6 +505,30 @@ class TestInternalFailures:
 
 
 class TestBestResponseCommand:
+    # sha256 of ``best-response`` stdout on the parity grid's seven best-response runs.
+    CYCLE_TRUTH = "t1,t1,t2,t2,t2,t2,t2,t1,t2,t1"
+    DIGESTS = {
+        ("counterexample", "A,A,B", "transport"): "c005e347e78580fc3e662ebbd1d12de43acbb0797b92b3bca8555f7bc28dfb6d",
+        ("counterexample", "A,A,B", "bruteforce"): "c1498351769824454667135afab498e27636bc7932dbc51df94651ab3096ad69",
+        ("cycle", CYCLE_TRUTH, "transport"): "b1c67850c73c88da8aab780cca22d80455e949b9d9fa0145ebb6fdea6259780d",
+        ("cycle", CYCLE_TRUTH, "bruteforce"): "44ba504cd7bd8a507f15d0d9d66f4c0f94154b60caf73814dae3f1e27a7559e8",
+        ("counterexample", "C,C,A,B,A,C,B,B", "bruteforce"):
+            "28b16d2c8d0c9141d8cffae72ffec3b85f38907eb176771659a083d96b2c2dff",
+        ("counterexample", "B,B,B,B", "bruteforce"): "4d72cc1f2ca6cece9deea24993a03aa442b7cdd5a469d6b623746a74f68cdfdb",
+        ("binary", "A,A,A,B,A,B", "bruteforce"): "a4a45963d6f04df105cfa556b7fe6ac28eba8e32769e39ce3400db87ee59699d",
+    }
+
+    def test_bytes_pinned(self):
+        specs = {name: bundled_spec_path(name) for name in ("counterexample", "binary")}
+        specs["cycle"] = str(Path(__file__).parent / "data" / "transport_cycle.json")
+        digests = {}
+        for name, truth, method in self.DIGESTS:
+            argv = ["best-response", "--spec", specs[name], "--truth", truth, "--method", method]
+            code, out, err = run_cli_captured(argv)
+            assert code == 0 and err == ""
+            digests[name, truth, method] = hashlib.sha256(out.encode()).hexdigest()
+        assert digests == self.DIGESTS
+
     def test_bruteforce_lists_tied_pair(self):
         code, out = run_cli_json(
             ["best-response", "--spec", CE_SPEC, "--truth", "A,A,B", "--method", "bruteforce"]
@@ -577,6 +601,17 @@ class TestBestResponseCommand:
             ["simulate", "--spec", str(spec), "--K", "3", "--reps", "2", "--strategy", "best-response"],
         ):
             assert_clean_failure(argv, capsys, "utility[B][c]: not finite")
+
+    def test_payoff_beyond_float_range_rejected(self, tmp_path, capsys):
+        # an int utility just under the 1000-digit bound, summed with a float pair
+        with open(CE_SPEC, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["utility"]["A"]["a"] = 10**999
+        spec = tmp_path / "huge.json"
+        spec.write_text(json.dumps(raw), encoding="utf-8")
+        for method in ("transport", "bruteforce"):
+            assert_clean_failure(["best-response", "--spec", str(spec), "--truth", "A,A,B", "--method", method],
+                                 capsys, "payoff: the exact sum is beyond the float range")
 
     def test_bruteforce_beyond_recursion_depth(self, tmp_path):
         # 1,200 messages, well under the cap, each 1,200 slots long

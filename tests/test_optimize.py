@@ -349,6 +349,30 @@ class TestIntegerTransport:
             assert got.message.entries == want.message.entries
             assert payoff(u, got.message, f, p) == want.payoff
 
+    def test_matches_frozen_oracle_at_scale(self):
+        # 2-8 types and K up to 2,000, on truths that miss some types and
+        # quotas with zero counts, so some rows lie to labels on both sides
+        rnd = random.Random(2000)
+        seen = Counter()
+        for _ in range(400):
+            n = rnd.randint(2, 8)
+            K = rnd.choice((rnd.randint(1, 60), rnd.randint(60, 2_000)))
+            p, f, _, _ = random_oracle_case(rnd, None, n, K)
+            types = tuple(f"t{i}" for i in range(n))
+            u = vec(rnd.choices(rnd.sample(types, rnd.randint(1, n)), k=K), types)
+            owed = rnd.sample(types, rnd.randint(1, n))  # every other type gets a zero quota
+            cuts = sorted(rnd.randint(0, K) for _ in owed[1:])
+            quota = dict(zip(owed, (b - a for a, b in zip([0, *cuts], [*cuts, K]))))
+            q = Quota(types, tuple(quota.get(t, 0) for t in types))
+            assert_matches_oracle(u, f, p, q)
+            flows = best_response_transport(u, f, p, q).plan.flows
+            counts = u.counts()
+            seen["absent type"] += len(counts) < n
+            seen["zero quota"] += 0 in q.counts
+            seen["both sides"] += any(any(row[:i]) and any(row[i + 1:]) for i, row in enumerate(flows))
+            seen["K > 1,000"] += K > 1_000
+        assert min(seen[k] for k in ("absent type", "zero quota", "both sides", "K > 1,000")) >= 20, seen
+
     def test_rounded_float_utilities_reach_exact_optimum(self):
         rnd = random.Random(6151)
         for _ in range(5_000):
@@ -536,6 +560,35 @@ class TestPathMemo:
             sizes.append(len(net.paths))
         assert _pair_table(f, p, types)[3] is net
         assert max(sizes) <= 8 and any(a > b for a, b in zip(sizes, sizes[1:]))  # emptied when full
+
+    def test_bench_sized_counts_pinned(self, monkeypatch, counterexample_problem):
+        # memo lookups (one per augmentation) and path searches per simulate
+        # run at K 16,64,256: a memo key that merged or split residual
+        # patterns would move them
+        nets, searches = [], []
+        real_init, real_search = _MinCostFlow.__init__, _MinCostFlow._shortest_path
+
+        def counted_init(self, n_nodes):
+            real_init(self, n_nodes)
+            self.paths = CountingPaths()
+            nets.append(self)
+
+        def counted_search(self, s, t, cap):
+            searches.append(s)
+            return real_search(self, s, t, cap)
+
+        monkeypatch.setattr(_MinCostFlow, "__init__", counted_init)
+        monkeypatch.setattr(_MinCostFlow, "_shortest_path", counted_search)
+        counts = {}
+        for seed in (1, 2, 3):
+            nets.clear()
+            searches.clear()
+            cfg = SimConfig(problem=counterexample_problem, k_values=(16, 64, 256), replications=25, seed=seed,
+                            strategy="best-response")
+            run_convergence(cfg)
+            assert len(nets) == 1
+            counts[seed] = (nets[0].paths.lookups, len(searches))
+        assert counts == {1: (355, 30), 2: (347, 31), 3: (350, 30)}
 
 
 def assert_matches_oracle(u, f, p, q):

@@ -137,6 +137,24 @@ class TestSimConfig:
         with pytest.raises(ValidationError, match="k_values must be positive integers"):
             cfg_for(binary_problem, k_values=(True, 2))
 
+    @pytest.mark.parametrize("scf, message", [
+        ("x", "scf must be a SocialChoiceFunction, got 'x'"),
+        ({"A": {"a": 1}}, "scf must be a SocialChoiceFunction, got a dict"),
+        (SocialChoiceFunction.point_mass({"A": "a", "B": "b"}), "scf: no lottery for types ['C']"),
+        (SocialChoiceFunction.point_mass({"A": "a", "B": "b", "C": "zz"}),
+         "scf: lottery[C] names unknown decisions ['zz']"),
+    ])
+    def test_rejects_bad_scf(self, counterexample_problem, scf, message):
+        with pytest.raises(ValidationError) as exc:
+            cfg_for(counterexample_problem, strategy="best-response", scf=scf)
+        assert str(exc.value) == message
+
+    def test_accepts_scf_covering_the_problem(self, counterexample_problem):
+        scf = SocialChoiceFunction.point_mass({"A": "a", "B": "b", "C": "c", "D": "d"})  # an extra type is unused
+        want = cfg_for(counterexample_problem, strategy="best-response")
+        got = cfg_for(counterexample_problem, strategy="best-response", scf=scf)
+        assert stats_to_csv(run_convergence(got)) == stats_to_csv(run_convergence(want))
+
     def test_negative_and_wide_seeds_are_masked(self, binary_problem):
         for seed in (-1, 2**64 + 7):
             got = run_convergence(cfg_for(binary_problem, seed=seed))
