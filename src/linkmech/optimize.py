@@ -121,14 +121,22 @@ def _pair_table(f: SocialChoiceFunction, p: Problem, types: tuple[str, ...]):
     return _cached[3]
 
 
+def _pair_sum(u: PreferenceVector, m: Union[Message, PreferenceVector], f: SocialChoiceFunction, p: Problem):
+    """The slots' (true, reported) pair values summed exactly, as an int over
+    ``_pair_table``'s denominator, and whether a used pair's ``f.expected_utility``
+    is a float."""
+    scaled, floats, _, _ = _pair_table(f, p, u.types)
+    pairs = Counter(zip(u.entries, _report_entries(u, m)))
+    return sum(c * scaled[pair] for pair, c in pairs.items()), not floats.isdisjoint(pairs)
+
+
 def payoff(u: PreferenceVector, m: Union[Message, PreferenceVector], f: SocialChoiceFunction, p: Problem):
     """Total payoff: the exact sum of the slots' (true, reported) pair values, rounded
     once, to a float if a used pair's ``f.expected_utility`` is a float, else a Fraction.
     A float payoff beyond the float range is a ``payoff:`` ValidationError."""
-    scaled, floats, denom, _ = _pair_table(f, p, u.types)
-    pairs = Counter(zip(u.entries, _report_entries(u, m)))
-    exact = Fraction(sum(c * scaled[pair] for pair, c in pairs.items()), denom)
-    if not floats.intersection(pairs):
+    total, rounded = _pair_sum(u, m, f, p)
+    exact = Fraction(total, _pair_table(f, p, u.types)[2])
+    if not rounded:
         return exact
     try:
         return float(exact)
@@ -451,13 +459,16 @@ def verify_counterexample(
         f"min_lies={min_lies}, minimal set={sorted(m.entries for m in minimal)}",
     )
 
+    # verdicts compare exact sums; the report prints the payoffs as rounded
     best_pay = payoff(u, best[0], f, problem)
     minimal_pay = {m.entries: payoff(u, m, f, problem) for m in sorted(minimal, key=lambda m: m.entries)}
+    best_sum = _pair_sum(u, best[0], f, problem)[0]
+    worse = all(_pair_sum(u, m, f, problem)[0] < best_sum for m in minimal)
     gain = (
-        problem.utility[t1][peaks[t2]]
-        + problem.utility[t2][peaks[t3]]
-        - problem.utility[t1][peaks[t3]]
-        - problem.utility[t2][peaks[t2]]
+        Fraction(problem.utility[t1][peaks[t2]])
+        + Fraction(problem.utility[t2][peaks[t3]])
+        - Fraction(problem.utility[t1][peaks[t3]])
+        - Fraction(problem.utility[t2][peaks[t2]])
     )
     deviation_preferred = gain > 0
 
@@ -467,8 +478,7 @@ def verify_counterexample(
         expected_best = {(t1, t2, t3), (t2, t1, t3)}
         record(
             "two_lie_deviation_optimal",
-            {m.entries for m in best} == expected_best
-            and all(best_pay > v for v in minimal_pay.values()),
+            {m.entries for m in best} == expected_best and worse,
             f"best={sorted(m.entries for m in best)} at {best_pay}, "
             f"minimal payoffs={ {','.join(k): v for k, v in minimal_pay.items()} }",
         )
@@ -490,7 +500,7 @@ def verify_counterexample(
         )
         record(
             "minimal_messages_strictly_worse",
-            all(v < best_pay for v in minimal_pay.values()),
+            worse,
             f"{dict((','.join(k), v) for k, v in minimal_pay.items())} < {best_pay}",
         )
     else:

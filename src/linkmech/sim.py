@@ -54,6 +54,8 @@ _SEED_MASK = (1 << 64) - 1
 
 # Largest K a simulation accepts: each episode holds O(K) arrays and lists.
 MAX_K = 10**7
+# Most replications per K a simulation accepts: each runs one episode per K.
+MAX_REPS = 10**9
 
 StrategyFn = Callable[[PreferenceVector, Quota, np.random.Generator], Message]
 
@@ -193,6 +195,8 @@ class SimConfig:
             raise ValidationError(f"replications must be an integer, got {self.replications}")
         if not isinstance(self.replications, int) or self.replications < 1:
             raise ValidationError("replications must be at least 1")
+        if self.replications > MAX_REPS:
+            raise EnumerationCapError(f"replications={_cut(str(self.replications))} exceeds the simulation cap {MAX_REPS}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ValidationError(f"seed must be an integer, got {_brief(self.seed)}")
         object.__setattr__(self, "seed", int(self.seed))  # a numpy integer would overflow the 64-bit mask

@@ -15,7 +15,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -234,20 +233,30 @@ def sample_minimal_message(u: PreferenceVector, q: Quota, rng) -> Message:
     Independently keeps a uniform budget-sized subset of each over-supplied
     type's slots and scatters the deficit multiset uniformly over the freed
     slots.  ``rng`` is a ``numpy.random.Generator``; a fixed generator state
-    yields a fixed message.  Each over-supplied type's slots come from one
-    pass over the truth, and ``_rewritten`` overwrites only the freed slots.
+    yields a fixed message.
+
+    In canonical type order, each over-supplied type draws the positions it
+    keeps among its slots, ``rng.choice(count, size=budget, replace=False)``;
+    its slots come from the truth's int type codes.  Then
+    ``rng.permutation(len(owed))`` deals the owed deficit labels to the
+    freed slots in slot order, but only when those labels are not all one
+    label: every arrangement of one label gives the same message, so the
+    generator skips that draw.  ``_rewritten`` overwrites only the freed slots.
     """
     counts, owed = _shortfall(u, q)
-    ue = u.entries
-    free: list[int] = []
-    for t, b in zip(q.types, q.counts):
+    codes = u._codes()
+    parts = []
+    for i, (t, b) in enumerate(zip(q.types, q.counts)):
         if counts[t] > b:
             freed = np.ones(counts[t], dtype=bool)
             freed[rng.choice(counts[t], size=b, replace=False)] = False
-            slots = itertools.compress(range(len(ue)), map(operator.eq, ue, itertools.repeat(t)))
-            free.extend(itertools.compress(slots, freed.tolist()))
-    free.sort()
-    return _rewritten(u, q, counts, zip(free, map(owed.__getitem__, rng.permutation(len(owed)).tolist())))
+            parts.append((codes == i).nonzero()[0][freed])
+    free = np.concatenate(parts).tolist() if parts else []
+    if len(parts) > 1:
+        free.sort()
+    if owed and owed[0] != owed[-1]:  # ``owed`` is in label order: two labels or more
+        owed = list(map(owed.__getitem__, rng.permutation(len(owed)).tolist()))
+    return _rewritten(u, q, counts, zip(free, owed))
 
 
 def _is_acyclic(arcs: set[tuple[str, str]]) -> bool:

@@ -700,6 +700,15 @@ class TestCounterexampleCommand:
         assert out["deviation_strictly_preferred"] is False
         assert any(c["name"] == "no_deviation_incentive" and c["passed"] for c in out["checks"])
 
+    def test_huge_utility_judged_exactly(self):
+        # every payoff prints as 1e+308, yet the exact gain
+        # u(b|A) + u(c|B) - u(c|A) - u(b|B) is 0.5 > 0
+        code, out = run_cli_json(["counterexample", "--utility", "u_aA=1e308"])
+        assert code == 0
+        assert out["passed"] is True and all(c["passed"] for c in out["checks"])
+        assert out["deviation_strictly_preferred"] is True
+        assert out["best_payoff"] == 1e308 and set(out["minimal_payoffs"].values()) == {1e308}
+
     def test_non_finite_override_rejected(self, capsys):
         for value in ("nan", "inf", "-inf"):
             argv = ["counterexample", "--utility", f"u_aA={value}"]
@@ -955,12 +964,21 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_reps_above_cap_exits_3(self, capsys):
+        capsys.readouterr()
+        code = run_cli(["simulate", "--spec", BIN_SPEC, "--K", "4", "--reps", "99999999999999999999"])[0]
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: replications=99999999999999999999 exceeds the simulation cap {sim.MAX_REPS}\n"
+        )
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_exit_code_fuzz(self, data):
         # empty, zero, negative, non-increasing, junk and over-cap K lists,
-        # junk reps, strategies and seeds, and junk LINKED_SEED values end in
-        # exit 0, 1 or 3 with at most one line, never a traceback.  Each
+        # junk and over-cap reps, junk strategies and seeds, and junk
+        # LINKED_SEED values end in exit 0, 1 or 3 with at most one line,
+        # never a traceback.  Each
         # example breaks at most two inputs, and one that breaks none must
         # succeed; the runs that succeed stay at K <= 64 and reps <= 5.
         junk = set(data.draw(st.lists(st.sampled_from(["K", "reps", "strategy", "seed", "env"]), max_size=2)))
@@ -970,7 +988,8 @@ class TestSimulateCommand:
                 [], [0, *k_values], [-k_values[0]], [*k_values, k_values[-1]], k_values[::-1] + [0],
                 [*k_values, "x"], ["", *k_values], [*k_values, sim.MAX_K + 1], [*k_values, 10**15],
             ]))
-        reps = data.draw(st.sampled_from(["0", "x", "-1", ""] if "reps" in junk else ["1", "2", "5"]))
+        reps = data.draw(st.sampled_from(["0", "x", "-1", "", "1000000001", "99999999999999999999"] if "reps" in junk
+                                         else ["1", "2", "5"]))
         argv = ["simulate", "--spec", data.draw(st.sampled_from([CE_SPEC, BIN_SPEC])),
                 "--K", ",".join(map(str, k_values)), "--reps", reps,
                 "--format", data.draw(st.sampled_from(["csv", "json"]))]

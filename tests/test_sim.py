@@ -113,6 +113,13 @@ class TestSimConfig:
             cfg_for(binary_problem, k_values=(4, sim.MAX_K + 1))
         assert cfg_for(binary_problem, k_values=(4, sim.MAX_K)).k_values[-1] == sim.MAX_K
 
+    def test_rejects_reps_above_cap(self, binary_problem):
+        for reps in (sim.MAX_REPS + 1, 10**20):
+            with pytest.raises(EnumerationCapError) as exc:
+                cfg_for(binary_problem, replications=reps)
+            assert str(exc.value) == f"replications={reps} exceeds the simulation cap {sim.MAX_REPS}"
+        assert cfg_for(binary_problem, replications=sim.MAX_REPS).replications == sim.MAX_REPS
+
     def test_custom_requires_callable(self, binary_problem):
         with pytest.raises(ValidationError, match="custom_strategy"):
             cfg_for(binary_problem, strategy="custom-permutation-truthful")

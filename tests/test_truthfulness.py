@@ -381,6 +381,62 @@ class TestCanonicalAndSampler:
             assert got == oracle_sample_minimal_message(u, q, np.random.default_rng(seed))
         assert several >= 60
 
+    @staticmethod
+    def sampler_case(rnd, K):
+        """A truth, a quota and a seed: types t0.., some absent from the truth and
+        some with zero budget.  Every other truth comes from ``sample_type_vector``
+        (codes memo filled), the rest from ``PreferenceVector(...)`` (codes built
+        on first use)."""
+        types = tuple(f"t{j}" for j in range(rnd.randint(1, 6)))
+        weights = [rnd.choice((0, 1, 1, 2, 5)) for _ in types]
+        weights[rnd.randrange(len(types))] += 1
+        if rnd.random() < 0.5:
+            prior = {t: Fraction(w, sum(weights)) for t, w in zip(types, weights)}
+            u = sample_type_vector(prior, K, np.random.default_rng(rnd.randrange(2**32)))
+        else:
+            u = PreferenceVector(tuple(rnd.choices(types, weights, k=K)), types)
+        budgets = Counter(rnd.choices(types, [rnd.choice((0, 1, 3)) + (t == types[-1]) for t in types], k=K))
+        return u, Quota(types, tuple(budgets[t] for t in types)), rnd.randrange(2**32)
+
+    def test_sampler_generator_use_pinned(self):
+        # the sampler's draws are one ``choice`` per over-supplied type, in type
+        # order, then ``permutation(len(owed))`` only when two or more distinct
+        # labels are owed: one label repeated needs no arrangement
+        rnd = random.Random(7311)
+        seen = Counter()
+        for _ in range(1_500):
+            u, q, seed = self.sampler_case(rnd, rnd.randint(1, 300))
+            counts = u.counts()
+            owed = [b - counts[t] for t, b in zip(q.types, q.counts) if b > counts[t]]
+            rng = np.random.default_rng(seed)
+            sample_minimal_message(u, q, rng)
+            twin = np.random.default_rng(seed)
+            for t, b in zip(q.types, q.counts):
+                if counts[t] > b:
+                    twin.choice(counts[t], size=b, replace=False)
+            if len(owed) > 1:
+                twin.permutation(sum(owed))
+            assert rng.bit_generator.state == twin.bit_generator.state
+            # a permutation of 0 or 1 labels draws nothing, so only the last two cases tell
+            seen["one slot owed at most" if sum(owed) < 2 else "one label" if len(owed) == 1 else "two labels"] += 1
+        assert min(seen.values()) >= 200 and len(seen) == 3
+
+    def test_sampler_matches_frozen_oracle_up_to_k_4096(self):
+        # zero-budget over-supplied types, one over-supplied type and several
+        # at once, at K from 1 to 4,096, from both kinds of truth
+        rnd = random.Random(9023)
+        seen = Counter()
+        for i in range(400):
+            u, q, seed = self.sampler_case(rnd, rnd.randint(1, 4096) if i % 2 else rnd.randint(1, 64))
+            counts = u.counts()
+            over = [b for t, b in zip(q.types, q.counts) if counts[t] > b]
+            seen[f"{min(len(over), 2)} over-supplied"] += 1
+            seen["zero budget"] += 0 in over
+            seen["memo filled"] += "_codes_memo" in u.__dict__
+            got = sample_minimal_message(u, q, np.random.default_rng(seed))
+            assert got == oracle_sample_minimal_message(u, q, np.random.default_rng(seed))
+        assert min(seen.values()) >= 40 and len(seen) == 5
+
     def test_sampler_uniform_over_pair(self):
         q = Quota(ABC, (1, 1, 1))
         u = vec("AAB")
