@@ -42,6 +42,12 @@ The first line printed is the digest over every run.  One line per
 subcommand follows, each a digest over that subcommand's runs alone, so a
 change that moves the bytes of one subcommand shows the others unchanged.
 Every run must exit 0; otherwise the script names the run and exits 1.
+The printed lines must equal the committed ``parity_digest.txt`` beside
+this script; otherwise the script names each subcommand whose digest moved
+and exits 1.  A change that moves bytes on purpose rewrites that file:
+
+    python3 scripts/parity_digest.py > scripts/parity_digest.txt
+
 The package is imported from this checkout's ``src/``, not from wherever
 ``linkmech`` happens to be installed.
 
@@ -64,6 +70,7 @@ from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+EXPECTED = Path(__file__).resolve().with_name("parity_digest.txt")
 sys.path.insert(0, str(ROOT / "src"))
 
 from linkmech import cli  # noqa: E402
@@ -189,10 +196,16 @@ def main() -> int:
                 block = len(data).to_bytes(8, "big") + data
                 digest.update(block)
                 digests[argv[0]].update(block)
-    print(f"{digest.hexdigest()}  {len(argvs)} runs")
     runs_of = Counter(argv[0] for argv in argvs)
-    for name, own in digests.items():
-        print(f"{own.hexdigest()}  {runs_of[name]} {name} runs")
+    lines = [f"{digest.hexdigest()}  {len(argvs)} runs"]
+    lines += [f"{own.hexdigest()}  {runs_of[name]} {name} runs" for name, own in digests.items()]
+    print("\n".join(lines))
+    expected = EXPECTED.read_text(encoding="utf-8").splitlines()
+    if lines != expected:
+        was = dict(zip(SUBCOMMANDS, expected[1:]))
+        moved = [name for name, line in zip(SUBCOMMANDS, lines[1:]) if was.get(name) != line]
+        print(f"digests differ from {EXPECTED.name}; moved: {', '.join(moved) or 'the total'}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -461,9 +461,11 @@ def verify_counterexample(
 
     # verdicts compare exact sums; the report prints the payoffs as rounded
     best_pay = payoff(u, best[0], f, problem)
-    minimal_pay = {m.entries: payoff(u, m, f, problem) for m in sorted(minimal, key=lambda m: m.entries)}
-    best_sum = _pair_sum(u, best[0], f, problem)[0]
-    worse = all(_pair_sum(u, m, f, problem)[0] < best_sum for m in minimal)
+    minimal = sorted(minimal, key=lambda m: m.entries)
+    minimal_pay = {m.entries: payoff(u, m, f, problem) for m in minimal}
+    best_sum, denom = _pair_sum(u, best[0], f, problem)[0], _pair_table(f, problem, u.types)[2]
+    gaps = {m.entries: Fraction(best_sum - _pair_sum(u, m, f, problem)[0], denom) for m in minimal}  # best - minimal
+    worse = all(gap > 0 for gap in gaps.values())
     gain = (
         Fraction(problem.utility[t1][peaks[t2]])
         + Fraction(problem.utility[t2][peaks[t3]])
@@ -498,11 +500,12 @@ def verify_counterexample(
             all(a.permutation_truthful for a in judged),
             "lie arcs form a path, no cycle",
         )
-        record(
-            "minimal_messages_strictly_worse",
-            worse,
-            f"{dict((','.join(k), v) for k, v in minimal_pay.items())} < {best_pay}",
-        )
+        if all(v < best_pay for v in minimal_pay.values()):
+            details = f"{dict((','.join(k), v) for k, v in minimal_pay.items())} < {best_pay}"
+        else:  # rounding hides the order: state the exact gaps
+            exact = ", ".join(f"{','.join(k)!r}: {g}" for k, g in gaps.items())
+            details = f"best - minimal = {{{exact}}}"
+        record("minimal_messages_strictly_worse", worse, details)
     else:
         record(
             "no_deviation_incentive",

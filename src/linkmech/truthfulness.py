@@ -259,25 +259,21 @@ def sample_minimal_message(u: PreferenceVector, q: Quota, rng) -> Message:
     return _rewritten(u, q, counts, zip(free, owed))
 
 
-def _is_acyclic(arcs: set[tuple[str, str]]) -> bool:
-    """Kahn's test: the distinct arcs (tail, head) close no directed cycle."""
-    succ: dict[str, list[str]] = defaultdict(list)
-    indeg: Counter = Counter()
-    nodes: set[str] = set()
-    for a, b in arcs:
-        nodes.update((a, b))
+def _is_acyclic(tails: list, heads: list) -> bool:
+    """Kahn's test: the distinct arcs tails[i] -> heads[i] close no directed cycle."""
+    indeg = Counter(heads)
+    queue = list(set(tails).difference(indeg))  # the nodes no arc enters
+    if not queue:  # each node on an arc has one entering it
+        return not tails
+    succ: dict = defaultdict(list)
+    for a, b in zip(tails, heads):
         succ[a].append(b)
-        indeg[b] += 1
-    queue = [v for v in nodes if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in succ[v]:
+    while queue:  # strip a node no remaining arc enters, with its out-arcs
+        for w in succ[queue.pop()]:
             indeg[w] -= 1
-            if indeg[w] == 0:
+            if not indeg[w]:
                 queue.append(w)
-    return seen == len(nodes)
+    return not any(indeg.values())
 
 
 def is_permutation_truthful(u: PreferenceVector, m: Union[Message, PreferenceVector]) -> bool:
@@ -287,7 +283,8 @@ def is_permutation_truthful(u: PreferenceVector, m: Union[Message, PreferenceVec
     truths on some subset exactly when these arcs contain a directed cycle.
     The test suite checks this against an exponential subset scan.
     """
-    return _is_acyclic({(a, b) for a, b in zip(u.entries, _report_entries(u, m)) if a != b})
+    lies = {(a, b) for a, b in zip(u.entries, _report_entries(u, m)) if a != b}
+    return _is_acyclic([a for a, _ in lies], [b for _, b in lies])
 
 
 # --- maximum permutation witness, from a unit-cost flow ---
@@ -333,15 +330,14 @@ def _min_routing(m: int, tails: list[int], heads: list[int], caps: list[int], le
     arc i's spare room (cost +1) and edge 2i + 1 its routed units, which a
     unit may cancel (cost -1).
 
-    First each excess node fills the deficit nodes it has an arc to.  These
-    one-arc paths leave every cancelling edge running from a deficit node to
-    an excess node, so no residual cycle costs less than 0.  Then each round
-    labels every node with its cheapest (cost, arcs) distance from the excess
-    nodes, as ``key = cost * B + arcs``, by a queue-based Bellman-Ford, and
-    augments from the excess nodes along edges that are tight for the labels
-    (each adds one arc, so they form a DAG) to deficit nodes at the least
-    cost, until none is reachable.  No residual path out of an excess node
-    costs less than 0, so the excess nodes keep key 0 and no tight edge
+    Routing starts from zero flow.  Each round labels every node with its
+    cheapest (cost, arcs) distance from the excess nodes, as ``key = cost *
+    B + arcs``, by a queue-based Bellman-Ford, and augments from the excess
+    nodes along edges that are tight for the labels (each adds one arc, so
+    they form a DAG) to deficit nodes at the least cost, until none is
+    reachable.  Augmenting only along shortest paths leaves no residual
+    cycle that costs less than 0, and no node's distance falls from one
+    round to the next, so the excess nodes keep key 0 and no tight edge
     enters one.
     """
     A = len(tails)
@@ -352,19 +348,9 @@ def _min_routing(m: int, tails: list[int], heads: list[int], caps: list[int], le
     head: list[list[int]] = [[] for _ in range(m)]
     for e, v in enumerate(itertools.chain.from_iterable(zip(tails, heads))):
         head[v].append(e)
-    for a in range(m):
-        for e in head[a]:
-            if left[a] <= 0:
-                break
-            b = to[e]
-            if not e & 1 and left[b] < 0:
-                k = min(left[a], -left[b], room[e])
-                room[e] -= k
-                room[e ^ 1] += k
-                left[a] -= k
-                left[b] += k
+    ends = [len(h) for h in head]
     B = m + 1  # more than the arcs on any cheapest path
-    weight = (B + 1, 1 - B)  # per edge parity: spare room, cancel
+    weight = [B + 1, 1 - B] * A  # per edge: spare room, cancel
     while True:
         sources = [v for v in range(m) if left[v] > 0]
         if not sources:
@@ -381,7 +367,7 @@ def _min_routing(m: int, tails: list[int], heads: list[int], caps: list[int], le
             for e in head[u]:
                 if room[e]:
                     v = to[e]
-                    kv = ku + weight[e & 1]
+                    kv = ku + weight[e]
                     if kv < key[v]:
                         key[v] = kv
                         if not queued[v]:
@@ -390,26 +376,29 @@ def _min_routing(m: int, tails: list[int], heads: list[int], caps: list[int], le
         cost = min(key[v] // B for v in range(m) if left[v] < 0)
         if cost == m:  # pragma: no cover - c itself routes every excess
             raise RuntimeError("internal: excess cannot reach a deficit")
-        done = [0] * m  # each node's first head edge not yet ruled out this round
+        done = [0] * m  # each node's first head edge not yet ruled out this round, ``ends`` once it is a dead end
         for a in sources:
             while left[a] > 0:
                 path, v = [], a
                 while not (left[v] < 0 and key[v] // B == cost):
-                    hv, i, kv = head[v], done[v], key[v]
-                    while i < len(hv) and not (room[hv[i]] and key[to[hv[i]]] == kv + weight[hv[i] & 1]):
-                        i += 1
-                    done[v] = i
-                    if i < len(hv):
-                        path.append(hv[i])
-                        v = to[hv[i]]
-                    elif path:  # a dead end: back up and rule out the edge into it
-                        v = to[path.pop() ^ 1]
-                        done[v] += 1
+                    hv, kv = head[v], key[v]
+                    for i in range(done[v], ends[v]):
+                        e = hv[i]
+                        w = to[e]
+                        if room[e] and key[w] == kv + weight[e] and done[w] < ends[w]:
+                            done[v] = i
+                            path.append(e)
+                            v = w
+                            break
                     else:
-                        break
+                        done[v] = ends[v]
+                        if not path:
+                            break
+                        v = to[path.pop() ^ 1]  # a dead end: back up and rule out the edge into it
+                        done[v] += 1
                 if not path:
                     break
-                k = min(left[a], -left[v], *(room[e] for e in path))
+                k = min(left[a], -left[v], *map(room.__getitem__, path))
                 for e in path:
                     room[e] -= k
                     room[e ^ 1] += k
@@ -433,11 +422,15 @@ def permutation_witness(
     K - (#types - 1) * K * tv(marginal(u), marginal(report)) slots, that is
     K - (#types - 1) * sum_t (truth count - report count)_+.
 
-    Each arc keeps its first x[a, b] lying slots in slot order (one stable
-    sort of the lying slots' arc codes), and pi pairs S's report-t lying
-    slots with its truth-t lying slots in slot order (two stable sorts).
-    Ranks come from a running count of S; the bijection, pairing and floor
-    are re-checked.
+    The lying slots are sorted by arc code once (stable, so each arc's slots
+    stay in slot order).  When the lie arcs close no cycle (``_is_acyclic``,
+    the test behind ``is_permutation_truthful``), no circulation fits in
+    them: S is the truthful slots and pi the identity on them, without a
+    routing, and the re-checked floor is then the paper's loosened bound,
+    lies <= (#types - 1) * K * tv.  Otherwise each arc keeps its first
+    x[a, b] lying slots, and pi pairs S's report-t lying slots with its
+    truth-t lying slots in slot order (two stable sorts).  Ranks come from
+    a running count of S; the bijection, pairing and floor are re-checked.
     """
     _report_entries(u, reported)
     rv = reported.vector if isinstance(reported, Message) else reported
@@ -463,16 +456,17 @@ def permutation_witness(
     c = np.full_like(first, len(arc))  # each arc's run length: the next run's start (or the end) minus its own
     c[:-1] = first[1:]
     c -= first
-    tails, heads = np.divmod(arc[order[first]], max(m, 1))
-    left = np.bincount(lu, minlength=m) - np.bincount(lr, minlength=m)
-    x = c - _min_routing(m, tails.tolist(), heads.tolist(), c.tolist(), left.tolist())
-    in_s = np.zeros(len(uc), dtype=bool)
-    in_s[lying[order[np.arange(len(arc)) - np.repeat(first, c) < np.repeat(x, c)]]] = True
-    kept = np.flatnonzero(in_s)  # S's lying slots, in slot order
-    by_report = kept[np.argsort(node[rc[kept]].astype(small), kind="stable")]
-    by_truth = kept[np.argsort(node[uc[kept]].astype(small), kind="stable")]
+    tails, heads = (a.tolist() for a in np.divmod(arc[order[first]], max(m, 1)))
     image = np.where(uc == rc, np.arange(len(uc)), -1)  # each 0-based slot's image under pi, or -1 off S
-    image[by_report] = by_truth  # the i-th report-t slot of S maps to its i-th truth-t slot
+    if not _is_acyclic(tails, heads):  # else S is the truthful slots
+        left = np.bincount(lu, minlength=m) - np.bincount(lr, minlength=m)
+        x = c - _min_routing(m, tails, heads, c.tolist(), left.tolist())
+        in_s = np.zeros(len(uc), dtype=bool)
+        in_s[lying[order[np.arange(len(arc)) - np.repeat(first, c) < np.repeat(x, c)]]] = True
+        kept = np.flatnonzero(in_s)  # S's lying slots, in slot order
+        by_report = kept[np.argsort(node[rc[kept]].astype(small), kind="stable")]
+        by_truth = kept[np.argsort(node[uc[kept]].astype(small), kind="stable")]
+        image[by_report] = by_truth  # the i-th report-t slot of S maps to its i-th truth-t slot
     slots = np.flatnonzero(image >= 0)
     ranks = np.cumsum(image >= 0)[image[slots]] - 1
     _check_witness(uc, rc, n, slots + 1, slots[ranks] + 1)
@@ -506,7 +500,9 @@ def audit(u: PreferenceVector, m: Message) -> Audit:
     codes, and both approximate verdicts are integer comparisons on those
     counts.  A circulation fits in the lie arcs exactly when they close a
     cycle, so the report is permutation-truthful exactly when the maximum
-    witness keeps no lying slot.  Agrees with ``min_lie_count``,
+    witness keeps no lying slot; a report whose lies close no cycle gets S =
+    its truthful slots without a routing, and the witness's re-checked floor
+    is then the loosened bound, lies <= (#types - 1) * K * tv.  Agrees with ``min_lie_count``,
     ``lie_count``, ``is_permutation_truthful`` and ``permutation_witness``.
     """
     _check_shapes(u, m.quota)

@@ -9,7 +9,11 @@ alive list with per-node skip pointers; the two return identical witnesses.
 ``permutation_witness`` replaced the peel with a min-cost flow, so both are
 now a lower bound on its witness size.  The exact oracles for that size
 follow them: a subset scan for small K, and a negative-cycle certificate
-on the witness's lie counts for any K.  Likewise the lookahead greedy is a
+on the witness's lie counts for any K.  After them come frozen copies of
+``_min_routing``, as it stood with a one-arc pre-fill before its rounds,
+and of ``permutation_witness``, as it stood routing every report, before it
+skipped the routing on lie arcs that close no cycle; the two witnesses must
+be identical.  Likewise the lookahead greedy is a
 frozen copy of the slot-by-slot search that ``canonical_minimal_message``
 replaced with a closed rule, and the transport solver at the end is a
 frozen copy of the successive-shortest-paths solve on ``(cost, lies)``
@@ -44,7 +48,7 @@ import random
 import itertools
 from itertools import product
 import math
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
@@ -513,6 +517,165 @@ def assert_maximum_witness(u: PreferenceVector, reported: VectorLike, witness: P
         if not changed:
             return
     raise AssertionError("witness is not maximum: y's residual graph has a negative cycle")
+
+
+# --- frozen min-cost-routing witness ---
+
+
+def oracle_min_routing(m: int, tails: list[int], heads: list[int], caps: list[int], left: list[int]) -> list[int]:
+    """Route every node's excess to the deficit nodes over the fewest arcs.
+
+    Arc i runs tails[i] -> heads[i], carries at most caps[i] units and costs
+    1 per unit; ``left[v]`` is node v's excess (> 0) or deficit (< 0), the
+    whole summing to 0, and is spent in place.  Returns the units on each arc
+    of a cheapest routing, by successive shortest paths.  Residual edge 2i is
+    arc i's spare room (cost +1) and edge 2i + 1 its routed units, which a
+    unit may cancel (cost -1).
+
+    First each excess node fills the deficit nodes it has an arc to.  These
+    one-arc paths leave every cancelling edge running from a deficit node to
+    an excess node, so no residual cycle costs less than 0.  Then each round
+    labels every node with its cheapest (cost, arcs) distance from the excess
+    nodes, as ``key = cost * B + arcs``, by a queue-based Bellman-Ford, and
+    augments from the excess nodes along edges that are tight for the labels
+    (each adds one arc, so they form a DAG) to deficit nodes at the least
+    cost, until none is reachable.  No residual path out of an excess node
+    costs less than 0, so the excess nodes keep key 0 and no tight edge
+    enters one.
+    """
+    A = len(tails)
+    to = [0] * (2 * A)
+    to[0::2], to[1::2] = heads, tails
+    room = [0] * (2 * A)
+    room[0::2] = caps
+    head: list[list[int]] = [[] for _ in range(m)]
+    for e, v in enumerate(itertools.chain.from_iterable(zip(tails, heads))):
+        head[v].append(e)
+    for a in range(m):
+        for e in head[a]:
+            if left[a] <= 0:
+                break
+            b = to[e]
+            if not e & 1 and left[b] < 0:
+                k = min(left[a], -left[b], room[e])
+                room[e] -= k
+                room[e ^ 1] += k
+                left[a] -= k
+                left[b] += k
+    B = m + 1  # more than the arcs on any cheapest path
+    weight = (B + 1, 1 - B)  # per edge parity: spare room, cancel
+    while True:
+        sources = [v for v in range(m) if left[v] > 0]
+        if not sources:
+            return room[1::2]
+        key = [m * B] * m  # above every reachable key
+        queued = [False] * m
+        for v in sources:
+            key[v], queued[v] = 0, True
+        queue = deque(sources)
+        while queue:
+            u = queue.popleft()
+            queued[u] = False
+            ku = key[u]
+            for e in head[u]:
+                if room[e]:
+                    v = to[e]
+                    kv = ku + weight[e & 1]
+                    if kv < key[v]:
+                        key[v] = kv
+                        if not queued[v]:
+                            queued[v] = True
+                            queue.append(v)
+        cost = min(key[v] // B for v in range(m) if left[v] < 0)
+        if cost == m:  # pragma: no cover - c itself routes every excess
+            raise RuntimeError("internal: excess cannot reach a deficit")
+        done = [0] * m  # each node's first head edge not yet ruled out this round
+        for a in sources:
+            while left[a] > 0:
+                path, v = [], a
+                while not (left[v] < 0 and key[v] // B == cost):
+                    hv, i, kv = head[v], done[v], key[v]
+                    while i < len(hv) and not (room[hv[i]] and key[to[hv[i]]] == kv + weight[hv[i] & 1]):
+                        i += 1
+                    done[v] = i
+                    if i < len(hv):
+                        path.append(hv[i])
+                        v = to[hv[i]]
+                    elif path:  # a dead end: back up and rule out the edge into it
+                        v = to[path.pop() ^ 1]
+                        done[v] += 1
+                    else:
+                        break
+                if not path:
+                    break
+                k = min(left[a], -left[v], *(room[e] for e in path))
+                for e in path:
+                    room[e] -= k
+                    room[e ^ 1] += k
+                left[a] -= k
+                left[v] += k
+
+
+def oracle_permutation_witness(
+    u: PreferenceVector, reported: Union[Message, PreferenceVector]
+) -> PermutationWitness:
+    """Certify the largest slot subset on which the report permutes truths.
+
+    Nodes are the types that occur in lying slots, and c[a, b] counts the
+    slots with truth a and report b.  A subset S permutes truths exactly when
+    its lying slots form a circulation x <= c on the lie arcs a -> b
+    (a != b); truthful slots are fixed points, always in S.  The complement
+    y = c - x routes each type's excess (truth count - report count) to the
+    deficit types, so the largest S has K - min sum(y) slots: a min-cost
+    routing with unit arc costs and capacities c[a, b] (``oracle_min_routing``).
+    Each unit of excess crosses at most #types - 1 arcs, so S covers at least
+    K - (#types - 1) * K * tv(marginal(u), marginal(report)) slots, that is
+    K - (#types - 1) * sum_t (truth count - report count)_+.
+
+    Each arc keeps its first x[a, b] lying slots in slot order (one stable
+    sort of the lying slots' arc codes), and pi pairs S's report-t lying
+    slots with its truth-t lying slots in slot order (two stable sorts).
+    Ranks come from a running count of S; the bijection, pairing and floor
+    are re-checked.
+    """
+    _report_entries(u, reported)
+    rv = reported.vector if isinstance(reported, Message) else reported
+    if rv.types != u.types:  # restate the report over the truth's types
+        unknown = sorted(set(rv.entries) - set(u.types))
+        if unknown:
+            raise ValidationError(f"report: unknown types {unknown}")
+        rv = PreferenceVector(rv.entries, u.types)
+    uc, rc = u._codes(), rv._codes()
+    n = len(u.types)
+    lying = np.flatnonzero(uc != rc)
+    occurs = np.zeros(n, dtype=bool)
+    occurs[uc[lying]] = occurs[rc[lying]] = True
+    node = np.cumsum(occurs) - 1  # each type's node, where it occurs in a lie
+    m = int(occurs.sum())
+    lu, lr = node[uc[lying]], node[rc[lying]]
+    small = np.min_scalar_type(m * m)  # 8 or 16 bits get numpy's radix sort
+    arc = (lu * m + lr).astype(small)
+    order = np.argsort(arc, kind="stable")  # the lying slots by arc, each arc's in slot order
+    starts = np.ones(len(arc), dtype=bool)
+    starts[1:] = arc[order[1:]] != arc[order[:-1]]
+    first = np.flatnonzero(starts)  # where each arc's run begins in ``order``
+    c = np.full_like(first, len(arc))  # each arc's run length: the next run's start (or the end) minus its own
+    c[:-1] = first[1:]
+    c -= first
+    tails, heads = np.divmod(arc[order[first]], max(m, 1))
+    left = np.bincount(lu, minlength=m) - np.bincount(lr, minlength=m)
+    x = c - oracle_min_routing(m, tails.tolist(), heads.tolist(), c.tolist(), left.tolist())
+    in_s = np.zeros(len(uc), dtype=bool)
+    in_s[lying[order[np.arange(len(arc)) - np.repeat(first, c) < np.repeat(x, c)]]] = True
+    kept = np.flatnonzero(in_s)  # S's lying slots, in slot order
+    by_report = kept[np.argsort(node[rc[kept]].astype(small), kind="stable")]
+    by_truth = kept[np.argsort(node[uc[kept]].astype(small), kind="stable")]
+    image = np.where(uc == rc, np.arange(len(uc)), -1)  # each 0-based slot's image under pi, or -1 off S
+    image[by_report] = by_truth  # the i-th report-t slot of S maps to its i-th truth-t slot
+    slots = np.flatnonzero(image >= 0)
+    ranks = np.cumsum(image >= 0)[image[slots]] - 1
+    _check_witness(uc, rc, n, slots + 1, slots[ranks] + 1)
+    return PermutationWitness(tuple((slots + 1).tolist()), tuple(ranks.tolist()))
 
 
 # --- frozen lookahead canonical pick ---

@@ -709,6 +709,18 @@ class TestCounterexampleCommand:
         assert out["deviation_strictly_preferred"] is True
         assert out["best_payoff"] == 1e308 and set(out["minimal_payoffs"].values()) == {1e308}
 
+    def test_huge_utility_details_state_a_true_relation(self):
+        # the rounded payoffs all read 1e+308, so "minimal < best" on them
+        # would be false on its face; the details give the exact gaps instead
+        code, out = run_cli_json(["counterexample", "--utility", "u_aA=1e308"])
+        details = {c["name"]: c["details"] for c in out["checks"]}
+        assert details["minimal_messages_strictly_worse"] == "best - minimal = {'A,C,B': 1/2, 'C,A,B': 1/2}"
+        # where the rounded payoffs do order, the rounded relation stays, and it holds
+        code, out = run_cli_json(["counterexample"])
+        details = {c["name"]: c["details"] for c in out["checks"]}
+        assert details["minimal_messages_strictly_worse"] == "{'A,C,B': Fraction(4, 1), 'C,A,B': Fraction(4, 1)} < 4.5"
+        assert all(v < out["best_payoff"] for v in out["minimal_payoffs"].values())
+
     def test_non_finite_override_rejected(self, capsys):
         for value in ("nan", "inf", "-inf"):
             argv = ["counterexample", "--utility", f"u_aA={value}"]

@@ -12,15 +12,22 @@ from linkmech import (
     PermutationWitness,
     PreferenceVector,
     Quota,
+    SocialChoiceFunction,
     ValidationError,
     audit,
+    best_response_transport,
+    canonical_minimal_message,
+    compute_quota,
     is_permutation_truthful,
     lie_count,
     marginal,
     permutation_witness,
     sample_minimal_message,
+    sample_type_vector,
     tv_distance,
+    validate_problem,
 )
+from linkmech import truthfulness
 from linkmech.truthfulness import _check_witness
 from helpers import (
     assert_maximum_witness,
@@ -30,6 +37,7 @@ from helpers import (
     cycle_partition,
     max_witness_size,
     oracle_audit,
+    oracle_permutation_witness,
     oracle_permutation_witness_walk,
     oracle_witness,
     permuted,
@@ -38,10 +46,33 @@ from helpers import (
 )
 
 ABC = ("A", "B", "C")
+REPORT_KINDS = ("minimal", "shuffled", "random", "identity", "all-lie")
 
 
 def vec(entries, types=ABC):
     return PreferenceVector(tuple(entries), types)
+
+
+def report_of_kind(rnd, u, kind):
+    """A report against truth ``u``: a uniform minimal-lie report for a random
+    quota, the truth with a random subset of its slots permuted among
+    themselves, an independent vector, the truth itself, or a lie in every slot."""
+    types, K = u.types, u.K
+    if kind == "minimal":
+        rng = np.random.default_rng(rnd.getrandbits(32))
+        return sample_minimal_message(u, random_quota(rnd, types, K), rng).vector
+    if kind == "shuffled":
+        sub = rnd.sample(range(K), rnd.randint(0, K))
+        entries = list(u.entries)
+        for k, t in zip(sub, rnd.sample([u.entries[k] for k in sub], len(sub))):
+            entries[k] = t
+        return PreferenceVector(tuple(entries), types)
+    if kind == "random":
+        return random_vector(rnd, types, K)
+    if kind == "identity":
+        return u
+    n, index = len(types), {t: i for i, t in enumerate(types)}
+    return PreferenceVector(tuple(types[(index[t] + rnd.randrange(1, n)) % n] for t in u.entries), types)
 
 
 class TestBuildLinkGraph:
@@ -317,6 +348,31 @@ class TestPermutationWitness:
         assert oracle_witness(u, w).slots == ()
         assert permutation_witness(u, w).pairs == ((1, 4), (4, 1))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=8),
+        st.one_of(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=4096)),
+        st.sampled_from(REPORT_KINDS),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_frozen_routing(self, n, K, kind, seed):
+        # the frozen witness routes every report, after a one-arc pre-fill;
+        # the library skips the routing on acyclic lies and has no pre-fill
+        rnd = random.Random(seed)  # seeded here: K draws through Hypothesis would be slow
+        types = tuple(f"t{j}" for j in range(n))
+        u = random_vector(rnd, types, K)
+        w = report_of_kind(rnd, u, kind)
+        assert permutation_witness(u, w) == oracle_permutation_witness(u, w)
+
+    def test_matches_frozen_routing_many_types(self):
+        rnd = random.Random(2808)
+        for i in range(10):
+            n, K = rnd.randint(30, 200), rnd.randint(1, 4096)
+            types = tuple(f"t{j:03d}" for j in range(n))
+            u = random_vector(rnd, types, K)
+            w = report_of_kind(rnd, u, REPORT_KINDS[i % len(REPORT_KINDS)])
+            assert permutation_witness(u, w) == oracle_permutation_witness(u, w)
+
     @pytest.mark.parametrize("n, K", [(100, 4096), (1000, 64)])
     def test_many_types_in_bounded_time(self, n, K):
         # the routing runs over the types that occur in lies, and its rounds
@@ -334,6 +390,65 @@ class TestPermutationWitness:
         occurring = set(u.entries) | set(w.entries)
         used = tuple(t for t in types if t in occurring)
         assert permutation_witness(PreferenceVector(u.entries, used), PreferenceVector(w.entries, used)) == witness
+
+
+FOUR_SPEC = {
+    "decisions": ["w", "x", "y", "z"],
+    "types": ["a", "b", "c", "d"],
+    "prior": ["2/5", "3/10", "1/5", "1/10"],
+    "utility": {t: {d: int(i == j) for j, d in enumerate("wxyz")} for i, t in enumerate("abcd")},
+}
+
+
+class TestAcyclicSkip:
+    """A report whose lies close no cycle gets S = its truthful slots without a routing."""
+
+    @pytest.fixture
+    def no_routing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("routed a report whose lies close no cycle")
+
+        monkeypatch.setattr(truthfulness, "_min_routing", refuse)
+
+    def check(self, u, m):
+        record = audit(u, m)
+        assert record.permutation_truthful
+        assert record.witness.pairs == tuple((k, k) for k, (a, b) in enumerate(zip(u.entries, m.entries), 1) if a == b)
+        assert record.lies <= record.star_bound
+
+    def test_minimal_lie_and_identity_reports(self, no_routing, counterexample_problem, binary_problem):
+        rng = np.random.default_rng(2808)
+        for p in (binary_problem, counterexample_problem, validate_problem(FOUR_SPEC)):
+            for K in (1, 2, 3, 7, 64, 256, 1024):
+                q = compute_quota(p, K)
+                for _ in range(4):
+                    u = sample_type_vector(p, K, rng)
+                    counts = u.counts()
+                    own = Message(u, Quota(u.types, tuple(counts[t] for t in u.types)))
+                    for m in (canonical_minimal_message(u, q), sample_minimal_message(u, q, rng), own):
+                        self.check(u, m)
+
+    def test_best_responses(self, no_routing, counterexample_problem):
+        p = counterexample_problem
+        f = SocialChoiceFunction.utility_argmax(p)
+        rng = np.random.default_rng(2808)
+        for K in (1, 2, 3, 16, 64, 256):
+            q = compute_quota(p, K)
+            for _ in range(6):
+                u = sample_type_vector(p, K, rng)
+                self.check(u, best_response_transport(u, f, p, q).message)
+
+    def test_a_two_cycle_is_routed(self, monkeypatch):
+        # lies A -> B, B -> A and A -> C: the routing sends A's excess over
+        # A -> C, and the witness keeps the 2-cycle on slots 1 and 2
+        calls = []
+        routing = truthfulness._min_routing
+        monkeypatch.setattr(truthfulness, "_min_routing", lambda *args: calls.append(args) or routing(*args))
+        u, w = vec("ABCA"), vec("BACC")
+        record = audit(u, Message(w, Quota(ABC, (1, 1, 2))))
+        assert len(calls) == 1
+        assert record.witness.pairs == ((1, 2), (2, 1), (3, 3))
+        assert not record.permutation_truthful
 
 
 def test_witness_and_audit_hold_python_ints():
