@@ -36,7 +36,18 @@ these runs (exit code, stdout and stderr):
 - ``simulate --strategy uniform-min-lie`` on a 2-type spec with prior
   ``1/2147483649, 2147483648/2147483649``, K ``2,3,64``, seed 1 and 50
   replications: about half of the 32-bit values drawn at that denominator
-  are redrawn, and the strategy draws from the generator after the truth (1 run).
+  are redrawn, and the strategy draws from the generator after the truth (1 run);
+- ``simulate --strategy best-response`` on a generated 12-type spec (uniform
+  prior, 3-decimal float utilities) at K ``16,64,256``, seed 1 and 30
+  replications, and ``best-response --method transport`` on a 60-slot truth
+  of it, so the transport's shortest-path search runs on 26-node networks
+  (2 runs);
+- ``audit`` at 30 and 100 types (uniform priors), K=4096, each on a uniform
+  truth and the quota's labels in shuffled order, so the witness routing
+  runs on dozens of nodes (2 runs).
+
+The generated specs, truths and reports come from fixed ``random.Random``
+seeds without linkmech code.
 
 The first line printed is the digest over every run.  One line per
 subcommand follows, each a digest over that subcommand's runs alone, so a
@@ -92,9 +103,29 @@ FOUR_SPEC = {
 }
 
 
-def _quota(K: int) -> list[int]:
-    """Largest-remainder counts of K over FOUR_PRIOR, ties to the lower label."""
-    scaled = [K * Fraction(w) for w in FOUR_PRIOR]
+def _uniform_spec(n: int, utility) -> dict:
+    """A spec on types t00, t01, ... (canonical order is index order) with prior 1/n each."""
+    types = [f"t{i:02d}" for i in range(n)]
+    decisions = [f"d{i:02d}" for i in range(n)]
+    return {"decisions": decisions, "types": types, "prior": [f"1/{n}"] * n,
+            "utility": {t: {d: utility(i, j) for j, d in enumerate(decisions)} for i, t in enumerate(types)}}
+
+
+def _generated_specs() -> dict[str, dict]:
+    """Every spec the grid writes to its temp dir, by file stem."""
+    rnd = random.Random(20261020)
+    return {
+        "four_types": FOUR_SPEC,
+        "reject": REJECT_SPEC,
+        "twelve_types": _uniform_spec(12, lambda i, j: round(rnd.uniform(0, 2), 3)),
+        "types_30": _uniform_spec(30, lambda i, j: int(i == j)),
+        "types_100": _uniform_spec(100, lambda i, j: int(i == j)),
+    }
+
+
+def _quota(K: int, prior=FOUR_PRIOR) -> list[int]:
+    """Largest-remainder counts of K over a prior, ties to the lower label."""
+    scaled = [K * Fraction(w) for w in prior]
     counts = [math.floor(x) for x in scaled]
     order = sorted(range(len(counts)), key=lambda i: (counts[i] - scaled[i], i))
     for i in order[:K - sum(counts)]:
@@ -130,7 +161,8 @@ def _audit_pair(rnd: random.Random, K: int, kind: str) -> tuple[list[str], list[
     return truth, report
 
 
-def runs(four_spec: str, reject_spec: str) -> list[list[str]]:
+def runs(paths: dict[str, str]) -> list[list[str]]:
+    four_spec, reject_spec = paths["four_types"], paths["reject"]
     specs = [cli.bundled_spec_path(name) for name in cli.BUNDLED_SPECS]
     ce_spec, bin_spec = specs
     grid = product(specs, cli.STRATEGY_NAMES[:3], ("csv", "json"), ("2,8,32,256", "3,16,64"), ("1", "4242"))
@@ -169,6 +201,18 @@ def runs(four_spec: str, reject_spec: str) -> list[list[str]]:
                     "--reps", "1", "--seed", "1"])
     out.append(["simulate", "--spec", reject_spec, "--strategy", "uniform-min-lie", "--K", "2,3,64",
                 "--reps", "50", "--seed", "1"])
+    twelve = paths["twelve_types"]
+    out.append(["simulate", "--spec", twelve, "--strategy", "best-response", "--format", "csv",
+                "--K", "16,64,256", "--reps", "30", "--seed", "1"])
+    rnd = random.Random(20261021)
+    truth = rnd.choices([f"t{i:02d}" for i in range(12)], k=60)
+    out.append(["best-response", "--spec", twelve, "--truth", ",".join(truth), "--method", "transport"])
+    for n in (30, 100):
+        types = [f"t{i:02d}" for i in range(n)]
+        truth = rnd.choices(types, k=4096)
+        report = [t for t, c in zip(types, _quota(4096, [f"1/{n}"] * n)) for _ in range(c)]
+        rnd.shuffle(report)
+        out.append(["audit", "--spec", paths[f"types_{n}"], "--truth", ",".join(truth), "--report", ",".join(report)])
     return out
 
 
@@ -179,10 +223,11 @@ def main() -> int:
     digest = hashlib.sha256()
     digests = {name: hashlib.sha256() for name in SUBCOMMANDS}
     with tempfile.TemporaryDirectory() as tmp:
-        four_spec, reject_spec = str(Path(tmp) / "four_types.json"), str(Path(tmp) / "reject.json")
-        Path(four_spec).write_text(json.dumps(FOUR_SPEC), encoding="utf-8")
-        Path(reject_spec).write_text(json.dumps(REJECT_SPEC), encoding="utf-8")
-        argvs = runs(four_spec, reject_spec)
+        paths = {}
+        for stem, spec in _generated_specs().items():
+            paths[stem] = str(Path(tmp) / f"{stem}.json")
+            Path(paths[stem]).write_text(json.dumps(spec), encoding="utf-8")
+        argvs = runs(paths)
         for argv in argvs:
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):

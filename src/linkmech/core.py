@@ -115,6 +115,15 @@ def _prior_ints(prior: Weights) -> tuple[tuple[str, ...], tuple[int, ...], int]:
     return types, tuple(w.numerator * (D // w.denominator) for w in weights), D
 
 
+def _prior_total(nums: Sequence[int], D: int) -> int:
+    """The sum of a prior's ints P_t over D (``_prior_ints``); one off 1 by over ``PRIOR_TOLERANCE``
+    is a ``prior:`` error."""
+    total = sum(nums)
+    if abs(Fraction(total, D) - 1) > PRIOR_TOLERANCE:
+        raise ValidationError(f"prior: sums to {_cut(str(Fraction(total, D)))}, expected 1")
+    return total
+
+
 def _check_labels(labels: Sequence[str], field: str) -> tuple[str, ...]:
     if not isinstance(labels, (list, tuple)):
         raise ValidationError(f"{field}: must be a list of labels")
@@ -195,14 +204,9 @@ def validate_problem(spec: Mapping) -> Problem:
             raise ValidationError(f"prior[{t}]: negative weight {_cut(str(w))}")
         weights[t] = w
     ints = _prior_ints(weights)  # bounds the common denominator, so the sum below cannot blow up
-    total = Fraction(sum(ints[1]), ints[2])
-    if total != 1:
-        # Fixed-precision specs may miss 1 by rounding; renormalize exactly
-        # when the drift is negligible, reject otherwise.
-        if total > 0 and abs(total - 1) <= PRIOR_TOLERANCE:
-            weights = {t: w / total for t, w in weights.items()}
-        else:
-            raise ValidationError(f"prior: sums to {_cut(str(total))}, expected 1")
+    total = Fraction(_prior_total(ints[1], ints[2]), ints[2])
+    if total != 1:  # fixed-precision specs may miss 1 by rounding; renormalize exactly
+        weights = {t: w / total for t, w in weights.items()}
 
     raw_util = spec["utility"]
     if not isinstance(raw_util, Mapping):

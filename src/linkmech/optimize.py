@@ -27,6 +27,7 @@ from .core import (
     ValidationError,
 )
 from .truthfulness import (
+    _bellman_ford,
     _check_shapes,
     _report_entries,
     _rewritten,
@@ -210,6 +211,7 @@ _PATH_MEMO_CAP = 4096  # most paths one network keeps; its memo is emptied when 
 class _MinCostFlow:
     """Successive shortest paths on integer weights with the lie bit folded in.
 
+    Each search is ``_bellman_ford``, the one the witness routing uses too.
     Topology and costs are fixed at build time; ``run`` works on a caller's
     residual capacities, one per edge, and keeps each augmenting path under
     (s, t, live), where the int ``live`` has bit e set while edge e has
@@ -239,28 +241,8 @@ class _MinCostFlow:
         self.bit += (1 << e, 2 << e)
 
     def _shortest_path(self, s: int, t: int, cap: list[int]):
-        """Bellman-Ford passes in vertex order over edges with capacity left."""
-        head, to, cost = self.head, self.to, self.cost
-        dist: list[Optional[int]] = [None] * self.n
-        prev_edge = [-1] * self.n
-        dist[s] = 0
-        for _ in range(self.n - 1):
-            changed = False
-            for v in range(self.n):
-                dv = dist[v]
-                if dv is None:
-                    continue
-                for eid in head[v]:
-                    if cap[eid] == 0:
-                        continue
-                    w = to[eid]
-                    cand = dv + cost[eid]
-                    if dist[w] is None or cand < dist[w]:
-                        dist[w] = cand
-                        prev_edge[w] = eid
-                        changed = True
-            if not changed:
-                break
+        """``_bellman_ford`` from s over the edges with capacity left: t's distance, and every node's last edge."""
+        dist, prev_edge = _bellman_ford(self.head, self.to, self.cost, cap, (s,))
         return dist[t], prev_edge
 
     def run(self, s: int, t: int, amount: int, cap: list[int]) -> None:

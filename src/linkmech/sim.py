@@ -33,6 +33,7 @@ from .core import (
     _brief,
     _cut,
     _prior_ints,
+    _prior_total,
     _quota_tv,
 )
 from .truthfulness import (
@@ -117,19 +118,19 @@ def _seed_states(head: list, reps: np.ndarray) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=64)
 def _sampling_table(types: tuple[str, ...], nums: tuple[int, ...], denom: int) -> tuple:
-    """For a prior parsed by ``_prior_ints``: the sorted labels, cumulative integer thresholds, common
-    denominator D, the labels as an object array indexed by draw, and for 1 < D <= 2**32 the uint32 cuts
-    ceil(c * 2**32 / D) of the cumulative c < D and Lemire's threshold 2**32 mod D (else no cuts and None)."""
-    if sum(nums) != denom:
-        raise ValidationError("prior must be a distribution")
-    if denom > 1 << 62:
+    """For a prior of ints P_t over D, parsed by ``_prior_ints``: the sorted labels, cumulative integer
+    thresholds, their total S = sum_t P_t (``_prior_total``; S = D when the prior sums to 1), the labels as
+    an object array indexed by draw, and for 1 < S <= 2**32 the uint32 cuts ceil(c * 2**32 / S) of the
+    cumulative c < S and Lemire's threshold 2**32 mod S (else no cuts and None)."""
+    total = _prior_total(nums, denom)
+    if total > 1 << 62:
         raise ValidationError("prior denominator too large for exact integer sampling")
     cum = np.cumsum(nums)
     labels = np.array(types, dtype=object)
-    raw = 1 < denom <= 1 << 32  # the draw from raw 32-bit values applies
-    cuts = np.array([-((-c << 32) // denom) for c in cum.tolist() if c < denom and raw], dtype=np.uint32)
+    raw = 1 < total <= 1 << 32  # the draw from raw 32-bit values applies
+    cuts = np.array([-((-c << 32) // total) for c in cum.tolist() if c < total and raw], dtype=np.uint32)
     cum.flags.writeable = labels.flags.writeable = cuts.flags.writeable = False  # shared by every caller of the cache
-    return types, cum, denom, labels, cuts, (1 << 32) % denom if raw else None
+    return types, cum, total, labels, cuts, (1 << 32) % total if raw else None
 
 
 class _EpisodeGenerator(np.random.Generator):
@@ -140,20 +141,23 @@ class _EpisodeGenerator(np.random.Generator):
 def sample_type_vector(prior: Union[Problem, Weights], K: int, rng: np.random.Generator) -> PreferenceVector:
     """K i.i.d. draws from the prior, exact on the prior's rational grid.
 
-    Thresholds ``rng.integers(0, D, size=K)`` over the prior's common denominator D: each type is hit with
-    exactly its prior probability, deterministically given the generator state.  A ``PCG64`` with no half
-    word buffered gets the same values and end state from raw words where 1 < D <= 2**32, bar the
+    Thresholds ``rng.integers(0, S, size=K)`` over the sum S of the prior's ints P_t over their common
+    denominator D: each type is hit with probability exactly P_t / S, its prior probability when the prior
+    sums to 1 (S = D), deterministically given the generator state.  A ``PCG64`` with no half word
+    buffered gets the same values and end state from raw words where 1 < S <= 2**32, bar the
     ``uinteger`` word no draw reads while ``has_uint32`` is 0 (README, "Seeded simulation").  A Problem
     keeps its table beside its integer prior, in its instance dict; a ``Weights`` mapping's table is looked
     up by its parsed content.
     """
+    if not isinstance(K, (int, np.integer)) or isinstance(K, bool):
+        raise ValidationError(f"K must be a positive integer, got {_brief(K)}")
     if K < 1:
         raise ValidationError("K must be at least 1")
     if not isinstance(prior, Problem):
         table = _sampling_table(*_prior_ints(prior))
     elif (table := prior.__dict__.get("_sampling_memo")) is None:
         table = prior.__dict__["_sampling_memo"] = _sampling_table(*prior._int_prior())
-    types, cum, denom, labels, cuts, reject = table
+    types, cum, total, labels, cuts, reject = table
     bg, idx, fresh = rng.bit_generator, None, getattr(rng, "fresh", False)
     if reject is not None and (fresh or type(bg) is np.random.PCG64 and not bg.state["has_uint32"]):
         # an odd K's last value takes the 32-bit path, whose buffered high half rng.integers leaves in the state
@@ -162,12 +166,12 @@ def sample_type_vector(prior: Union[Problem, Weights], K: int, rng: np.random.Ge
         x[:2 * n] = bg.random_raw(n).view(np.uint32)
         if K % 2:
             x[-1] = ct.next_uint32(ct.state)
-        if reject and (x * np.uint32(denom) < reject).any():
+        if reject and (x * np.uint32(total) < reject).any():
             bg.advance(-n - K % 2)  # back to the call's state, buffer still empty
         else:
             idx = cuts.searchsorted(x, "right")
     if idx is None:
-        idx = cum.searchsorted(rng.integers(0, denom, size=K), "right")
+        idx = cum.searchsorted(rng.integers(0, total, size=K), "right")
     return PreferenceVector._from_codes(tuple(labels[idx].tolist()), types, idx)
 
 

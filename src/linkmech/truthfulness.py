@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
@@ -24,7 +24,6 @@ import numpy as np
 
 from .core import (
     EnumerationCapError,
-    PRIOR_TOLERANCE,
     Message,
     PreferenceVector,
     Problem,
@@ -33,6 +32,7 @@ from .core import (
     Weights,
     _cut,
     _prior_ints,
+    _prior_total,
 )
 
 def compute_quota(prior: Union[Problem, Weights], K: int) -> Quota:
@@ -45,18 +45,18 @@ def compute_quota(prior: Union[Problem, Weights], K: int) -> Quota:
     in integers over D, the weights' common denominator (``_prior_ints``, or
     a Problem's integer prior): each count is K*w*D // D, and the remainders
     are K*w*D % D.  A weight ``_prior_ints`` rejects, or a sum off 1 by over
-    ``PRIOR_TOLERANCE`` or by enough to move the counts' total, is a
-    ``prior:`` error.
+    ``PRIOR_TOLERANCE`` (``_prior_total``) or by enough to move the counts'
+    total, is a ``prior:`` error.
     """
     if not isinstance(K, int) or isinstance(K, bool) or K < 1:
         raise ValidationError(f"K must be a positive integer, got {K!r}")
     types, nums, D = prior._int_prior() if isinstance(prior, Problem) else _prior_ints(prior)
+    total = _prior_total(nums, D)
     scaled = [K * P for P in nums]  # K * weight * D
     counts = [s // D for s in scaled]
     left = K - sum(counts)
-    total = Fraction(sum(nums), D)
-    if total != 1 and (abs(total - 1) > PRIOR_TOLERANCE or not 0 <= left <= len(types)):
-        raise ValidationError(f"prior: sums to {_cut(str(total))}, expected 1")
+    if not 0 <= left <= len(types):  # only a sum off 1 moves the counts' total, and only at a large K
+        raise ValidationError(f"prior: sums to {_cut(str(Fraction(total, D)))}, expected 1")
     # the stable sort keeps equal remainders in label order
     for i in sorted(range(len(types)), key=lambda i: -(scaled[i] % D))[:left]:
         counts[i] += 1
@@ -276,6 +276,35 @@ def _is_acyclic(tails: list, heads: list) -> bool:
     return not any(indeg.values())
 
 
+def _bellman_ford(head: list, to: list, weight: list, room: list, sources) -> tuple[list, list[int]]:
+    """Distances from ``sources`` (each at 0) over the edges e with ``room[e]`` left, each running
+    from the node whose ``head`` list holds it to ``to[e]`` at cost ``weight[e]``, and each node's last
+    edge (-1 if none); an unreached node's distance is ``None``.  Vertex-order passes, at most n - 1,
+    scan only the nodes whose distance fell since their last scan (a self-loop can lower its own node):
+    rescanning any other relaxes nothing, so distances, last edges and ties are those of the plain
+    vertex-order loop, negative cycles included."""
+    dist: list = [None] * len(head)
+    last = [-1] * len(head)
+    dirty = bytearray(len(head))
+    for s in sources:
+        dist[s], dirty[s] = 0, 1
+    for _ in range(len(head) - 1):
+        v = dirty.find(1)
+        if v < 0:
+            break
+        while v >= 0:
+            dirty[v] = 0
+            dv = dist[v]
+            for e in head[v]:
+                if room[e]:
+                    w = to[e]
+                    dw = dv + weight[e]
+                    if dist[w] is None or dw < dist[w]:
+                        dist[w], last[w], dirty[w] = dw, e, 1
+            v = dirty.find(1, v + 1)
+    return dist, last
+
+
 def is_permutation_truthful(u: PreferenceVector, m: Union[Message, PreferenceVector]) -> bool:
     """Fast checker: the lying slots must not close a directed cycle.
 
@@ -332,13 +361,13 @@ def _min_routing(m: int, tails: list[int], heads: list[int], caps: list[int], le
 
     Routing starts from zero flow.  Each round labels every node with its
     cheapest (cost, arcs) distance from the excess nodes, as ``key = cost *
-    B + arcs``, by a queue-based Bellman-Ford, and augments from the excess
-    nodes along edges that are tight for the labels (each adds one arc, so
-    they form a DAG) to deficit nodes at the least cost, until none is
-    reachable.  Augmenting only along shortest paths leaves no residual
-    cycle that costs less than 0, and no node's distance falls from one
-    round to the next, so the excess nodes keep key 0 and no tight edge
-    enters one.
+    B + arcs``, by ``_bellman_ford`` (the transport solver's search too),
+    and augments from the excess nodes along edges that are tight for the
+    labels (each adds one arc, so they form a DAG) to deficit nodes at the
+    least cost, until none is reachable.  Augmenting only along shortest
+    paths leaves no residual cycle that costs less than 0, and no node's
+    distance falls from one round to the next, so the excess nodes keep key
+    0 and no tight edge enters one.
     """
     A = len(tails)
     to = [0] * (2 * A)
@@ -355,24 +384,8 @@ def _min_routing(m: int, tails: list[int], heads: list[int], caps: list[int], le
         sources = [v for v in range(m) if left[v] > 0]
         if not sources:
             return room[1::2]
-        key = [m * B] * m  # above every reachable key
-        queued = [False] * m
-        for v in sources:
-            key[v], queued[v] = 0, True
-        queue = deque(sources)
-        while queue:
-            u = queue.popleft()
-            queued[u] = False
-            ku = key[u]
-            for e in head[u]:
-                if room[e]:
-                    v = to[e]
-                    kv = ku + weight[e]
-                    if kv < key[v]:
-                        key[v] = kv
-                        if not queued[v]:
-                            queued[v] = True
-                            queue.append(v)
+        dist = _bellman_ford(head, to, weight, room, sources)[0]
+        key = [m * B if d is None else d for d in dist]  # m * B: above every reachable key
         cost = min(key[v] // B for v in range(m) if left[v] < 0)
         if cost == m:  # pragma: no cover - c itself routes every excess
             raise RuntimeError("internal: excess cannot reach a deficit")

@@ -11,11 +11,14 @@ now a lower bound on its witness size.  The exact oracles for that size
 follow them: a subset scan for small K, and a negative-cycle certificate
 on the witness's lie counts for any K.  After them come frozen copies of
 ``_min_routing``, as it stood with a one-arc pre-fill before its rounds,
-and of ``permutation_witness``, as it stood routing every report, before it
-skipped the routing on lie arcs that close no cycle; the two witnesses must
-be identical.  Likewise the lookahead greedy is a
-frozen copy of the slot-by-slot search that ``canonical_minimal_message``
-replaced with a closed rule, and the transport solver at the end is a
+of the queue-based Bellman-Ford that its rounds ran before they shared
+``_bellman_ford`` with the transport solver (the two must give equal
+distances on graphs with no negative cycle), and of ``permutation_witness``,
+as it stood routing every report, before it skipped the routing on lie arcs
+that close no cycle; the two witnesses must be identical.  Likewise the
+lookahead greedy is a frozen copy of the slot-by-slot search that
+``canonical_minimal_message`` replaced with a closed rule, and the
+transport solver at the end is a
 frozen copy of the successive-shortest-paths solve on ``(cost, lies)``
 tuple weights that ``best_response_transport`` replaced with exact integer
 weights; wherever the tuple sums are exact the two return identical plans.
@@ -614,6 +617,34 @@ def oracle_min_routing(m: int, tails: list[int], heads: list[int], caps: list[in
                     room[e ^ 1] += k
                 left[a] -= k
                 left[v] += k
+
+
+def oracle_queue_search(m: int, head: list, to: list, weight: list, room: list, sources: list, top: int) -> list:
+    """The queue-based Bellman-Ford that ``_min_routing`` ran in each round
+    before ``_bellman_ford`` replaced it, frozen: every node's shortest
+    distance from the ``sources`` (each at 0) over edges with room left, and
+    ``top``, above every reachable distance, for an unreached node.  It
+    needs a graph with no negative cycle, like the routing's residual graph.
+    """
+    key = [top] * m
+    queued = [False] * m
+    for v in sources:
+        key[v], queued[v] = 0, True
+    queue = deque(sources)
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        ku = key[u]
+        for e in head[u]:
+            if room[e]:
+                v = to[e]
+                kv = ku + weight[e]
+                if kv < key[v]:
+                    key[v] = kv
+                    if not queued[v]:
+                        queued[v] = True
+                        queue.append(v)
+    return key
 
 
 def oracle_permutation_witness(

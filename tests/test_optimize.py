@@ -349,6 +349,16 @@ class TestIntegerTransport:
             assert got.message.entries == want.message.entries
             assert payoff(u, got.message, f, p) == want.payoff
 
+    def test_matches_frozen_oracle_many_types(self):
+        # 8-20 types, where the search's passes and ties matter most
+        rnd = random.Random(2900)
+        for _ in range(40):
+            p, f, u, q = random_oracle_case(rnd, None, rnd.randint(8, 20), rnd.randint(1, 64))
+            got = best_response_transport(u, f, p, q)
+            want = oracle_best_response_transport(u, f, p, q)
+            assert got.plan.flows == want.plan.flows
+            assert got.message.entries == want.message.entries
+
     def test_matches_frozen_oracle_at_scale(self):
         # 2-8 types and K up to 2,000, on truths that miss some types and
         # quotas with zero counts, so some rows lie to labels on both sides

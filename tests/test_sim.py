@@ -31,7 +31,7 @@ from linkmech import (
 )
 from linkmech import best_response_transport, is_permutation_truthful, sample_minimal_message, sim
 from linkmech.sim import CSV_COLUMNS
-from linkmech.core import _prior_ints
+from linkmech.core import PRIOR_TOLERANCE, _prior_ints
 from helpers import (
     assert_same_vector,
     exhaustive_expected_lie_count,
@@ -75,7 +75,7 @@ class TestSampleTypeVector:
     @pytest.mark.parametrize(
         "prior, message",
         [
-            ({"A": Fraction(1, 2), "B": Fraction(1, 3)}, "must be a distribution"),
+            ({"A": Fraction(1, 2), "B": Fraction(1, 3)}, "prior: sums to 5/6, expected 1"),
             ({"A": Fraction(1, 2**63), "B": 1 - Fraction(1, 2**63)}, "denominator too large"),
         ],
     )
@@ -85,6 +85,56 @@ class TestSampleTypeVector:
             with pytest.raises(ValidationError, match=message):
                 sample_type_vector(prior, 4, np.random.default_rng(seed))
         assert sim._sampling_table.cache_info().currsize == cached
+
+    @pytest.mark.parametrize("K", [True, 2.0, "3", None, [4]])
+    def test_rejects_a_k_that_is_no_integer(self, K):
+        # each raised numpy's own TypeError, where compute_quota raised this
+        with pytest.raises(ValidationError, match="^K must be a positive integer, got "):
+            sample_type_vector({"A": Fraction(1, 2), "B": Fraction(1, 2)}, K, np.random.default_rng(0))
+
+    def test_accepts_a_numpy_integer_k(self):
+        prior = {"A": Fraction(1, 3), "B": Fraction(2, 3)}
+        for K in (np.int64(9), np.uint32(9)):
+            got = sample_type_vector(prior, K, np.random.default_rng(5)).entries
+            assert got == sample_type_vector(prior, 9, np.random.default_rng(5)).entries
+
+    def test_near_one_prior_draws_over_its_sum(self):
+        # sums within the tolerance of 1 (the floats' exact binary values sum to
+        # 1 - 2.8e-17): each type is drawn with probability P_t / sum_t P_t
+        for prior in ({"A": 0.1, "B": 0.2, "C": 0.7}, {"A": Fraction(1, 2) + Fraction(1, 10**13), "B": Fraction(1, 2)}):
+            types, nums, D = _prior_ints(prior)
+            assert sum(nums) != D
+            cum = np.cumsum(nums)
+            for K in (1, 7, 64):
+                got = sample_type_vector(prior, K, np.random.default_rng(K)).entries
+                want = cum.searchsorted(np.random.default_rng(K).integers(0, sum(nums), size=K), "right")
+                assert got == tuple(types[i] for i in want)
+
+    def test_quota_sampler_and_simulation_agree_on_priors(self):
+        # the sampler once demanded a sum of exactly 1 where the quota allowed a drift
+        third = 1 / 3
+        priors = [{"A": Fraction(1, 2) + drift, "B": Fraction(1, 4), "C": Fraction(1, 4)}
+                  for drift in (0, PRIOR_TOLERANCE, -PRIOR_TOLERANCE, Fraction(1, 10**13),
+                                PRIOR_TOLERANCE + Fraction(1, 10**15), Fraction(-1, 10**11), Fraction(1, 6))]
+        priors += [{"A": 0.1, "B": 0.2, "C": 0.7}, {"A": third, "B": third, "C": third},
+                   {"A": 0.3, "B": 0.3, "C": 0.3}, {"A": 0, "B": 0, "C": 0}]
+        accepted = 0
+        for prior in priors:
+            problem = Problem(("x",), ("A", "B", "C"), {t: {"x": 0} for t in "ABC"}, prior)
+            for K in (1, 10, 1000, 10**6):
+                calls = [lambda: compute_quota(prior, K), lambda: sample_type_vector(prior, K, np.random.default_rng(0))]
+                if K <= 1000:
+                    calls.append(lambda: run_convergence(SimConfig(problem, (K,), 2, 1)))
+                outcomes = set()
+                for call in calls:
+                    try:
+                        call()
+                        outcomes.add("ok")
+                    except ValidationError as exc:
+                        outcomes.add(str(exc))
+                assert len(outcomes) == 1, (prior, K, outcomes)
+                accepted += outcomes == {"ok"}
+        assert accepted == 4 * 6
 
     def test_cached_table_gives_same_draws(self):
         prior = {"B": Fraction(2, 7), "A": Fraction(5, 7)}
@@ -178,6 +228,16 @@ class TestRunConvergence:
             assert 0 <= s.lie_fraction <= s.max_slot_lie_prob <= 1
             assert s.efficiency_gap <= s.max_slot_lie_prob
             assert s.strategy == "canonical-min-lie"
+
+    def test_float_prior_problem_simulates(self):
+        # the exact binary values of 0.1, 0.2 and 0.7 sum to 1 - 2.8e-17: the quota
+        # took them, while the sampler raised that the prior was no distribution
+        utility = {t: {d: int(t.lower() == d) for d in "abc"} for t in ABC}
+        p = Problem(("a", "b", "c"), ABC, utility, {"A": 0.1, "B": 0.2, "C": 0.7})
+        assert compute_quota(p, 10).counts == (1, 2, 7)
+        for strategy in sim.STRATEGY_NAMES[:3]:
+            stats = run_convergence(SimConfig(p, (4, 10), 3, 1, strategy))
+            assert [(s.K, s.strategy) for s in stats] == [(4, strategy), (10, strategy)]
 
     def test_degenerate_prior_never_lies(self):
         p = Problem(("d", "e"), ("A", "B"), {"A": {"d": 1, "e": 0}, "B": {"d": 0, "e": 1}}, {"A": Fraction(1), "B": Fraction(0)})

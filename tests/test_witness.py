@@ -39,6 +39,7 @@ from helpers import (
     oracle_audit,
     oracle_permutation_witness,
     oracle_permutation_witness_walk,
+    oracle_queue_search,
     oracle_witness,
     permuted,
     random_quota,
@@ -372,6 +373,28 @@ class TestPermutationWitness:
             u = random_vector(rnd, types, K)
             w = report_of_kind(rnd, u, REPORT_KINDS[i % len(REPORT_KINDS)])
             assert permutation_witness(u, w) == oracle_permutation_witness(u, w)
+
+    def test_search_matches_frozen_queue_search(self):
+        # many sources and negative edges, but no negative cycle: weights
+        # c + pi(a) - pi(b) with c >= 0, on edges with zero or positive room
+        rnd = random.Random(2901)
+        for _ in range(3_000):
+            m = rnd.randint(1, 12)
+            pi = [rnd.randint(-20, 20) for _ in range(m)]
+            head, tail, to, weight = [[] for _ in range(m)], [], [], []
+            for e in range(rnd.randint(0, 4 * m)):
+                a, b = rnd.randrange(m), rnd.randrange(m)
+                head[a].append(e)
+                tail.append(a)
+                to.append(b)
+                weight.append(rnd.randint(0, 6) + pi[a] - pi[b])
+            room = [rnd.choice((0, 0, 1, 3)) for _ in to]
+            sources = rnd.sample(range(m), rnd.randint(1, m))
+            dist, last = truthfulness._bellman_ford(head, to, weight, room, sources)
+            top = 10**9
+            assert [top if d is None else d for d in dist] == oracle_queue_search(m, head, to, weight, room, sources, top)
+            for w, e in enumerate(last):  # each last edge is tight and has room
+                assert e < 0 or room[e] and dist[w] == dist[tail[e]] + weight[e]
 
     @pytest.mark.parametrize("n, K", [(100, 4096), (1000, 64)])
     def test_many_types_in_bounded_time(self, n, K):
