@@ -75,7 +75,9 @@ class TestSampleTypeVector:
     @pytest.mark.parametrize(
         "prior, message",
         [
-            ({"A": Fraction(1, 2), "B": Fraction(1, 3)}, "prior: sums to 5/6, expected 1"),
+            pytest.param(
+                {"A": Fraction(1, 2), "B": Fraction(1, 3)}, "prior: sums to 5/6, expected 1", id="prior0-must be a distribution"
+            ),
             ({"A": Fraction(1, 2**63), "B": 1 - Fraction(1, 2**63)}, "denominator too large"),
         ],
     )
