@@ -29,6 +29,7 @@ from .core import (
 from .truthfulness import (
     _bellman_ford,
     _check_shapes,
+    _exceeds,
     _report_entries,
     _rewritten,
     audit,
@@ -147,17 +148,13 @@ def payoff(u: PreferenceVector, m: Union[Message, PreferenceVector], f: SocialCh
 
 def message_count(q: Quota) -> int:
     """Number of quota-feasible messages (a multinomial coefficient)."""
-    n = math.factorial(q.K)
-    for c in q.counts:
-        n //= math.factorial(c)
-    return n
+    return math.factorial(q.K) // math.prod(map(math.factorial, q.counts))
 
 
 def _arrangements(q: Quota, cap: int) -> Iterator[tuple[str, ...]]:
     """The quota's arrangements in lexicographic order, if at most ``cap``."""
-    n = message_count(q)
-    if n > cap:
-        raise EnumerationCapError(f"{n} quota messages exceed cap {cap}")
+    if _exceeds([q.counts], cap):
+        raise EnumerationCapError(f"more than {cap} quota messages")
     return iter_multiset_arrangements(q.as_dict())
 
 

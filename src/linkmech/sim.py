@@ -120,17 +120,17 @@ def _seed_states(head: list, reps: np.ndarray) -> list[tuple[int, int]]:
 def _sampling_table(types: tuple[str, ...], nums: tuple[int, ...], denom: int) -> tuple:
     """For a prior of ints P_t over D, parsed by ``_prior_ints``: the sorted labels, cumulative integer
     thresholds, their total S = sum_t P_t (``_prior_total``; S = D when the prior sums to 1), the labels as
-    an object array indexed by draw, and for 1 < S <= 2**32 the uint32 cuts ceil(c * 2**32 / S) of the
-    cumulative c < S and Lemire's threshold 2**32 mod S (else no cuts and None)."""
+    an object array indexed by draw, and the uint32 cuts c * 2**32 / S of the cumulative c < S when S is a
+    power of two, 1 < S <= 2**32, at which numpy never redraws (else None)."""
     total = _prior_total(nums, denom)
     if total > 1 << 62:
         raise ValidationError("prior denominator too large for exact integer sampling")
     cum = np.cumsum(nums)
     labels = np.array(types, dtype=object)
-    raw = 1 < total <= 1 << 32  # the draw from raw 32-bit values applies
-    cuts = np.array([-((-c << 32) // total) for c in cum.tolist() if c < total and raw], dtype=np.uint32)
+    pow2 = 1 < total <= 1 << 32 and not total & total - 1
+    cuts = np.array([(c << 32) // total for c in cum.tolist() if c < total and pow2], dtype=np.uint32)
     cum.flags.writeable = labels.flags.writeable = cuts.flags.writeable = False  # shared by every caller of the cache
-    return types, cum, total, labels, cuts, (1 << 32) % total if raw else None
+    return types, cum, total, labels, cuts if pow2 else None
 
 
 class _EpisodeGenerator(np.random.Generator):
@@ -143,11 +143,11 @@ def sample_type_vector(prior: Union[Problem, Weights], K: int, rng: np.random.Ge
 
     Thresholds ``rng.integers(0, S, size=K)`` over the sum S of the prior's ints P_t over their common
     denominator D: each type is hit with probability exactly P_t / S, its prior probability when the prior
-    sums to 1 (S = D), deterministically given the generator state.  A ``PCG64`` with no half word
-    buffered gets the same values and end state from raw words where 1 < S <= 2**32, bar the
-    ``uinteger`` word no draw reads while ``has_uint32`` is 0 (README, "Seeded simulation").  A Problem
-    keeps its table beside its integer prior, in its instance dict; a ``Weights`` mapping's table is looked
-    up by its parsed content.
+    sums to 1 (S = D), deterministically given the generator state.  On ``run_convergence``'s freshly
+    seeded generator, a power of two 1 < S <= 2**32 at an even K takes the same values and end state from
+    K / 2 raw words, bar the spare half word that no later draw reads (README, "Seeded simulation").  A
+    Problem keeps its table beside its integer prior, in its instance dict; a ``Weights`` mapping's table
+    is looked up by its parsed content.
     """
     if not isinstance(K, (int, np.integer)) or isinstance(K, bool):
         raise ValidationError(f"K must be a positive integer, got {_brief(K)}")
@@ -157,20 +157,10 @@ def sample_type_vector(prior: Union[Problem, Weights], K: int, rng: np.random.Ge
         table = _sampling_table(*_prior_ints(prior))
     elif (table := prior.__dict__.get("_sampling_memo")) is None:
         table = prior.__dict__["_sampling_memo"] = _sampling_table(*prior._int_prior())
-    types, cum, total, labels, cuts, reject = table
-    bg, idx, fresh = rng.bit_generator, None, getattr(rng, "fresh", False)
-    if reject is not None and (fresh or type(bg) is np.random.PCG64 and not bg.state["has_uint32"]):
-        # an odd K's last value takes the 32-bit path, whose buffered high half rng.integers leaves in the state
-        n, ct = K // 2, bg.ctypes
-        x = np.empty(K, dtype=np.uint32)
-        x[:2 * n] = bg.random_raw(n).view(np.uint32)
-        if K % 2:
-            x[-1] = ct.next_uint32(ct.state)
-        if reject and (x * np.uint32(total) < reject).any():
-            bg.advance(-n - K % 2)  # back to the call's state, buffer still empty
-        else:
-            idx = cuts.searchsorted(x, "right")
-    if idx is None:
+    types, cum, total, labels, cuts = table
+    if cuts is not None and K % 2 == 0 and getattr(rng, "fresh", False):
+        idx = cuts.searchsorted(rng.bit_generator.random_raw(K // 2).view(np.uint32), "right")
+    else:
         idx = cum.searchsorted(rng.integers(0, total, size=K), "right")
     return PreferenceVector._from_codes(tuple(labels[idx].tolist()), types, idx)
 
@@ -188,17 +178,19 @@ class SimConfig:
     custom_strategy: Optional[StrategyFn] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "k_values", tuple(self.k_values))
-        if not self.k_values or any(not isinstance(k, int) or isinstance(k, bool) or k < 1 for k in self.k_values):
+        ks = tuple(self.k_values)
+        if not ks or any(not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1 for k in ks):
             raise ValidationError("k_values must be positive integers")
+        object.__setattr__(self, "k_values", tuple(map(int, ks)))  # JSON encodes no numpy integer
         if any(a >= b for a, b in zip(self.k_values, self.k_values[1:])):
             raise ValidationError("k_values must be strictly increasing")
         if self.k_values[-1] > MAX_K:
             raise EnumerationCapError(f"K={_cut(str(self.k_values[-1]))} exceeds the simulation cap {MAX_K}")
         if isinstance(self.replications, bool):
             raise ValidationError(f"replications must be an integer, got {self.replications}")
-        if not isinstance(self.replications, int) or self.replications < 1:
+        if not isinstance(self.replications, (int, np.integer)) or self.replications < 1:
             raise ValidationError("replications must be at least 1")
+        object.__setattr__(self, "replications", int(self.replications))
         if self.replications > MAX_REPS:
             raise EnumerationCapError(f"replications={_cut(str(self.replications))} exceeds the simulation cap {MAX_REPS}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):

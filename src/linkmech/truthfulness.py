@@ -18,7 +18,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -48,8 +48,9 @@ def compute_quota(prior: Union[Problem, Weights], K: int) -> Quota:
     ``PRIOR_TOLERANCE`` (``_prior_total``) or by enough to move the counts'
     total, is a ``prior:`` error.
     """
-    if not isinstance(K, int) or isinstance(K, bool) or K < 1:
+    if not isinstance(K, (int, np.integer)) or isinstance(K, bool) or K < 1:
         raise ValidationError(f"K must be a positive integer, got {K!r}")
+    K = int(K)  # a numpy integer would overflow K * P_t
     types, nums, D = prior._int_prior() if isinstance(prior, Problem) else _prior_ints(prior)
     total = _prior_total(nums, D)
     scaled = [K * P for P in nums]  # K * weight * D
@@ -150,15 +151,26 @@ def iter_multiset_arrangements(counts: Mapping[str, int]) -> Iterator[tuple[str,
         a[i + 1:] = a[:i:-1]
 
 
+def _exceeds(groups: Iterable[Iterable[int]], cap: int) -> bool:
+    """Whether the product of the groups' multinomial coefficients exceeds ``cap``, by a running product
+    that starts each group at its largest count: every factor (n + i) / i is at least 2, so it passes the
+    cap within log2(cap) + 1 factors, before any big-int factorial.  Each partial product is an int."""
+    r = 1
+    for counts in groups:
+        n, *rest = sorted(counts, reverse=True) or [0]
+        for c in rest:
+            for i in range(1, c + 1):
+                if (r := r * (n + i) // i) > cap:
+                    return True
+            n += c
+    return False
+
+
 def count_minimal_lie_messages(u: PreferenceVector, q: Quota) -> int:
     """Size of the minimal-lie message set, without enumerating it."""
     counts, owed = _shortfall(u, q)
-    total = math.factorial(len(owed))
-    for c in Counter(owed).values():
-        total //= math.factorial(c)
-    for t, b in zip(q.types, q.counts):
-        total *= math.comb(counts[t], min(counts[t], b))
-    return total
+    total = math.factorial(len(owed)) // math.prod(map(math.factorial, Counter(owed).values()))
+    return total * math.prod(math.comb(counts[t], min(counts[t], b)) for t, b in zip(q.types, q.counts))
 
 
 def minimal_lie_messages(u: PreferenceVector, q: Quota, cap: int = 10**6) -> set[Message]:
@@ -169,13 +181,13 @@ def minimal_lie_messages(u: PreferenceVector, q: Quota, cap: int = 10**6) -> set
     set would exceed ``cap`` elements; use ``canonical_minimal_message`` or
     ``sample_minimal_message`` in that regime, neither of which enumerates.
     """
-    n = count_minimal_lie_messages(u, q)  # validates shapes
-    if n > cap:
+    counts, owed = _shortfall(u, q)  # validates shapes
+    kept = [(b, counts[t] - b) for t, b in zip(q.types, q.counts) if counts[t] > b]  # comb(count, budget) each
+    if _exceeds([Counter(owed).values(), *kept], cap):
         raise EnumerationCapError(
-            f"{n} minimal-lie messages exceed cap {cap}; "
+            f"more than {cap} minimal-lie messages; "
             "use canonical_minimal_message or sample_minimal_message instead"
         )
-    counts, owed = _shortfall(u, q)
     surplus = [(list(_scan(u.entries, t)), b) for t, b in zip(q.types, q.counts) if counts[t] > b]
     out: set[Message] = set()
     for keeps in itertools.product(*(itertools.combinations(pos, b) for pos, b in surplus)):
@@ -186,7 +198,7 @@ def minimal_lie_messages(u: PreferenceVector, q: Quota, cap: int = 10**6) -> set
             for slot, label in zip(free, arrangement):
                 entries[slot] = label
             out.add(Message(PreferenceVector(tuple(entries), u.types), q))
-    assert len(out) == n and all(lie_count(u, m) == len(owed) for m in out)
+    assert len(out) == count_minimal_lie_messages(u, q) and all(lie_count(u, m) == len(owed) for m in out)
     return out
 
 

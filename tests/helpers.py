@@ -367,91 +367,6 @@ def oracle_witness(u: PreferenceVector, reported: VectorLike) -> PermutationWitn
     return witness_from_pairs(pairs)
 
 
-def oracle_permutation_witness_walk(
-    u: PreferenceVector, reported: Union[Message, PreferenceVector]
-) -> PermutationWitness:
-    """The frozen greedy lower bound, as a flat walk: a slot subset on which
-    the report permutes truths, not always the largest.
-
-    Edge k (0-based) runs from the true type in slot k+1 to the reported
-    type there.  Balancing edges, numbered after the K slot edges, run from
-    each node that receives more than it sends to one that sends more than
-    it receives, matched in canonical node order.  The balanced multigraph
-    is peeled into edge-disjoint cycles: each walk starts at the lowest
-    alive edge, leaves every node by its lowest alive outgoing edge, and is
-    cut at the first repeated node, so every cycle's nodes are distinct.
-    Cycles through a balancing edge are dropped; the rest form S, with the
-    in-cycle successor as the bijection.  S covers at least
-    K - (#types - 1) * K * tv(marginal(u), marginal(report)) slots, that is
-    K - (#types - 1) * sum_t (truth count - report count)_+.
-
-    Nodes are the memoized type codes, a report's taken over the truth's
-    types.  numpy finds the fixed and lying slots and the degree balance; the
-    walk runs on int lists.  S and pi are sorted as arrays, and the bijection,
-    the report-to-truth pairing and the floor are re-checked over all of S.
-    """
-    _report_entries(u, reported)
-    rv = reported.vector if isinstance(reported, Message) else reported
-    if rv.types != u.types:  # restate the report over the truth's types
-        unknown = sorted(set(rv.entries) - set(u.types))
-        if unknown:
-            raise ValidationError(f"report: unknown types {unknown}")
-        rv = PreferenceVector(rv.entries, u.types)
-    uc, rc = u._codes(), rv._codes()
-    n = len(u.types)
-    # A truthful slot is a self-loop.  The walk would peel it as its own
-    # 1-cycle, which changes the walk on no other edge, so it enters S as a
-    # fixed point and only the lying slots (edges 0..L-1 below, in slot
-    # order) and the balancing edges are walked.
-    lies = uc != rc
-    fixed = np.flatnonzero(~lies) + 1
-    lying = np.flatnonzero(lies)
-    net = (np.bincount(uc, minlength=n) - np.bincount(rc, minlength=n)).tolist()
-    tail = uc[lying].tolist() + [v for v, d in enumerate(net) for _ in range(-d)]
-    head = rc[lying].tolist() + [v for v, d in enumerate(net) for _ in range(d)]
-
-    outgoing: list[list[int]] = [[] for _ in net]
-    for e, a in enumerate(tail):
-        outgoing[a].append(e)
-    next_out = [0] * n  # index of each node's lowest alive outgoing edge
-    alive = [True] * len(tail)
-    slot_of = (lying + 1).tolist()  # 1-based slot of each lying edge
-    on_cycles: list[int] = []  # slots on kept cycles
-    successors: list[int] = []  # their images under pi
-    for start in range(len(tail)):
-        if not alive[start]:
-            continue
-        # After a cycle is peeled the walk goes on from its first node, which a
-        # restart from the start edge would reach along the same, untouched path.
-        path = [start]
-        pos = {tail[start]: 0}
-        cur = head[start]
-        while path:
-            while cur not in pos:
-                pos[cur] = len(path)
-                out, i = outgoing[cur], next_out[cur]
-                while not alive[out[i]]:
-                    i += 1
-                next_out[cur] = i
-                path.append(out[i])
-                cur = head[out[i]]
-            cycle = path[pos[cur]:]
-            del path[pos[cur]:]
-            for e in cycle:
-                alive[e] = False
-                del pos[tail[e]]
-            if max(cycle) < len(slot_of):
-                labels = [slot_of[e] for e in cycle]
-                on_cycles += labels
-                successors += labels[1:] + labels[:1]
-    slots = np.concatenate((fixed, np.array(on_cycles, dtype=np.intp)))
-    images = np.concatenate((fixed, np.array(successors, dtype=np.intp)))
-    order = np.lexsort((images, slots))
-    slots, images = slots[order], images[order]
-    _check_witness(uc, rc, n, slots, images)
-    return witness_from_pairs(list(zip(slots.tolist(), images.tolist())))
-
-
 def assert_witness_sound(u: PreferenceVector, reported: VectorLike, witness: PermutationWitness) -> None:
     """pi is a bijection on S, maps each report slot to a truth slot of the same
     label, and S meets the floor K - (#types - 1) * sum_t (truth count - report count)_+."""

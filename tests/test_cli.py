@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -633,6 +634,17 @@ class TestBestResponseCommand:
             ["best-response", "--spec", CE_SPEC, "--truth", "A,A,B", "--method", "bruteforce", "--cap", "2"]
         )[0]
         assert code == 3
+
+    @pytest.mark.parametrize("K", [12_000, 200_000])
+    def test_cap_on_a_long_truth_is_one_short_line(self, K):
+        # the message count has over 4,300 digits at 12,000 slots; the cap test never computes it
+        truth = ",".join(("A", "B", "C") * (K // 3))
+        start = time.perf_counter()
+        code, out, err = run_cli_captured(["best-response", "--spec", CE_SPEC, "--truth", truth,
+                                           "--method", "bruteforce"])
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (3, "", "error: more than 1000000 quota messages\n")
+        assert len(err.encode()) < 200
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_cap_below_one_is_usage_error(self, cap, capsys):

@@ -200,6 +200,20 @@ class TestEnumerateMessages:
         with pytest.raises(EnumerationCapError):
             list(enumerate_messages(q, cap=10**6))
 
+    def test_cap_refuses_a_count_past_the_digit_limit(self, counterexample_problem):
+        # the count has over 4,300 digits, past Python's int-to-str limit; the refusal never prints it
+        q = Quota(("A", "B", "C"), (4000, 4000, 4000))
+        assert message_count(q).bit_length() > 4300 * 3.33
+        u = PreferenceVector(("A", "B", "C") * 4000, q.types)
+        f = SocialChoiceFunction.utility_argmax(counterexample_problem)
+        with pytest.raises(EnumerationCapError) as exc:
+            best_response_bruteforce(u, f, counterexample_problem, q)
+        assert str(exc.value) == "more than 1000000 quota messages"
+        q = Quota(("A", "B", "C"), (1, 2, 3))  # 60 messages: a cap of 60 admits them, 59 refuses
+        assert len(list(enumerate_messages(q, cap=60))) == 60
+        with pytest.raises(EnumerationCapError, match="^more than 59 quota messages$"):
+            list(enumerate_messages(q, cap=59))
+
 
 class TestBestResponse:
     def test_fixture_deviation_pair(self, counterexample_problem):

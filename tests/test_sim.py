@@ -187,6 +187,14 @@ class TestSimConfig:
         assert type(cfg.seed) is int
         assert stats_to_csv(run_convergence(cfg)) == stats_to_csv(run_convergence(cfg_for(binary_problem, seed=5)))
 
+    def test_numpy_k_values_and_replications_are_stored_as_int(self, binary_problem):
+        cfg = cfg_for(binary_problem, k_values=(np.int64(2), np.uint32(4)), replications=np.int64(200))
+        assert all(type(k) is int for k in cfg.k_values) and type(cfg.replications) is int
+        assert stats_to_csv(run_convergence(cfg)) == stats_to_csv(run_convergence(cfg_for(binary_problem)))
+        for bad in (dict(k_values=(np.True_, 2)), dict(replications=np.True_)):
+            with pytest.raises(ValidationError):
+                cfg_for(binary_problem, **bad)
+
     def test_rejects_bool_replications(self, binary_problem):
         with pytest.raises(ValidationError) as exc:
             cfg_for(binary_problem, replications=True)
@@ -651,8 +659,9 @@ class TestCallSeeding:
 class TestRawDraw:
     """The truth draw equals the frozen ``rng.integers`` sampler: same vector, same generator state after."""
 
-    # 2**31 + 1 redraws about half of all 32-bit values; 2**32 + 1 and 2**40 take numpy's 64-bit path.
-    DENOMS = (1, 2, 3, 10, 2**31 + 1, 2**32, 2**32 + 1, 2**40)
+    # 2, 2**5 and 2**32 take raw words on a fresh generator at even K; 2**31 + 1 redraws about half of all
+    # 32-bit values; 2**32 + 1 and 2**40 take numpy's 64-bit path.
+    DENOMS = (1, 2, 3, 10, 2**5, 2**31 + 1, 2**32, 2**32 + 1, 2**40)
     KINDS = ("seeded", "pcg64", "pcg64-buffered", "mt19937", "philox", "sfc64")
 
     @staticmethod
@@ -737,13 +746,28 @@ class TestRawDraw:
         assert seen == [3] * 20 + [4] * 20
 
     def test_cut_points(self):
-        for prior in ({"A": Fraction(1, 3), "B": Fraction(0), "C": Fraction(2, 3), "D": Fraction(0)},
-                      {"A": Fraction(1, 2**32), "B": 1 - Fraction(1, 2**32)}):
-            types, cum, denom, _, cuts, reject = sim._sampling_table(*_prior_ints(prior))
-            # x maps to code #{c in cum : c <= (x * D) >> 32}; the cuts give that count by search on x
+        # raw words apply at a power-of-two total only: one cut c * 2**32 / S per cumulative weight c < S
+        for prior, denom in (({"A": Fraction(1, 2), "B": Fraction(0), "C": Fraction(1, 2), "D": Fraction(0)}, 2),
+                             ({"A": Fraction(1, 2**32), "B": 1 - Fraction(1, 2**32)}, 2**32)):
+            types, cum, total, _, cuts = sim._sampling_table(*_prior_ints(prior))
+            assert total == denom and not cuts.flags.writeable
+            assert cuts.tolist() == [c * 2**32 // denom for c in cum.tolist() if c < denom]
+            # x maps to code #{c in cum : c <= (x * S) >> 32}; the cuts give that count by search on x
             for x in (0, 1, 2**31, 2**32 - 1, *(int(c) for c in cuts), *(int(c) - 1 for c in cuts if c)):
                 assert cuts.searchsorted(np.uint32(x), "right") == cum.searchsorted((x * denom) >> 32, "right"), x
-            assert reject == (2**32 - denom) % denom
+        prior = {"A": Fraction(1, 3), "B": Fraction(0), "C": Fraction(2, 3)}
+        assert sim._sampling_table(*_prior_ints(prior))[4] is None
+
+    def test_raw_words_only_at_a_power_of_two_total_and_even_k(self, binary_problem, counterexample_problem,
+                                                               monkeypatch):
+        def integers(*args, **kwargs):
+            raise AssertionError("rng.integers reached")
+
+        monkeypatch.setattr(sim._EpisodeGenerator, "integers", integers)
+        run_convergence(cfg_for(binary_problem, k_values=(4, 16), replications=5))  # S = 2, even K
+        for problem, k_values in ((binary_problem, (3,)), (counterexample_problem, (4, 16))):
+            with pytest.raises(AssertionError, match="rng.integers reached"):
+                run_convergence(cfg_for(problem, k_values=k_values, replications=5))
 
 
 class TestInternalChecks:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import time
@@ -32,7 +33,7 @@ from linkmech import (
 )
 from linkmech.core import PRIOR_TOLERANCE, _prior_ints, _quota_tv
 from linkmech.sim import sample_type_vector
-from linkmech.truthfulness import _rewritten, iter_multiset_arrangements
+from linkmech.truthfulness import _exceeds, _rewritten, iter_multiset_arrangements
 from helpers import (
     LABELS,
     assert_maximum_witness,
@@ -152,6 +153,16 @@ class TestComputeQuota:
         for K in (0, -1, 1.0, True, "3"):
             with pytest.raises(ValidationError, match="K must be a positive integer"):
                 compute_quota(problem, K)
+
+    def test_numpy_k_matches_python_k(self):
+        # K * P_t over a 10**30 denominator overflows int64, so K is kept as a Python int
+        prior = {"A": Fraction(1, 10**30), "B": 1 - Fraction(1, 10**30)}
+        for K in (np.int64(5), np.uint16(7), np.int32(10**6)):
+            q = compute_quota(prior, K)
+            assert q == compute_quota(prior, int(K)) and all(type(c) is int for c in q.counts)
+        for K in (True, np.True_):
+            with pytest.raises(ValidationError, match="K must be a positive integer"):
+                compute_quota(prior, K)
 
     @pytest.mark.parametrize("prior, message", [
         ({"A": "0.3", "B": "0.3"}, "prior: sums to 3/5, expected 1"),
@@ -290,6 +301,34 @@ class TestMinimalLieMessages:
         assert lie_count(u, canonical_minimal_message(u, q)) == 15
         m = sample_minimal_message(u, q, np.random.default_rng(0))
         assert lie_count(u, m) == 15
+
+
+    def test_cap_refuses_a_count_past_the_digit_limit(self):
+        # the count has over 4,300 digits, past Python's int-to-str limit; the refusal never prints it
+        u = PreferenceVector(("A",) * 12000, ABC)
+        q = Quota(ABC, (4000, 4000, 4000))
+        assert count_minimal_lie_messages(u, q).bit_length() > 4300 * 3.33
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError) as exc:
+            minimal_lie_messages(u, q)
+        assert time.perf_counter() - start < 1
+        assert str(exc.value) == ("more than 1000000 minimal-lie messages; "
+                                  "use canonical_minimal_message or sample_minimal_message instead")
+
+    def test_cap_test_matches_the_exact_count(self):
+        rnd = random.Random(32)
+        for _ in range(300):
+            groups = [[rnd.choice((0, 0, 1, 2, 3, 7, 40)) for _ in range(rnd.randint(0, 4))]
+                      for _ in range(rnd.randint(0, 3))]
+            n = math.prod(math.factorial(sum(g)) // math.prod(map(math.factorial, g)) for g in groups)
+            for cap in {1, max(n - 1, 1), n, n + 1, rnd.randint(1, 10**6)}:
+                assert _exceeds(groups, cap) == (n > cap), (groups, cap)
+        # comb(10, 2) kept slots times 8! / (3! 5!) owed orders: a cap of 2,520 admits them, 2,519 refuses
+        u, q = PreferenceVector(("A",) * 10, ABC), Quota(ABC, (2, 3, 5))
+        assert count_minimal_lie_messages(u, q) == 2520
+        assert len(minimal_lie_messages(u, q, cap=2520)) == 2520
+        with pytest.raises(EnumerationCapError, match="^more than 2519 minimal-lie messages"):
+            minimal_lie_messages(u, q, cap=2519)
 
 
 class TestShortfallSplit:

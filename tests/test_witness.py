@@ -38,7 +38,6 @@ from helpers import (
     max_witness_size,
     oracle_audit,
     oracle_permutation_witness,
-    oracle_permutation_witness_walk,
     oracle_queue_search,
     oracle_witness,
     permuted,
@@ -261,7 +260,6 @@ class TestPermutationWitness:
             new = permutation_witness(u, w)
             assert_witness_sound(u, w, new)
             assert_maximum_witness(u, w, new)
-            assert len(new.slots) >= len(oracle_permutation_witness_walk(u, w).slots)
             over_truth = PreferenceVector(w.entries, types)
             counts = over_truth.counts()
             record = audit(u, Message(over_truth, Quota(types, tuple(counts[t] for t in types))))
