@@ -148,7 +148,7 @@ def _jsonable_number(x):
 def cmd_quota(args) -> int:
     problem = _load_problem(args.spec)
     if args.K > MAX_K:
-        raise EnumerationCapError(f"K={_cut(str(args.K))} exceeds the cap {MAX_K}")
+        raise EnumerationCapError(f"K={_brief(args.K)} exceeds the cap {MAX_K}")
     quota = compute_quota(problem, args.K)
     _emit_json(
         {
@@ -175,7 +175,7 @@ def cmd_audit(args) -> int:
 
 def cmd_best_response(args) -> int:
     if args.cap < 1:
-        raise ValidationError(f"--cap must be at least 1, got {args.cap}")
+        raise ValidationError(f"--cap must be at least 1, got {_brief(args.cap)}")
     problem = _load_problem(args.spec)
     truth = _parse_vector(args.truth, problem, "truth")
     quota = compute_quota(problem, truth.K)
@@ -247,7 +247,7 @@ def cmd_simulate(args) -> int:
         try:
             seed = int(env) if env is not None else 0
         except ValueError:
-            raise ValidationError(f"LINKED_SEED must be an integer, got {env!r}") from None
+            raise ValidationError(f"LINKED_SEED must be an integer, got {_brief(env)}") from None
     cfg = SimConfig(
         problem=problem,
         k_values=k_values,

@@ -49,9 +49,12 @@ def _cut(text: str) -> str:
 
 
 def _brief(value) -> str:
-    """A repr of untrusted input short enough for a one-line error."""
+    """A repr of untrusted input short enough for a one-line error; a long int,
+    which Python may refuse to print, is named by its sign and bit length."""
     if isinstance(value, (list, tuple, dict)):
         return f"a {type(value).__name__}"
+    if isinstance(value, int) and value.bit_length() > 2048:  # below 640 digits, the least print limit Python sets
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
     return _cut(repr(value))
 
 
@@ -266,7 +269,7 @@ class PreferenceVector:
         universe = set(self.types)
         if not universe.issuperset(self.entries):
             k, t = next((k, t) for k, t in enumerate(self.entries, start=1) if t not in universe)
-            raise ValidationError(f"entries[{k}]: unknown type {t!r}")
+            raise ValidationError(f"entries[{k}]: unknown type {_brief(t)}")
 
     @classmethod
     def _from_codes(cls, entries: tuple[str, ...], types: tuple[str, ...], codes) -> "PreferenceVector":

@@ -31,6 +31,7 @@ from .truthfulness import (
     _check_shapes,
     _exceeds,
     _report_entries,
+    _residual,
     _rewritten,
     audit,
     compute_quota,
@@ -100,9 +101,9 @@ def _pair_table(f: SocialChoiceFunction, p: Problem, types: tuple[str, ...]):
     """Each (true, reported) pair's exact value as an int over one common
     denominator, floats read as their exact binary value; the set of pairs
     whose ``f.expected_utility`` is a float; that denominator; and the
-    transport network: a source edge per true type, a sink edge per reported
-    type, then every pair edge in row order, all at zero capacity, a pair
-    costing its ``top - value`` gap times ``_LIE_SCALE``, plus its lie bit."""
+    transport network, whose arcs in edge order are a source arc per true
+    type, a sink arc per reported type, then every pair arc in row order, a
+    pair costing its ``top - value`` gap times ``_LIE_SCALE``, plus its lie bit."""
     global _cached
     if not (_cached[0] is f and _cached[1] is p and _cached[2] == types):
         pairs = [(t, r) for t in types for r in types]
@@ -111,14 +112,10 @@ def _pair_table(f: SocialChoiceFunction, p: Problem, types: tuple[str, ...]):
         scaled = {pair: v.numerator * (denom // v.denominator) for pair, v in zip(pairs, exact)}
         floats = {(t, r) for t, r in pairs if isinstance(f.expected_utility(r, t, p), float)}
         n, top = len(types), max(scaled.values())
-        net = _MinCostFlow(2 * n + 2)
-        for i in range(n):
-            net.add_edge(2 * n, i, 0, 0)
-        for j in range(n):
-            net.add_edge(n + j, 2 * n + 1, 0, 0)
-        for i, t in enumerate(types):
-            for j, r in enumerate(types):
-                net.add_edge(i, n + j, 0, (top - scaled[t, r]) * _LIE_SCALE + (i != j))
+        tails = [2 * n] * n + [*range(n, 2 * n)] + [i for i in range(n) for _ in types]
+        heads = [*range(n)] + [2 * n + 1] * n + [*range(n, 2 * n)] * n
+        gaps = [(top - scaled[t, r]) * _LIE_SCALE + (t != r) for t, r in pairs]
+        net = _MinCostFlow(2 * n + 2, tails, heads, [0] * (2 * n) + gaps)
         _cached = (f, p, types, (scaled, floats, denom, net))
     return _cached[3]
 
@@ -208,9 +205,10 @@ _PATH_MEMO_CAP = 4096  # most paths one network keeps; its memo is emptied when 
 class _MinCostFlow:
     """Successive shortest paths on integer weights with the lie bit folded in.
 
-    Each search is ``_bellman_ford``, the one the witness routing uses too.
-    Topology and costs are fixed at build time; ``run`` works on a caller's
-    residual capacities, one per edge, and keeps each augmenting path under
+    The arcs ``tails[i] -> heads[i]`` at ``costs[i]`` are fixed at build time
+    and laid out by ``_residual``, reverse edges at ``-costs[i]``; each search
+    is ``_bellman_ford``.  Both are the witness routing's too.  ``run`` works
+    on a caller's residual capacities, one per edge, and keeps each path under
     (s, t, live), where the int ``live`` has bit e set while edge e has
     capacity left: all that the search reads.  ``run`` builds ``live`` once
     per solve and flips only the bits that an augmentation moves, on the
@@ -219,28 +217,11 @@ class _MinCostFlow:
     invariant breaks.
     """
 
-    def __init__(self, n_nodes: int):
-        self.n = n_nodes
-        self.head: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[int] = []
-        self.bit: list[int] = []  # edge e's bit, 1 << e, in the live-edge mask
+    def __init__(self, n_nodes: int, tails: list[int], heads: list[int], costs: list[int]):
+        self.head, self.to = _residual(n_nodes, tails, heads)
+        self.cost = [w for c in costs for w in (c, -c)]
+        self.bit = [1 << e for e in range(len(self.to))]  # edge e's bit in the live-edge mask
         self.paths: dict[tuple[int, int, int], list[int]] = {}
-
-    def add_edge(self, a: int, b: int, cap: int, cost: int) -> None:
-        e = len(self.to)
-        self.head[a].append(e)
-        self.head[b].append(e + 1)
-        self.to += (b, a)
-        self.cap += (cap, 0)
-        self.cost += (cost, -cost)
-        self.bit += (1 << e, 2 << e)
-
-    def _shortest_path(self, s: int, t: int, cap: list[int]):
-        """``_bellman_ford`` from s over the edges with capacity left: t's distance, and every node's last edge."""
-        dist, prev_edge = _bellman_ford(self.head, self.to, self.cost, cap, (s,))
-        return dist[t], prev_edge
 
     def run(self, s: int, t: int, amount: int, cap: list[int]) -> None:
         """Send ``amount`` units from s to t, updating ``cap`` in place."""
@@ -251,13 +232,13 @@ class _MinCostFlow:
             key = (s, t, live)
             path = self.paths.get(key)
             if path is None:
-                d, prev_edge = self._shortest_path(s, t, cap)
-                if d is None:  # pragma: no cover - supplies always match demands here
+                dist, prev_edge = _bellman_ford(self.head, self.to, self.cost, cap, (s,))
+                if dist[t] is None:  # pragma: no cover - supplies always match demands here
                     raise RuntimeError("internal: transportation network infeasible")
                 path = []
                 v = t
                 while v != s:
-                    if len(path) == self.n:
+                    if len(path) == len(self.head):
                         raise RuntimeError("internal: shortest-path tree has a cycle")
                     eid = prev_edge[v]
                     path.append(eid)
@@ -316,7 +297,7 @@ def best_response_transport(
     supply = [counts[t] for t in types]
     demand = list(q.counts)
     net = _pair_table(f, p, types)[3]
-    cap = net.cap[:]
+    cap = [0] * len(net.to)
     cap[0:2 * n:2] = supply
     cap[2 * n:4 * n:2] = demand
     cap[4 * n::2] = [min(s, d) for s in supply for d in demand]

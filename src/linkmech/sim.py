@@ -185,20 +185,20 @@ class SimConfig:
         if any(a >= b for a, b in zip(self.k_values, self.k_values[1:])):
             raise ValidationError("k_values must be strictly increasing")
         if self.k_values[-1] > MAX_K:
-            raise EnumerationCapError(f"K={_cut(str(self.k_values[-1]))} exceeds the simulation cap {MAX_K}")
+            raise EnumerationCapError(f"K={_brief(self.k_values[-1])} exceeds the simulation cap {MAX_K}")
         if isinstance(self.replications, bool):
             raise ValidationError(f"replications must be an integer, got {self.replications}")
         if not isinstance(self.replications, (int, np.integer)) or self.replications < 1:
             raise ValidationError("replications must be at least 1")
         object.__setattr__(self, "replications", int(self.replications))
         if self.replications > MAX_REPS:
-            raise EnumerationCapError(f"replications={_cut(str(self.replications))} exceeds the simulation cap {MAX_REPS}")
+            raise EnumerationCapError(f"replications={_brief(self.replications)} exceeds the simulation cap {MAX_REPS}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ValidationError(f"seed must be an integer, got {_brief(self.seed)}")
         object.__setattr__(self, "seed", int(self.seed))  # a numpy integer would overflow the 64-bit mask
         if self.strategy not in STRATEGY_NAMES:
             raise ValidationError(
-                f"unknown strategy {self.strategy!r}; choose from {', '.join(STRATEGY_NAMES)}"
+                f"unknown strategy {_brief(self.strategy)}; choose from {', '.join(STRATEGY_NAMES)}"
             )
         if self.strategy == "custom-permutation-truthful" and not callable(self.custom_strategy):
             raise ValidationError("custom-permutation-truthful requires a custom_strategy callable")

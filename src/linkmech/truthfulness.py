@@ -30,6 +30,7 @@ from .core import (
     Quota,
     ValidationError,
     Weights,
+    _brief,
     _cut,
     _prior_ints,
     _prior_total,
@@ -49,7 +50,7 @@ def compute_quota(prior: Union[Problem, Weights], K: int) -> Quota:
     total, is a ``prior:`` error.
     """
     if not isinstance(K, (int, np.integer)) or isinstance(K, bool) or K < 1:
-        raise ValidationError(f"K must be a positive integer, got {K!r}")
+        raise ValidationError(f"K must be a positive integer, got {_brief(K)}")
     K = int(K)  # a numpy integer would overflow K * P_t
     types, nums, D = prior._int_prior() if isinstance(prior, Problem) else _prior_ints(prior)
     total = _prior_total(nums, D)
@@ -288,6 +289,18 @@ def _is_acyclic(tails: list, heads: list) -> bool:
     return not any(indeg.values())
 
 
+def _residual(m: int, tails, heads) -> tuple[list[list[int]], list[int]]:
+    """The residual graph of the arcs ``tails[i] -> heads[i]`` on nodes 0..m-1, as both flow solvers lay
+    it out: edge 2i is arc i and edge 2i + 1 its reverse (``e ^ 1``), ``to[e]`` is where edge e ends, and
+    ``head[v]`` lists the edges out of node v in edge order."""
+    to = [0] * (2 * len(tails))
+    to[0::2], to[1::2] = heads, tails
+    head: list[list[int]] = [[] for _ in range(m)]
+    for e, v in enumerate(itertools.chain.from_iterable(zip(tails, heads))):
+        head[v].append(e)
+    return head, to
+
+
 def _bellman_ford(head: list, to: list, weight: list, room: list, sources) -> tuple[list, list[int]]:
     """Distances from ``sources`` (each at 0) over the edges e with ``room[e]`` left, each running
     from the node whose ``head`` list holds it to ``to[e]`` at cost ``weight[e]``, and each node's last
@@ -367,9 +380,10 @@ def _min_routing(m: int, tails: list[int], heads: list[int], caps: list[int], le
     Arc i runs tails[i] -> heads[i], carries at most caps[i] units and costs
     1 per unit; ``left[v]`` is node v's excess (> 0) or deficit (< 0), the
     whole summing to 0, and is spent in place.  Returns the units on each arc
-    of a cheapest routing, by successive shortest paths.  Residual edge 2i is
-    arc i's spare room (cost +1) and edge 2i + 1 its routed units, which a
-    unit may cancel (cost -1).
+    of a cheapest routing, by successive shortest paths.  The residual graph
+    is ``_residual``'s layout, the transport solver's too: edge 2i is arc i's
+    spare room (cost +1) and edge 2i + 1 its routed units, which a unit may
+    cancel (cost -1).
 
     Routing starts from zero flow.  Each round labels every node with its
     cheapest (cost, arcs) distance from the excess nodes, as ``key = cost *
@@ -381,17 +395,12 @@ def _min_routing(m: int, tails: list[int], heads: list[int], caps: list[int], le
     distance falls from one round to the next, so the excess nodes keep key
     0 and no tight edge enters one.
     """
-    A = len(tails)
-    to = [0] * (2 * A)
-    to[0::2], to[1::2] = heads, tails
-    room = [0] * (2 * A)
+    head, to = _residual(m, tails, heads)
+    room = [0] * len(to)
     room[0::2] = caps
-    head: list[list[int]] = [[] for _ in range(m)]
-    for e, v in enumerate(itertools.chain.from_iterable(zip(tails, heads))):
-        head[v].append(e)
     ends = [len(h) for h in head]
     B = m + 1  # more than the arcs on any cheapest path
-    weight = [B + 1, 1 - B] * A  # per edge: spare room, cancel
+    weight = [B + 1, 1 - B] * len(tails)  # per edge: spare room, cancel
     while True:
         sources = [v for v in range(m) if left[v] > 0]
         if not sources:

@@ -164,6 +164,10 @@ class TestQuotaCommand:
         assert err.startswith("error: K=") and err.endswith(f"exceeds the cap {sim.MAX_K}\n")
         assert err.count("\n") == 1 and len(err) < 200
 
+    def test_long_negative_k_is_one_short_line(self, capsys):
+        argv = ["quota", "--spec", BIN_SPEC, "--K", "-" + "9" * 4000]
+        assert_clean_failure(argv, capsys, "K must be a positive integer, got a negative int of 13288 bits")
+
     def test_unwritable_output(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.json"
         capsys.readouterr()
@@ -651,6 +655,10 @@ class TestBestResponseCommand:
         argv = ["best-response", "--spec", CE_SPEC, "--truth", "A,A,B", "--method", "bruteforce", "--cap", cap]
         assert_clean_failure(argv, capsys, f"--cap must be at least 1, got {cap}")
 
+    def test_long_negative_cap_is_one_short_line(self, capsys):
+        argv = ["best-response", "--spec", CE_SPEC, "--truth", "A,A,B", "--cap", "-" + "9" * 4000]
+        assert_clean_failure(argv, capsys, "--cap must be at least 1, got a negative int of 13288 bits")
+
     def test_empty_label_rejected(self, capsys):
         assert_clean_failure(["best-response", "--spec", CE_SPEC, "--truth", "A,B,"], capsys,
                              "truth: empty label at position 3")
@@ -980,6 +988,13 @@ class TestSimulateCommand:
         monkeypatch.setenv("LINKED_SEED", "abc")
         argv = ["simulate", "--spec", BIN_SPEC, "--K", "2", "--reps", "5"]
         assert_clean_failure(argv, capsys, "LINKED_SEED must be an integer, got 'abc'")
+
+    @pytest.mark.parametrize("env", ["x" * 5000, "9" * 5000], ids=["letters", "nines"])
+    def test_long_env_seed_is_cut(self, monkeypatch, capsys, env):
+        # 5,000 nines are past the digits int() will read
+        monkeypatch.setenv("LINKED_SEED", env)
+        argv = ["simulate", "--spec", BIN_SPEC, "--K", "2", "--reps", "5"]
+        assert_clean_failure(argv, capsys, f"LINKED_SEED must be an integer, got '{env[:36]}...")
 
     def test_k_above_cap_exits_3(self, capsys):
         capsys.readouterr()

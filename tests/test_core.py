@@ -235,6 +235,7 @@ class TestPreferenceVector:
         (("A", "B", "X", "Y", "X"), "entries[3]: unknown type 'X'"),
         (("Y",), "entries[1]: unknown type 'Y'"),
         (("A", "C", 7), "entries[3]: unknown type 7"),
+        (("A", "y" * 5000), "entries[2]: unknown type '" + "y" * 36 + "..."),
     ])
     def test_unknown_label_names_first_bad_slot(self, entries, message):
         with pytest.raises(ValidationError) as exc:

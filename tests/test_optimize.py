@@ -32,6 +32,7 @@ from linkmech import (
     validate_problem,
     verify_counterexample,
 )
+from linkmech import optimize, truthfulness
 from linkmech.optimize import _MinCostFlow, _pair_table
 from helpers import (
     assert_plan_sums,
@@ -458,45 +459,40 @@ class TestIntegerTransport:
         assert len(outs["bruteforce"]["messages"]) == 90
         assert outs["transport"]["message"] in outs["bruteforce"]["messages"]
 
-    def test_weights_are_plain_ints(self, monkeypatch, counterexample_problem):
+    def test_weights_are_plain_ints(self, counterexample_problem):
         p = counterexample_problem
         f = SocialChoiceFunction.utility_argmax(p)
-        seen = []
-        real_add_edge = _MinCostFlow.add_edge
-
-        def spy(self, a, b, cap, cost):
-            seen.append(cost)
-            return real_add_edge(self, a, b, cap, cost)
-
-        monkeypatch.setattr(_MinCostFlow, "add_edge", spy)
         best_response_transport(vec("AAB"), f, p, Q3)
-        assert seen and all(type(c) is int for c in seen)
+        cost = _pair_table(f, p, ABC)[3].cost
+        assert cost and all(type(c) is int for c in cost)
 
 
-def plain_shortest_path(net, s, t, cap):
+def plain_shortest_path(head, to, cost, cap, s):
     """Bellman-Ford that relaxes every reached vertex on every pass, each
-    from its distance at the start of its turn (a self-loop may lower it)."""
-    dist = [None] * net.n
-    prev_edge = [-1] * net.n
+    from its distance at the start of its turn (a self-loop may lower it):
+    every node's distance and last edge."""
+    n = len(head)
+    dist = [None] * n
+    prev_edge = [-1] * n
     dist[s] = 0
-    for _ in range(net.n - 1):
+    for _ in range(n - 1):
         changed = False
-        for v in range(net.n):
+        for v in range(n):
             dv = dist[v]
             if dv is None:
                 continue
-            for eid in net.head[v]:
+            for eid in head[v]:
                 if cap[eid] == 0:
                     continue
-                w = net.to[eid]
-                cand = dv + net.cost[eid]
+                w = to[eid]
+                cand = dv + cost[eid]
                 if dist[w] is None or cand < dist[w]:
                     dist[w] = cand
                     prev_edge[w] = eid
                     changed = True
         if not changed:
             break
-    return dist[t], prev_edge
+    return dist, prev_edge
 
 
 class TestShortestPath:
@@ -504,17 +500,17 @@ class TestShortestPath:
     edge and tie."""
 
     def test_matches_plain_bellman_ford_mid_solve(self, monkeypatch):
-        real = _MinCostFlow._shortest_path
+        real = optimize._bellman_ford
         searches = []
 
-        def checked(self, s, t, cap):
-            want = plain_shortest_path(self, s, t, cap)
-            got = real(self, s, t, cap)
-            assert got == want
-            searches.append(got[0])
+        def checked(head, to, weight, room, sources):
+            (s,) = sources
+            got = real(head, to, weight, room, sources)
+            assert got == plain_shortest_path(head, to, weight, room, s)
+            searches.append(s)
             return got
 
-        monkeypatch.setattr(_MinCostFlow, "_shortest_path", checked)
+        monkeypatch.setattr(optimize, "_bellman_ford", checked)
         rnd = random.Random(31)
         for _ in range(400):
             p, f, u, q = random_oracle_case(rnd)
@@ -525,13 +521,34 @@ class TestShortestPath:
         # arbitrary costs, negative cycles and self-loops included, and zero capacities
         rnd = random.Random(32)
         for _ in range(2_000):
-            net = _MinCostFlow(rnd.randint(2, 9))
-            for _ in range(rnd.randint(0, 4 * net.n)):
-                a, b = rnd.randrange(net.n), rnd.randrange(net.n)
-                net.add_edge(a, b, rnd.choice((0, 0, 1, 3)), rnd.randint(-4, 9))
-            cap = [c if rnd.random() < 0.7 else rnd.randint(0, 2) for c in net.cap]
-            s, t = rnd.randrange(net.n), rnd.randrange(net.n)
-            assert net._shortest_path(s, t, cap) == plain_shortest_path(net, s, t, cap)
+            n = rnd.randint(2, 9)
+            arcs = [(rnd.randrange(n), rnd.randrange(n), rnd.randint(-4, 9)) for _ in range(rnd.randint(0, 4 * n))]
+            net = _MinCostFlow(n, [a for a, _, _ in arcs], [b for _, b, _ in arcs], [c for _, _, c in arcs])
+            cap = [rnd.choice((0, 0, 1, 3)) if e % 2 == 0 else 0 for e in range(len(net.to))]
+            cap = [c if rnd.random() < 0.7 else rnd.randint(0, 2) for c in cap]
+            s = rnd.randrange(n)
+            got = optimize._bellman_ford(net.head, net.to, net.cost, cap, (s,))
+            assert got == plain_shortest_path(net.head, net.to, net.cost, cap, s)
+
+
+class TestNetworkLayout:
+    """``_pair_table``'s network: n source arcs, n sink arcs, then the n**2
+    pair arcs in row order, laid out by ``_residual`` with (c, -c) costs."""
+
+    def test_arcs_in_order(self):
+        rnd = random.Random(3302)
+        for n in range(1, 6):
+            p, f, _, _ = random_oracle_case(rnd, n=n)
+            types = tuple(f"t{i}" for i in range(n))
+            scaled, _, _, net = _pair_table(f, p, types)
+            top = max(scaled.values())
+            tails = [2 * n] * n + list(range(n, 2 * n)) + [i for i in range(n) for _ in range(n)]
+            heads = list(range(n)) + [2 * n + 1] * n + list(range(n, 2 * n)) * n
+            assert (net.head, net.to) == truthfulness._residual(2 * n + 2, tails, heads)
+            gaps = [(top - scaled[t, r]) * optimize._LIE_SCALE + (t != r) for t in types for r in types]
+            assert net.cost[0::2] == [0] * (2 * n) + gaps
+            assert net.cost[1::2] == [-c for c in net.cost[0::2]]
+            assert net.bit == [1 << e for e in range(len(net.to))]
 
 
 class CountingPaths(dict):
@@ -556,14 +573,14 @@ class TestPathMemo:
         return p, f, types, net
 
     def test_replayed_paths_match_frozen_oracle(self, monkeypatch):
-        real = _MinCostFlow._shortest_path
+        real = optimize._bellman_ford
         searches = []
 
-        def counted(self, s, t, cap):
-            searches.append(s)
-            return real(self, s, t, cap)
+        def counted(head, to, weight, room, sources):
+            searches.append(sources)
+            return real(head, to, weight, room, sources)
 
-        monkeypatch.setattr(_MinCostFlow, "_shortest_path", counted)
+        monkeypatch.setattr(optimize, "_bellman_ford", counted)
         rnd = random.Random(46)
         for kind, n in itertools.product(("int", "fraction", "dyadic"), range(1, 6)):
             K = 60 if n == 5 else rnd.randint(1, 60)
@@ -590,19 +607,19 @@ class TestPathMemo:
         # run at K 16,64,256: a memo key that merged or split residual
         # patterns would move them
         nets, searches = [], []
-        real_init, real_search = _MinCostFlow.__init__, _MinCostFlow._shortest_path
+        real_init, real_search = _MinCostFlow.__init__, optimize._bellman_ford
 
-        def counted_init(self, n_nodes):
-            real_init(self, n_nodes)
+        def counted_init(self, *arcs):
+            real_init(self, *arcs)
             self.paths = CountingPaths()
             nets.append(self)
 
-        def counted_search(self, s, t, cap):
-            searches.append(s)
-            return real_search(self, s, t, cap)
+        def counted_search(head, to, weight, room, sources):
+            searches.append(sources)
+            return real_search(head, to, weight, room, sources)
 
         monkeypatch.setattr(_MinCostFlow, "__init__", counted_init)
-        monkeypatch.setattr(_MinCostFlow, "_shortest_path", counted_search)
+        monkeypatch.setattr(optimize, "_bellman_ford", counted_search)
         counts = {}
         for seed in (1, 2, 3):
             nets.clear()
@@ -686,11 +703,11 @@ class TestValueTableCache:
 
     def test_one_network_for_every_k(self, monkeypatch, counterexample_problem):
         builds, solves, searches, augmentations = [], [], Counter(), Counter()
-        real_init, real_run, real_search = _MinCostFlow.__init__, _MinCostFlow.run, _MinCostFlow._shortest_path
+        real_init, real_run, real_search = _MinCostFlow.__init__, _MinCostFlow.run, optimize._bellman_ford
 
-        def counted_init(self, n_nodes):
+        def counted_init(self, n_nodes, *arcs):
             builds.append(n_nodes)
-            real_init(self, n_nodes)
+            real_init(self, n_nodes, *arcs)
             self.paths = CountingPaths()
 
         def counted_run(self, s, t, amount, cap):
@@ -699,13 +716,13 @@ class TestValueTableCache:
             real_run(self, s, t, amount, cap)
             augmentations[amount] += self.paths.lookups - before
 
-        def counted_search(self, s, t, cap):
+        def counted_search(head, to, weight, room, sources):
             searches[solves[-1]] += 1
-            return real_search(self, s, t, cap)
+            return real_search(head, to, weight, room, sources)
 
         monkeypatch.setattr(_MinCostFlow, "__init__", counted_init)
         monkeypatch.setattr(_MinCostFlow, "run", counted_run)
-        monkeypatch.setattr(_MinCostFlow, "_shortest_path", counted_search)
+        monkeypatch.setattr(optimize, "_bellman_ford", counted_search)
         cfg = SimConfig(
             problem=counterexample_problem, k_values=(3, 8, 16), replications=20, seed=5, strategy="best-response"
         )

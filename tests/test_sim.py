@@ -172,6 +172,17 @@ class TestSimConfig:
             assert str(exc.value) == f"replications={reps} exceeds the simulation cap {sim.MAX_REPS}"
         assert cfg_for(binary_problem, replications=sim.MAX_REPS).replications == sim.MAX_REPS
 
+    @pytest.mark.parametrize("field, error", [
+        (dict(k_values=(10**5000,)), EnumerationCapError),
+        (dict(replications=10**5000), EnumerationCapError),
+        (dict(strategy="x" * 5000), ValidationError),
+    ], ids=["k", "replications", "strategy"])
+    def test_long_values_give_one_short_line(self, binary_problem, field, error):
+        # an int past the digits Python will print once ended in its own ValueError
+        with pytest.raises(error) as exc:
+            cfg_for(binary_problem, **field)
+        assert "\n" not in str(exc.value) and len(str(exc.value).encode()) < 200
+
     def test_custom_requires_callable(self, binary_problem):
         with pytest.raises(ValidationError, match="custom_strategy"):
             cfg_for(binary_problem, strategy="custom-permutation-truthful")

@@ -164,6 +164,16 @@ class TestComputeQuota:
             with pytest.raises(ValidationError, match="K must be a positive integer"):
                 compute_quota(prior, K)
 
+    @pytest.mark.parametrize("K, shown", [
+        (-(10**5000), "a negative int of 16610 bits"),  # past the digits Python will print
+        (-int("9" * 4000), "a negative int of 13288 bits"),
+        (-int("9" * 616), "-" + "9" * 36 + "..."),  # 2,047 bits: cut as any long repr is
+    ], ids=["past-the-digit-limit", "4000-nines", "616-nines"])
+    def test_long_k_is_one_short_line(self, K, shown):
+        with pytest.raises(ValidationError) as exc:
+            compute_quota({"A": "1/2", "B": "1/2"}, K)
+        assert str(exc.value) == f"K must be a positive integer, got {shown}"
+
     @pytest.mark.parametrize("prior, message", [
         ({"A": "0.3", "B": "0.3"}, "prior: sums to 3/5, expected 1"),
         ({"A": "0.3", "B": "0.3", "C": "0.4000000000011"}, "prior: sums to 10000000000011/10000000000000, expected 1"),

@@ -413,6 +413,34 @@ class TestPermutationWitness:
         assert permutation_witness(PreferenceVector(u.entries, used), PreferenceVector(w.entries, used)) == witness
 
 
+class TestResidual:
+    """``_residual``, the layout both flow solvers search: edge 2i is arc i,
+    edge 2i + 1 its reverse, and each node lists its out-edges in edge order."""
+
+    def test_self_loops_parallel_arcs_and_an_isolated_node(self):
+        # arcs 0 -> 1, 1 -> 1, 1 -> 0, 2 -> 2, 0 -> 1 on nodes 0..3; node 3 has none
+        head, to = truthfulness._residual(4, [0, 1, 1, 2, 0], [1, 1, 0, 2, 1])
+        assert to == [1, 0, 1, 1, 0, 1, 2, 2, 1, 0]
+        assert head == [[0, 5, 8], [1, 2, 3, 4, 9], [6, 7], []]
+
+    def test_no_arcs(self):
+        assert truthfulness._residual(3, [], []) == ([[], [], []], [])
+        assert truthfulness._residual(0, [], []) == ([], [])
+
+    def test_random_arcs(self):
+        rnd = random.Random(3301)
+        for _ in range(500):
+            m = rnd.randint(1, 8)
+            tails = [rnd.randrange(m) for _ in range(rnd.randint(0, 3 * m))]
+            heads = [rnd.randrange(m) for _ in tails]
+            head, to = truthfulness._residual(m, tails, heads)
+            assert to[0::2] == heads and to[1::2] == tails
+            assert all(h == sorted(h) for h in head)
+            assert sorted(e for h in head for e in h) == list(range(2 * len(tails)))
+            for v, h in enumerate(head):  # an edge leaves where its reverse ends
+                assert all(to[e ^ 1] == v for e in h)
+
+
 FOUR_SPEC = {
     "decisions": ["w", "x", "y", "z"],
     "types": ["a", "b", "c", "d"],
