@@ -25,6 +25,7 @@ from .core import (
     Problem,
     Quota,
     ValidationError,
+    _brief,
 )
 from .truthfulness import (
     _bellman_ford,
@@ -47,15 +48,23 @@ class SocialChoiceFunction:
     lotteries: Mapping[str, Mapping[str, Fraction]]
 
     def __post_init__(self):
+        parsed = {}  # the lotteries with a str weight, each such weight parsed
         for t, lot in self.lotteries.items():
             total = Fraction(0)
             for d, w in lot.items():
-                w = Fraction(w)
-                if w < 0:
+                try:
+                    exact = Fraction(None if isinstance(w, bool) else w)
+                except (TypeError, ValueError, OverflowError):
+                    raise ValidationError(f"lottery[{t}][{d}]: weight {_brief(w)} is not a finite number") from None
+                if exact < 0:
                     raise ValidationError(f"lottery[{t}][{d}]: negative weight")
-                total += w
+                if isinstance(w, str):
+                    parsed.setdefault(t, dict(lot))[d] = exact
+                total += exact
             if total != 1:
                 raise ValidationError(f"lottery[{t}]: weights sum to {total}, expected 1")
+        if parsed:
+            object.__setattr__(self, "lotteries", {**self.lotteries, **parsed})
 
     @classmethod
     def point_mass(cls, assignment: Mapping[str, str]) -> "SocialChoiceFunction":
@@ -87,7 +96,7 @@ class SocialChoiceFunction:
 # The last (f, p, types) with its pair table and transport network, keyed by
 # identity: f and p are held, so their ids cannot be reused, and neither is
 # mutated after construction.  Keying on content would mix int and float
-# utilities, since 1 == 1.0.
+# utilities, since 1 == 1.0; the network alone is kept for equal int costs.
 _cached: tuple = (None,) * 4
 
 # The transport costs' payoff unit, above K + 4n + 2 on every problem: K, the
@@ -103,7 +112,7 @@ def _pair_table(f: SocialChoiceFunction, p: Problem, types: tuple[str, ...]):
     whose ``f.expected_utility`` is a float; that denominator; and the
     transport network, whose arcs in edge order are a source arc per true
     type, a sink arc per reported type, then every pair arc in row order, a
-    pair costing its ``top - value`` gap times ``_LIE_SCALE``, plus its lie bit."""
+    pair costing ``(top - value) // gcd * _LIE_SCALE`` plus its lie bit."""
     global _cached
     if not (_cached[0] is f and _cached[1] is p and _cached[2] == types):
         pairs = [(t, r) for t in types for r in types]
@@ -112,10 +121,13 @@ def _pair_table(f: SocialChoiceFunction, p: Problem, types: tuple[str, ...]):
         scaled = {pair: v.numerator * (denom // v.denominator) for pair, v in zip(pairs, exact)}
         floats = {(t, r) for t, r in pairs if isinstance(f.expected_utility(r, t, p), float)}
         n, top = len(types), max(scaled.values())
-        tails = [2 * n] * n + [*range(n, 2 * n)] + [i for i in range(n) for _ in types]
-        heads = [*range(n)] + [2 * n + 1] * n + [*range(n, 2 * n)] * n
-        gaps = [(top - scaled[t, r]) * _LIE_SCALE + (t != r) for t, r in pairs]
-        net = _MinCostFlow(2 * n + 2, tails, heads, [0] * (2 * n) + gaps)
+        unit = math.gcd(*(top - v for v in scaled.values())) or 1
+        costs = [0] * (2 * n) + [(top - scaled[t, r]) // unit * _LIE_SCALE + (t != r) for t, r in pairs]
+        net = _cached[3] and _cached[3][3]
+        if not (net and net.cost[::2] == costs):  # a network, its paths and plans depend on these ints alone
+            tails = [2 * n] * n + [*range(n, 2 * n)] + [i for i in range(n) for _ in types]
+            heads = [*range(n)] + [2 * n + 1] * n + [*range(n, 2 * n)] * n
+            net = _MinCostFlow(2 * n + 2, tails, heads, costs)
         _cached = (f, p, types, (scaled, floats, denom, net))
     return _cached[3]
 
@@ -199,7 +211,7 @@ class TransportResult:
     message: Message
 
 
-_PATH_MEMO_CAP = 4096  # most paths one network keeps; its memo is emptied when full
+_PATH_MEMO_CAP = 4096  # most paths, and most plans, one network keeps; a memo is emptied when full
 
 
 class _MinCostFlow:
@@ -214,7 +226,7 @@ class _MinCostFlow:
     per solve and flips only the bits that an augmentation moves, on the
     path's edges and their reverses.  Exact weights leave no negative cycle
     in the residual graph; the checks in ``run`` fail loudly anyway if an
-    invariant breaks.
+    invariant breaks.  ``plans`` maps (supply, demand) to solved flows.
     """
 
     def __init__(self, n_nodes: int, tails: list[int], heads: list[int], costs: list[int]):
@@ -222,6 +234,7 @@ class _MinCostFlow:
         self.cost = [w for c in costs for w in (c, -c)]
         self.bit = [1 << e for e in range(len(self.to))]  # edge e's bit in the live-edge mask
         self.paths: dict[tuple[int, int, int], list[int]] = {}
+        self.plans: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
 
     def run(self, s: int, t: int, amount: int, cap: list[int]) -> None:
         """Send ``amount`` units from s to t, updating ``cap`` in place."""
@@ -259,6 +272,26 @@ class _MinCostFlow:
             sent += bottleneck
 
 
+def _transport_plan(counts: Counter, q: Quota, f: SocialChoiceFunction, p: Problem) -> tuple[tuple[int, ...], ...]:
+    """A best response's flows, one row per true type: solved once per (counts,
+    quota) on the network's plan memo, and checked against both on every call."""
+    n = len(q.types)
+    supply = tuple(counts[t] for t in q.types)
+    net = _pair_table(f, p, q.types)[3]
+    flows = net.plans.get((supply, q.counts))
+    if flows is None:
+        arcs = [*supply, *q.counts, *(min(s, d) for s in supply for d in q.counts)]
+        cap = [c for arc in arcs for c in (arc, 0)]  # edge 2i is arc i, edge 2i + 1 its reverse
+        net.run(2 * n, 2 * n + 1, q.K, cap)
+        flows = tuple(zip(*[iter(cap[4 * n + 1::2])] * n))  # reverse capacity == shipped units, n to a row
+        if len(net.plans) == _PATH_MEMO_CAP:
+            net.plans.clear()
+        net.plans[supply, q.counts] = flows
+    if tuple(map(sum, flows)) != supply or tuple(map(sum, zip(*flows))) != q.counts:
+        raise RuntimeError("internal: transport plan misses the slot counts or the quota")
+    return flows
+
+
 def best_response_transport(
     u: PreferenceVector, f: SocialChoiceFunction, p: Problem, q: Quota
 ) -> TransportResult:
@@ -267,54 +300,41 @@ def best_response_transport(
     The payoff of a message depends only on how many slots of each true type
     report each type, so the argmax reduces to a transportation problem with
     row sums equal to slot counts and column sums equal to the quota.  Each
-    (true, reported) payoff is summed exactly over the lottery, floats read
-    as their exact binary value, and ``top - value`` is scaled to integers
-    over the common denominator.  The lie indicator is folded in below one
-    payoff unit as ``cost * M + lie`` with ``M = _LIE_SCALE``, which exceeds
-    K (the most lies a plan holds) and 4n + 2 (the widest gap between the
-    lie sums of two paths of at most 2n + 1 edges), so int comparisons order
+    (true, reported) payoff is summed exactly over the lottery, floats read as
+    their exact binary value, and the ``top - value`` gaps are scaled to
+    integers over the common denominator and divided by their gcd: one positive
+    factor on every payoff, so no order moves.  The lie indicator is folded in
+    below one payoff unit as ``cost * M + lie`` with ``M = _LIE_SCALE``, which
+    exceeds K (the most lies a plan holds) and 4n + 2 (the widest gap between
+    the lie sums of two paths of at most 2n + 1 edges), so int comparisons order
     paths and plans exactly as ``(cost, lies)`` pairs would: among
-    payoff-optimal plans the solver returns one with the fewest lies.  The
-    plan is realized slot by slot, filling each true type's slots with its
-    reported types in canonical order, so a lying row overwrites a prefix of
-    its slots with the lower labels and a suffix with the higher ones.
-    ``_pair_table`` builds the network with all n^2 pair edges once per
-    problem, for every K, while the same ``f`` and ``p`` objects come back.
-    Per call: the truth's memoized counts, fresh capacities (a pair edge gets
-    min(supply, demand), so one at zero is never relaxed and its reverse edge
-    never gains capacity), the solve on the network's path memo, the plan's
-    row and column sums against the counts and the quota, and the lying
-    rows' realization with an O(lies) quota check.  A lying row's slots are
-    found by ``tuple.index`` hops, one per lie: forward for the lower labels,
-    and on the reversed truth, built once and only if some row writes a
-    higher label, for the higher ones.  The message's payoff is
-    ``payoff(u, result.message, f, p)``.
+    payoff-optimal plans the solver returns one with the fewest lies.  The plan
+    is realized slot by slot, filling each true type's slots with its reported
+    types in canonical order, so a lying row overwrites a prefix of its slots
+    with the lower labels and a suffix with the higher ones.  ``_pair_table``
+    builds the network with all n^2 pair edges once per problem and keeps it
+    while the int arc costs stay equal.  ``_transport_plan`` solves once per
+    (counts, quota), on fresh capacities (a pair edge gets min(supply, demand),
+    so one at zero is never relaxed and its reverse edge never gains capacity)
+    and the path memo.  Per call: the truth's memoized counts, the plan, its row
+    and column sums against the counts and the quota, and the lying rows'
+    realization with an O(lies) quota check.  A lying row's slots are found by
+    ``tuple.index`` hops, one per lie: forward for the lower labels, and on the
+    reversed truth, built once and only if some row writes a higher label, for
+    the higher ones.  The message's payoff is ``payoff(u, result.message, f, p)``.
     """
     _check_shapes(u, q)
     counts = u._type_counts()
+    flows = _transport_plan(counts, q, f, p)
     types = q.types
     n = len(types)
-    supply = [counts[t] for t in types]
-    demand = list(q.counts)
-    net = _pair_table(f, p, types)[3]
-    cap = [0] * len(net.to)
-    cap[0:2 * n:2] = supply
-    cap[2 * n:4 * n:2] = demand
-    cap[4 * n::2] = [min(s, d) for s in supply for d in demand]
-    net.run(2 * n, 2 * n + 1, q.K, cap)
-
-    shipped = cap[4 * n + 1::2]  # reverse capacity == shipped units
-    flows = [shipped[i * n:(i + 1) * n] for i in range(n)]
-    if list(map(sum, flows)) != supply or [sum(shipped[j::n]) for j in range(n)] != demand:
-        raise RuntimeError("internal: transport plan misses the slot counts or the quota")
-    plan = TransportPlan(types, tuple(map(tuple, flows)))
 
     ue, rev, last = u.entries, (), u.K - 1
     writes = []
     write = writes.append
     for i, t in enumerate(types):
         row = flows[i]
-        if row[i] == supply[i]:
+        if row[i] == counts[t]:
             continue
         k = -1  # the lower labels, in canonical order, on the row's first slots
         for j in range(i):
@@ -328,7 +348,7 @@ def best_response_transport(
                 for _ in range(row[j]):
                     k = rev.index(t, k + 1)
                     write((last - k, types[j]))
-    return TransportResult(plan=plan, message=_rewritten(u, q, counts, writes))
+    return TransportResult(plan=TransportPlan(types, flows), message=_rewritten(u, q, counts, writes))
 
 
 @dataclass(frozen=True)

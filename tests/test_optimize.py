@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -114,6 +115,28 @@ class TestSocialChoiceFunction:
     def test_rejects_bad_lottery(self):
         with pytest.raises(ValidationError, match="sum"):
             SocialChoiceFunction({"A": {"a": Fraction(1, 2)}})
+
+    @pytest.mark.parametrize(
+        "weight, stored",
+        [
+            (float("nan"), None), ("x", None), (None, None), (float("inf"), None), (True, None), ([1], None),
+            ("1/2", Fraction(1, 2)), (" 0.5 ", Fraction(1, 2)), (0.5, 0.5), (Fraction(1, 2), Fraction(1, 2)),
+        ],
+    )
+    def test_weight_checked_and_str_parsed(self, weight, stored):
+        lottery = {"A": {"a": weight, "b": Fraction(1, 2)}, "B": {"b": 1}, "C": {"c": 1}}
+        if stored is None:
+            with pytest.raises(ValidationError, match=r"^lottery\[A\]\[a\]: weight .* is not a finite number$"):
+                SocialChoiceFunction(lottery)
+            return
+        f = SocialChoiceFunction(lottery)
+        assert f.lottery("A")["a"] == stored and type(f.lottery("A")["a"]) is type(stored)
+        assert f.lottery("B")["b"] == 1 and type(f.lottery("B")["b"]) is int
+        p = make_problem({t: {"a": 2, "b": 0, "c": 1} for t in ABC})
+        assert_matches_oracle(vec("AAB"), f, p, Q3)
+        want = Fraction(2) if type(stored) is Fraction else 2.0  # a float weight keeps a float payoff
+        got = payoff(vec("ABC"), vec("ABC"), f, p)
+        assert got == want and type(got) is type(want)
 
     def test_mixed_lottery_expected_utility(self):
         p = make_problem({t: {"a": 2, "b": 0, "c": 1} for t in ABC})
@@ -533,7 +556,8 @@ class TestShortestPath:
 
 class TestNetworkLayout:
     """``_pair_table``'s network: n source arcs, n sink arcs, then the n**2
-    pair arcs in row order, laid out by ``_residual`` with (c, -c) costs."""
+    pair arcs in row order, laid out by ``_residual`` with (c, -c) costs, the
+    payoff gaps divided by their gcd."""
 
     def test_arcs_in_order(self):
         rnd = random.Random(3302)
@@ -542,23 +566,27 @@ class TestNetworkLayout:
             types = tuple(f"t{i}" for i in range(n))
             scaled, _, _, net = _pair_table(f, p, types)
             top = max(scaled.values())
+            unit = math.gcd(*(top - v for v in scaled.values())) or 1
             tails = [2 * n] * n + list(range(n, 2 * n)) + [i for i in range(n) for _ in range(n)]
             heads = list(range(n)) + [2 * n + 1] * n + list(range(n, 2 * n)) * n
             assert (net.head, net.to) == truthfulness._residual(2 * n + 2, tails, heads)
-            gaps = [(top - scaled[t, r]) * optimize._LIE_SCALE + (t != r) for t in types for r in types]
+            gaps = [(top - scaled[t, r]) // unit * optimize._LIE_SCALE + (t != r) for t in types for r in types]
             assert net.cost[0::2] == [0] * (2 * n) + gaps
             assert net.cost[1::2] == [-c for c in net.cost[0::2]]
             assert net.bit == [1 << e for e in range(len(net.to))]
 
 
-class CountingPaths(dict):
-    """A path memo that counts its lookups: one per augmentation."""
+class CountingMemo(dict):
+    """A memo that counts its lookups and hits: a path memo is looked up once
+    per augmentation, a plan memo once per best response."""
 
-    lookups = 0
+    lookups = hits = 0
 
     def get(self, key):
         self.lookups += 1
-        return super().get(key)
+        value = super().get(key)
+        self.hits += value is not None
+        return value
 
 
 class TestPathMemo:
@@ -569,7 +597,7 @@ class TestPathMemo:
         p, f, _, _ = random_oracle_case(rnd, kind, n, K)
         types = tuple(f"t{i}" for i in range(n))
         net = _pair_table(f, p, types)[3]
-        net.paths = CountingPaths()
+        net.paths = CountingMemo()
         return p, f, types, net
 
     def test_replayed_paths_match_frozen_oracle(self, monkeypatch):
@@ -587,6 +615,7 @@ class TestPathMemo:
             p, f, types, net = self.reused_network(rnd, kind, n, K)
             searches.clear()
             for _ in range(200):
+                net.plans.clear()  # every call solves, so paths replay
                 assert_matches_oracle(random_vector(rnd, types, K), f, p, random_quota(rnd, types, K))
             assert _pair_table(f, p, types)[3] is net
             assert 0 < len(searches) < net.paths.lookups  # some augmentations replayed a path
@@ -603,15 +632,17 @@ class TestPathMemo:
         assert max(sizes) <= 8 and any(a > b for a, b in zip(sizes, sizes[1:]))  # emptied when full
 
     def test_bench_sized_counts_pinned(self, monkeypatch, counterexample_problem):
-        # memo lookups (one per augmentation) and path searches per simulate
-        # run at K 16,64,256: a memo key that merged or split residual
-        # patterns would move them
+        # new networks, solves (plan memo misses), plan memo hits, path memo
+        # lookups (one per augmentation) and path searches per simulate run at
+        # K 16,64,256, from an emptied network slot, so later runs reuse the
+        # first run's network: a memo key that merged or split count vectors
+        # or residual patterns would move them
         nets, searches = [], []
         real_init, real_search = _MinCostFlow.__init__, optimize._bellman_ford
 
         def counted_init(self, *arcs):
             real_init(self, *arcs)
-            self.paths = CountingPaths()
+            self.paths, self.plans = CountingMemo(), CountingMemo()
             nets.append(self)
 
         def counted_search(head, to, weight, room, sources):
@@ -620,16 +651,54 @@ class TestPathMemo:
 
         monkeypatch.setattr(_MinCostFlow, "__init__", counted_init)
         monkeypatch.setattr(optimize, "_bellman_ford", counted_search)
+        monkeypatch.setattr(optimize, "_cached", (None,) * 4)
         counts = {}
         for seed in (1, 2, 3):
-            nets.clear()
+            built = len(nets)
             searches.clear()
             cfg = SimConfig(problem=counterexample_problem, k_values=(16, 64, 256), replications=25, seed=seed,
                             strategy="best-response")
             run_convergence(cfg)
-            assert len(nets) == 1
-            counts[seed] = (nets[0].paths.lookups, len(searches))
-        assert counts == {1: (355, 30), 2: (347, 31), 3: (350, 30)}
+            plans, paths = nets[0].plans, nets[0].paths
+            counts[seed] = (len(nets) - built, plans.lookups - plans.hits, plans.hits, paths.lookups, len(searches))
+            plans.lookups = plans.hits = paths.lookups = 0
+        assert counts == {1: (1, 66, 9, 314, 30), 2: (0, 56, 19, 265, 1), 3: (0, 56, 19, 265, 0)}
+
+
+class TestPlanMemo:
+    """A network solves once per (counts, quota) and keeps the flows: a plan
+    memo hit gives the same plan, message and payoff as a solve, for any
+    truth with those counts."""
+
+    def test_repeated_counts_match_frozen_oracle(self):
+        rnd = random.Random(3400)
+        for kind, n in itertools.product(("int", "fraction", "dyadic"), range(1, 6)):
+            K = rnd.randint(1, 40)
+            p, f, _, _ = random_oracle_case(rnd, kind, n, K)
+            types = tuple(f"t{i}" for i in range(n))
+            net = _pair_table(f, p, types)[3]
+            net.plans = CountingMemo()
+            truths = [random_vector(rnd, types, K) for _ in range(4)]
+            quotas = [random_quota(rnd, types, K) for _ in range(3)]
+            for _ in range(100):
+                u = vec(rnd.sample(rnd.choice(truths).entries, K), types)  # known counts, new slot order
+                assert_matches_oracle(u, f, p, rnd.choice(quotas))
+            assert _pair_table(f, p, types)[3] is net
+            assert net.plans.lookups == 100 and net.plans.hits >= 100 - len(truths) * len(quotas)
+
+    def test_memo_never_outgrows_its_cap(self, monkeypatch):
+        monkeypatch.setattr("linkmech.optimize._PATH_MEMO_CAP", 8)
+        rnd = random.Random(3401)
+        p, f, _, _ = random_oracle_case(rnd, "fraction", 3, 12)
+        types = ("t0", "t1", "t2")
+        net = _pair_table(f, p, types)[3]
+        net.plans.clear()
+        sizes = []
+        for _ in range(200):
+            assert_matches_oracle(random_vector(rnd, types, 12), f, p, random_quota(rnd, types, 12))
+            sizes.append(len(net.plans))
+        assert _pair_table(f, p, types)[3] is net
+        assert max(sizes) == 8 and (8, 1) in zip(sizes, sizes[1:])  # emptied when full
 
 
 def assert_matches_oracle(u, f, p, q):
@@ -678,6 +747,32 @@ class TestValueTableCache:
             assert type(payoff(vec("AAB"), result.message, f, p)) is number
         self.alternate([(ints, f), (floats, f), (ints, f)])
 
+    def test_equal_and_scaled_utilities_share_one_network(self, monkeypatch):
+        # the network depends only on the int arc costs, the payoff gaps over
+        # their gcd; each problem keeps its own table, so its payoff type
+        monkeypatch.setattr(optimize, "_cached", (None,) * 4)
+        f = SocialChoiceFunction.point_mass({"A": "a", "B": "b", "C": "c"})
+        ints, floats = make_problem(ce_utility(1)), make_problem(ce_utility(1.0, float))
+        doubled = make_problem({t: {d: 2 * v for d, v in row.items()} for t, row in ce_utility(1).items()})
+        cases = ((ints, Fraction, 1), (floats, float, 1), (doubled, Fraction, 2))
+        nets = []
+        rnd = random.Random(3402)
+        for _ in range(20):
+            K = rnd.randint(1, 12)
+            u, q = random_vector(rnd, ABC, K), random_quota(rnd, ABC, K)
+            pays = []
+            for p, number, scale in cases:
+                assert_matches_oracle(u, f, p, q)
+                pay = payoff(u, best_response_transport(u, f, p, q).message, f, p)
+                assert type(pay) is number
+                pays.append(pay / scale)
+                nets.append(_pair_table(f, p, ABC)[3])
+            assert pays[0] == pays[1] == pays[2]
+        assert all(net is nets[0] for net in nets)
+        deviates = make_problem(ce_utility(1.5))  # other payoff gaps: a network of its own
+        assert best_response_transport(vec("AAB"), f, deviates, Q3).message.entries == ("A", "B", "C")
+        assert _pair_table(f, deviates, ABC)[3] is not nets[0]
+
     def test_two_outcome_functions_on_one_problem(self, counterexample_problem):
         p = counterexample_problem
         argmax = SocialChoiceFunction.utility_argmax(p)
@@ -702,13 +797,13 @@ class TestValueTableCache:
         assert len(calls) == 9  # one pair payoff per (true, reported) type pair
 
     def test_one_network_for_every_k(self, monkeypatch, counterexample_problem):
-        builds, solves, searches, augmentations = [], [], Counter(), Counter()
+        nets, solves, searches, augmentations = [], [], Counter(), Counter()
         real_init, real_run, real_search = _MinCostFlow.__init__, _MinCostFlow.run, optimize._bellman_ford
 
         def counted_init(self, n_nodes, *arcs):
-            builds.append(n_nodes)
+            nets.append(self)
             real_init(self, n_nodes, *arcs)
-            self.paths = CountingPaths()
+            self.paths, self.plans = CountingMemo(), CountingMemo()
 
         def counted_run(self, s, t, amount, cap):
             solves.append(amount)
@@ -723,12 +818,16 @@ class TestValueTableCache:
         monkeypatch.setattr(_MinCostFlow, "__init__", counted_init)
         monkeypatch.setattr(_MinCostFlow, "run", counted_run)
         monkeypatch.setattr(optimize, "_bellman_ford", counted_search)
+        monkeypatch.setattr(optimize, "_cached", (None,) * 4)
         cfg = SimConfig(
             problem=counterexample_problem, k_values=(3, 8, 16), replications=20, seed=5, strategy="best-response"
         )
         run_convergence(cfg)
-        assert builds == [8]
-        assert solves == [3] * 20 + [8] * 20 + [16] * 20
+        assert [len(net.head) for net in nets] == [8]
+        assert (nets[0].plans.lookups, nets[0].plans.hits) == (60, 22)  # one lookup per episode
+        assert Counter(solves) == {3: 6, 8: 15, 16: 17}  # one solve per new count vector
+        assert augmentations == {3: 18, 8: 64, 16: 76}
+        assert searches == {3: 17, 8: 21, 16: 2}
         assert all(0 < searches[K] < augmentations[K] for K in (8, 16))  # paths found at a smaller K replayed
 
     def test_payoff_summed_on_first_read(self):
