@@ -49,22 +49,31 @@ def _cut(text: str) -> str:
 
 
 def _brief(value) -> str:
-    """A repr of untrusted input short enough for a one-line error; a long int,
-    which Python may refuse to print, is named by its sign and bit length."""
+    """A repr (a Fraction's str) of untrusted input short enough for a one-line error;
+    a long int or ratio, which Python may refuse to print, is named by its bit length."""
     if isinstance(value, (list, tuple, dict)):
         return f"a {type(value).__name__}"
     if isinstance(value, int) and value.bit_length() > 2048:  # below 640 digits, the least print limit Python sets
         return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    if isinstance(value, Fraction):
+        bits = max(abs(value.numerator), value.denominator).bit_length()
+        return f"a ratio with a part of {bits} bits" if bits > 2048 else _cut(str(value))
     return _cut(repr(value))
 
 
-def _exponent(text: str) -> int:
-    """The decimal exponent a rational string ends in, or 0 if it has none."""
+def _bounded(value: str, field: str) -> str:
+    """``value`` stripped, refused past ``MAX_RATIONAL_DIGITS`` digits by its length and exponent before
+    ``Fraction`` expands it, since "1e-100000000" would build a hundred-million-digit power of ten."""
+    text = value.strip()
     _, e, tail = text.lower().rpartition("e")
     try:
-        return int(tail) if e else 0
-    except ValueError:
-        return 0  # not an exponent; Fraction rejects the text
+        exponent = int(tail) if e else 0
+    except ValueError:  # past Python's int digit limit, or not an exponent, which Fraction rejects
+        exponent = 0
+    # room for a sign, two full-length parts and the "/" or "." between
+    if len(text) > 2 * MAX_RATIONAL_DIGITS + 2 or abs(exponent) > MAX_RATIONAL_DIGITS:
+        raise ValidationError(f"{field}: more than {MAX_RATIONAL_DIGITS} digits in {_brief(value)}")
+    return text
 
 
 def as_fraction(value: Union[int, str, float, Fraction], field: str = "value") -> Fraction:
@@ -72,19 +81,14 @@ def as_fraction(value: Union[int, str, float, Fraction], field: str = "value") -
 
     Floats are read through their shortest decimal representation, so 0.1
     means exactly 1/10 rather than the nearest binary double.  Numerator and
-    denominator may have at most ``MAX_RATIONAL_DIGITS`` digits; a string's
-    length and exponent are checked before ``Fraction`` expands it, since
-    "1e-100000000" would otherwise build a hundred-million-digit power of ten.
+    denominator may have at most ``MAX_RATIONAL_DIGITS`` digits; a string is ``_bounded`` first.
     """
     if isinstance(value, bool):
         raise ValidationError(f"{field}: expected a number, got a bool")
     if isinstance(value, float):
         value = repr(value)
     if isinstance(value, str):
-        text = value.strip()
-        # room for a sign, two full-length parts and the "/" or "." between
-        if len(text) > 2 * MAX_RATIONAL_DIGITS + 2 or abs(_exponent(text)) > MAX_RATIONAL_DIGITS:
-            raise ValidationError(f"{field}: more than {MAX_RATIONAL_DIGITS} digits in {_brief(value)}")
+        text = _bounded(value, field)
         try:
             out = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

@@ -15,7 +15,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Iterator, Mapping, Optional, Union
 
 from .core import (
@@ -25,6 +24,7 @@ from .core import (
     Problem,
     Quota,
     ValidationError,
+    _bounded,
     _brief,
 )
 from .truthfulness import (
@@ -52,8 +52,9 @@ class SocialChoiceFunction:
         for t, lot in self.lotteries.items():
             total = Fraction(0)
             for d, w in lot.items():
+                text = _bounded(w, f"lottery[{t}][{d}]") if isinstance(w, str) else w
                 try:
-                    exact = Fraction(None if isinstance(w, bool) else w)
+                    exact = Fraction(None if isinstance(w, bool) else text)
                 except (TypeError, ValueError, OverflowError):
                     raise ValidationError(f"lottery[{t}][{d}]: weight {_brief(w)} is not a finite number") from None
                 if exact < 0:
@@ -62,7 +63,7 @@ class SocialChoiceFunction:
                     parsed.setdefault(t, dict(lot))[d] = exact
                 total += exact
             if total != 1:
-                raise ValidationError(f"lottery[{t}]: weights sum to {total}, expected 1")
+                raise ValidationError(f"lottery[{t}]: weights sum to {_brief(total)}, expected 1")
         if parsed:
             object.__setattr__(self, "lotteries", {**self.lotteries, **parsed})
 
@@ -124,7 +125,7 @@ def _pair_table(f: SocialChoiceFunction, p: Problem, types: tuple[str, ...]):
         unit = math.gcd(*(top - v for v in scaled.values())) or 1
         costs = [0] * (2 * n) + [(top - scaled[t, r]) // unit * _LIE_SCALE + (t != r) for t, r in pairs]
         net = _cached[3] and _cached[3][3]
-        if not (net and net.cost[::2] == costs):  # a network, its paths and plans depend on these ints alone
+        if not (net and net.cost[::2] == costs):  # a network and its plans depend on these ints alone
             tails = [2 * n] * n + [*range(n, 2 * n)] + [i for i in range(n) for _ in types]
             heads = [*range(n)] + [2 * n + 1] * n + [*range(n, 2 * n)] * n
             net = _MinCostFlow(2 * n + 2, tails, heads, costs)
@@ -211,65 +212,44 @@ class TransportResult:
     message: Message
 
 
-_PATH_MEMO_CAP = 4096  # most paths, and most plans, one network keeps; a memo is emptied when full
+_PLAN_MEMO_CELLS = 1 << 16  # most flow cells, n**2 a plan, that one network's plan memo keeps; emptied when full
 
 
 class _MinCostFlow:
     """Successive shortest paths on integer weights with the lie bit folded in.
 
-    The arcs ``tails[i] -> heads[i]`` at ``costs[i]`` are fixed at build time
-    and laid out by ``_residual``, reverse edges at ``-costs[i]``; each search
-    is ``_bellman_ford``.  Both are the witness routing's too.  ``run`` works
-    on a caller's residual capacities, one per edge, and keeps each path under
-    (s, t, live), where the int ``live`` has bit e set while edge e has
-    capacity left: all that the search reads.  ``run`` builds ``live`` once
-    per solve and flips only the bits that an augmentation moves, on the
-    path's edges and their reverses.  Exact weights leave no negative cycle
-    in the residual graph; the checks in ``run`` fail loudly anyway if an
-    invariant breaks.  ``plans`` maps (supply, demand) to solved flows.
+    The arcs ``tails[i] -> heads[i]`` at ``costs[i]`` are fixed at build time and laid out by
+    ``_residual``, reverse edges at ``-costs[i]``; ``run`` augments a caller's residual capacities,
+    one per edge, along one ``_bellman_ford`` path at a time (both are the witness routing's too).
+    Exact weights leave no negative cycle in the residual graph; the checks in ``run`` fail loudly
+    anyway.  ``plans`` maps (supply, demand) to solved flows.
     """
 
     def __init__(self, n_nodes: int, tails: list[int], heads: list[int], costs: list[int]):
         self.head, self.to = _residual(n_nodes, tails, heads)
         self.cost = [w for c in costs for w in (c, -c)]
-        self.bit = [1 << e for e in range(len(self.to))]  # edge e's bit in the live-edge mask
-        self.paths: dict[tuple[int, int, int], list[int]] = {}
         self.plans: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
 
     def run(self, s: int, t: int, amount: int, cap: list[int]) -> None:
         """Send ``amount`` units from s to t, updating ``cap`` in place."""
-        bit = self.bit
-        live = sum(compress(bit, cap))  # bit e set while edge e has capacity left
-        sent = 0
-        while sent < amount:
-            key = (s, t, live)
-            path = self.paths.get(key)
-            if path is None:
-                dist, prev_edge = _bellman_ford(self.head, self.to, self.cost, cap, (s,))
-                if dist[t] is None:  # pragma: no cover - supplies always match demands here
-                    raise RuntimeError("internal: transportation network infeasible")
-                path = []
-                v = t
-                while v != s:
-                    if len(path) == len(self.head):
-                        raise RuntimeError("internal: shortest-path tree has a cycle")
-                    eid = prev_edge[v]
-                    path.append(eid)
-                    v = self.to[eid ^ 1]
-                if len(self.paths) == _PATH_MEMO_CAP:
-                    self.paths.clear()
-                self.paths[key] = path
-            bottleneck = min(amount - sent, *map(cap.__getitem__, path))
+        while amount > 0:
+            dist, prev_edge = _bellman_ford(self.head, self.to, self.cost, cap, (s,))
+            if dist[t] is None:  # pragma: no cover - supplies always match demands here
+                raise RuntimeError("internal: transportation network infeasible")
+            path, v = [], t
+            while v != s:
+                if len(path) == len(self.head):
+                    raise RuntimeError("internal: shortest-path tree has a cycle")
+                eid = prev_edge[v]
+                path.append(eid)
+                v = self.to[eid ^ 1]
+            bottleneck = min(amount, *map(cap.__getitem__, path))
             if bottleneck < 1:
                 raise RuntimeError("internal: augmenting path has no capacity left")
-            for eid in path:  # a simple path never holds both an edge and its reverse
+            for eid in path:
                 cap[eid] -= bottleneck
-                if not cap[eid]:
-                    live ^= bit[eid]
-                if not cap[eid ^ 1]:
-                    live ^= bit[eid ^ 1]
                 cap[eid ^ 1] += bottleneck
-            sent += bottleneck
+            amount -= bottleneck
 
 
 def _transport_plan(counts: Counter, q: Quota, f: SocialChoiceFunction, p: Problem) -> tuple[tuple[int, ...], ...]:
@@ -284,7 +264,7 @@ def _transport_plan(counts: Counter, q: Quota, f: SocialChoiceFunction, p: Probl
         cap = [c for arc in arcs for c in (arc, 0)]  # edge 2i is arc i, edge 2i + 1 its reverse
         net.run(2 * n, 2 * n + 1, q.K, cap)
         flows = tuple(zip(*[iter(cap[4 * n + 1::2])] * n))  # reverse capacity == shipped units, n to a row
-        if len(net.plans) == _PATH_MEMO_CAP:
+        if len(net.plans) >= max(1, _PLAN_MEMO_CELLS // (n * n)):
             net.plans.clear()
         net.plans[supply, q.counts] = flows
     if tuple(map(sum, flows)) != supply or tuple(map(sum, zip(*flows))) != q.counts:
@@ -315,9 +295,9 @@ def best_response_transport(
     builds the network with all n^2 pair edges once per problem and keeps it
     while the int arc costs stay equal.  ``_transport_plan`` solves once per
     (counts, quota), on fresh capacities (a pair edge gets min(supply, demand),
-    so one at zero is never relaxed and its reverse edge never gains capacity)
-    and the path memo.  Per call: the truth's memoized counts, the plan, its row
-    and column sums against the counts and the quota, and the lying rows'
+    so one at zero is never relaxed and its reverse edge never gains capacity).
+    Per call: the truth's memoized counts, the plan, its row and column sums
+    against the counts and the quota, and the lying rows'
     realization with an O(lies) quota check.  A lying row's slots are found by
     ``tuple.index`` hops, one per lie: forward for the lower labels, and on the
     reversed truth, built once and only if some row writes a higher label, for

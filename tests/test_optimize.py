@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -137,6 +138,20 @@ class TestSocialChoiceFunction:
         want = Fraction(2) if type(stored) is Fraction else 2.0  # a float weight keeps a float payoff
         got = payoff(vec("ABC"), vec("ABC"), f, p)
         assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize(
+        "lottery",
+        [{"a": "1e20000000"}, {"a": "1e-20000000", "b": 1}, {"a": 10**5000}, {"a": Fraction(1, 10**5000)}],
+        ids=["huge-exponent", "tiny-exponent", "long-int", "long-denominator"],
+    )
+    def test_oversized_weight_refused_fast(self, lottery):
+        # an exponent past the digit bound is refused before Fraction expands
+        # it, and a sum too long to print is named by its size
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=r"^lottery\[A\]") as info:
+            SocialChoiceFunction({"A": lottery})
+        assert time.perf_counter() - start < 1
+        assert "\n" not in str(info.value) and len(str(info.value)) < 100
 
     def test_mixed_lottery_expected_utility(self):
         p = make_problem({t: {"a": 2, "b": 0, "c": 1} for t in ABC})
@@ -573,12 +588,10 @@ class TestNetworkLayout:
             gaps = [(top - scaled[t, r]) // unit * optimize._LIE_SCALE + (t != r) for t in types for r in types]
             assert net.cost[0::2] == [0] * (2 * n) + gaps
             assert net.cost[1::2] == [-c for c in net.cost[0::2]]
-            assert net.bit == [1 << e for e in range(len(net.to))]
 
 
 class CountingMemo(dict):
-    """A memo that counts its lookups and hits: a path memo is looked up once
-    per augmentation, a plan memo once per best response."""
+    """A plan memo that counts its lookups, one per best response, and hits."""
 
     lookups = hits = 0
 
@@ -587,82 +600,6 @@ class CountingMemo(dict):
         value = super().get(key)
         self.hits += value is not None
         return value
-
-
-class TestPathMemo:
-    """One network per (f, p) keeps its augmenting paths across calls, and
-    a replayed path gives the same plan, message and payoff as a search."""
-
-    def reused_network(self, rnd, kind, n, K):
-        p, f, _, _ = random_oracle_case(rnd, kind, n, K)
-        types = tuple(f"t{i}" for i in range(n))
-        net = _pair_table(f, p, types)[3]
-        net.paths = CountingMemo()
-        return p, f, types, net
-
-    def test_replayed_paths_match_frozen_oracle(self, monkeypatch):
-        real = optimize._bellman_ford
-        searches = []
-
-        def counted(head, to, weight, room, sources):
-            searches.append(sources)
-            return real(head, to, weight, room, sources)
-
-        monkeypatch.setattr(optimize, "_bellman_ford", counted)
-        rnd = random.Random(46)
-        for kind, n in itertools.product(("int", "fraction", "dyadic"), range(1, 6)):
-            K = 60 if n == 5 else rnd.randint(1, 60)
-            p, f, types, net = self.reused_network(rnd, kind, n, K)
-            searches.clear()
-            for _ in range(200):
-                net.plans.clear()  # every call solves, so paths replay
-                assert_matches_oracle(random_vector(rnd, types, K), f, p, random_quota(rnd, types, K))
-            assert _pair_table(f, p, types)[3] is net
-            assert 0 < len(searches) < net.paths.lookups  # some augmentations replayed a path
-
-    def test_memo_never_outgrows_its_cap(self, monkeypatch):
-        monkeypatch.setattr("linkmech.optimize._PATH_MEMO_CAP", 8)
-        rnd = random.Random(47)
-        p, f, types, net = self.reused_network(rnd, "fraction", 5, 40)
-        sizes = []
-        for _ in range(300):
-            assert_matches_oracle(random_vector(rnd, types, 40), f, p, random_quota(rnd, types, 40))
-            sizes.append(len(net.paths))
-        assert _pair_table(f, p, types)[3] is net
-        assert max(sizes) <= 8 and any(a > b for a, b in zip(sizes, sizes[1:]))  # emptied when full
-
-    def test_bench_sized_counts_pinned(self, monkeypatch, counterexample_problem):
-        # new networks, solves (plan memo misses), plan memo hits, path memo
-        # lookups (one per augmentation) and path searches per simulate run at
-        # K 16,64,256, from an emptied network slot, so later runs reuse the
-        # first run's network: a memo key that merged or split count vectors
-        # or residual patterns would move them
-        nets, searches = [], []
-        real_init, real_search = _MinCostFlow.__init__, optimize._bellman_ford
-
-        def counted_init(self, *arcs):
-            real_init(self, *arcs)
-            self.paths, self.plans = CountingMemo(), CountingMemo()
-            nets.append(self)
-
-        def counted_search(head, to, weight, room, sources):
-            searches.append(sources)
-            return real_search(head, to, weight, room, sources)
-
-        monkeypatch.setattr(_MinCostFlow, "__init__", counted_init)
-        monkeypatch.setattr(optimize, "_bellman_ford", counted_search)
-        monkeypatch.setattr(optimize, "_cached", (None,) * 4)
-        counts = {}
-        for seed in (1, 2, 3):
-            built = len(nets)
-            searches.clear()
-            cfg = SimConfig(problem=counterexample_problem, k_values=(16, 64, 256), replications=25, seed=seed,
-                            strategy="best-response")
-            run_convergence(cfg)
-            plans, paths = nets[0].plans, nets[0].paths
-            counts[seed] = (len(nets) - built, plans.lookups - plans.hits, plans.hits, paths.lookups, len(searches))
-            plans.lookups = plans.hits = paths.lookups = 0
-        assert counts == {1: (1, 66, 9, 314, 30), 2: (0, 56, 19, 265, 1), 3: (0, 56, 19, 265, 0)}
 
 
 class TestPlanMemo:
@@ -687,7 +624,7 @@ class TestPlanMemo:
             assert net.plans.lookups == 100 and net.plans.hits >= 100 - len(truths) * len(quotas)
 
     def test_memo_never_outgrows_its_cap(self, monkeypatch):
-        monkeypatch.setattr("linkmech.optimize._PATH_MEMO_CAP", 8)
+        monkeypatch.setattr("linkmech.optimize._PLAN_MEMO_CELLS", 72)  # 8 plans of 3 x 3 cells
         rnd = random.Random(3401)
         p, f, _, _ = random_oracle_case(rnd, "fraction", 3, 12)
         types = ("t0", "t1", "t2")
@@ -699,6 +636,56 @@ class TestPlanMemo:
             sizes.append(len(net.plans))
         assert _pair_table(f, p, types)[3] is net
         assert max(sizes) == 8 and (8, 1) in zip(sizes, sizes[1:])  # emptied when full
+
+    def test_memo_bounded_in_cells_at_many_types(self):
+        # 20 types: 400 cells a plan, so the memo holds at most 163 plans
+        rnd = random.Random(3403)
+        p, f, _, _ = random_oracle_case(rnd, "int", 20, 30)
+        types = tuple(sorted(p.types))  # the quota's order, t10 before t2
+        net = _pair_table(f, p, types)[3]
+        net.plans = CountingMemo()
+        sizes = []
+        for i in range(400):
+            u, q = random_vector(rnd, types, 30), random_quota(rnd, types, 30)
+            if i % 40:
+                best_response_transport(u, f, p, q)
+            else:
+                assert_matches_oracle(u, f, p, q)
+            sizes.append(len(net.plans))
+        assert _pair_table(f, p, types)[3] is net and net.plans.hits == 0  # every call a new count vector
+        assert max(sizes) == optimize._PLAN_MEMO_CELLS // 400 and sizes[-1] < max(sizes)  # emptied when full
+
+    def test_bench_sized_counts_pinned(self, monkeypatch, counterexample_problem):
+        # new networks, solves (plan memo misses), plan memo hits and path
+        # searches (one per augmentation) per simulate run at K 16,64,256,
+        # from an emptied network slot, so later runs reuse the first run's
+        # network: a plan key that merged or split count vectors would move them
+        nets, searches = [], []
+        real_init, real_search = _MinCostFlow.__init__, optimize._bellman_ford
+
+        def counted_init(self, *arcs):
+            real_init(self, *arcs)
+            self.plans = CountingMemo()
+            nets.append(self)
+
+        def counted_search(head, to, weight, room, sources):
+            searches.append(sources)
+            return real_search(head, to, weight, room, sources)
+
+        monkeypatch.setattr(_MinCostFlow, "__init__", counted_init)
+        monkeypatch.setattr(optimize, "_bellman_ford", counted_search)
+        monkeypatch.setattr(optimize, "_cached", (None,) * 4)
+        counts = {}
+        for seed in (1, 2, 3):
+            built = len(nets)
+            searches.clear()
+            cfg = SimConfig(problem=counterexample_problem, k_values=(16, 64, 256), replications=25, seed=seed,
+                            strategy="best-response")
+            run_convergence(cfg)
+            plans = nets[0].plans
+            counts[seed] = (len(nets) - built, plans.lookups - plans.hits, plans.hits, len(searches))
+            plans.lookups = plans.hits = 0
+        assert counts == {1: (1, 66, 9, 314), 2: (0, 56, 19, 265), 3: (0, 56, 19, 265)}
 
 
 def assert_matches_oracle(u, f, p, q):
@@ -797,19 +784,17 @@ class TestValueTableCache:
         assert len(calls) == 9  # one pair payoff per (true, reported) type pair
 
     def test_one_network_for_every_k(self, monkeypatch, counterexample_problem):
-        nets, solves, searches, augmentations = [], [], Counter(), Counter()
+        nets, solves, searches = [], [], Counter()
         real_init, real_run, real_search = _MinCostFlow.__init__, _MinCostFlow.run, optimize._bellman_ford
 
         def counted_init(self, n_nodes, *arcs):
             nets.append(self)
             real_init(self, n_nodes, *arcs)
-            self.paths, self.plans = CountingMemo(), CountingMemo()
+            self.plans = CountingMemo()
 
         def counted_run(self, s, t, amount, cap):
             solves.append(amount)
-            before = self.paths.lookups
             real_run(self, s, t, amount, cap)
-            augmentations[amount] += self.paths.lookups - before
 
         def counted_search(head, to, weight, room, sources):
             searches[solves[-1]] += 1
@@ -826,9 +811,7 @@ class TestValueTableCache:
         assert [len(net.head) for net in nets] == [8]
         assert (nets[0].plans.lookups, nets[0].plans.hits) == (60, 22)  # one lookup per episode
         assert Counter(solves) == {3: 6, 8: 15, 16: 17}  # one solve per new count vector
-        assert augmentations == {3: 18, 8: 64, 16: 76}
-        assert searches == {3: 17, 8: 21, 16: 2}
-        assert all(0 < searches[K] < augmentations[K] for K in (8, 16))  # paths found at a smaller K replayed
+        assert searches == {3: 18, 8: 64, 16: 76}  # one search per augmentation
 
     def test_payoff_summed_on_first_read(self):
         f = SocialChoiceFunction.point_mass({"A": "a", "B": "b", "C": "c"})
@@ -935,3 +918,28 @@ class TestApproxTruthfulBestResponseInteraction:
         for m in best_response_bruteforce(u, f, p, Q3):
             assert not audit(u, m).approx_truthful
             assert lie_count(u, m) == 2 > min_lie_count(u, Q3) == 1
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_chain_family_lies_types_minus_one_times(self, n):
+        # u_i(d_i) = 2n, u_i(d_{i+1}) = 2n - 1, 0 elsewhere: with one slot
+        # moved from T_{n-1} to T_0, shifting every type one step up the chain
+        # costs n - 1 payoff units and a direct lie 2n, so the best response
+        # lies n - 1 times against a minimum of 1, and its lies close no cycle
+        types = tuple(f"t{i}" for i in range(n))
+        decisions = tuple(f"d{i}" for i in range(n))
+        utility = {t: {d: 2 * n if j == i else 2 * n - 1 if j == i + 1 else 0 for j, d in enumerate(decisions)}
+                   for i, t in enumerate(types)}
+        p = make_problem(utility, types, decisions)
+        f = SocialChoiceFunction.utility_argmax(p)
+        rnd = random.Random(n)
+        for K in (n, 4 * n, 64 * n):
+            q = compute_quota(p, K)
+            assert q.counts == (K // n,) * n
+            entries = [t for t, c in zip(types, q.counts) for _ in range(c)]
+            entries[-1] = types[0]
+            rnd.shuffle(entries)
+            u = vec(entries, types)
+            result = audit(u, best_response_transport(u, f, p, q).message)
+            assert (result.lies, result.min_lies, result.star_bound) == (n - 1, 1, n - 1)
+            assert result.permutation_truthful and result.approx_truthful_star
+            assert result.approx_truthful is (n == 2)
