@@ -28,6 +28,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    MAX_K,
+    STRATEGY_NAMES,
     EnumerationCapError,
     Message,
     PreferenceVector,
@@ -39,14 +41,6 @@ from .core import (
     validate_problem,
 )
 from .truthfulness import Audit, _report_entries, audit, compute_quota
-from .optimize import (
-    SocialChoiceFunction,
-    best_response_bruteforce,
-    best_response_transport,
-    payoff,
-    verify_counterexample,
-)
-from .sim import MAX_K, STRATEGY_NAMES, SimConfig, run_convergence, stats_to_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -174,6 +168,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_best_response(args) -> int:
+    from .optimize import SocialChoiceFunction, best_response_bruteforce, best_response_transport, payoff
+
     if args.cap < 1:
         raise ValidationError(f"--cap must be at least 1, got {_brief(args.cap)}")
     problem = _load_problem(args.spec)
@@ -225,6 +221,8 @@ def _apply_utility_overrides(raw: dict, overrides: Sequence[str]) -> dict:
 
 
 def cmd_counterexample(args) -> int:
+    from .optimize import verify_counterexample
+
     with open(bundled_spec_path("counterexample"), "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if args.utility:
@@ -236,6 +234,8 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .sim import SimConfig, run_convergence, stats_to_csv
+
     problem = _load_problem(args.spec)
     try:
         k_values = tuple(int(x) for x in args.K.split(","))

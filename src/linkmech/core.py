@@ -43,6 +43,11 @@ MAX_RATIONAL_DIGITS = 1000
 _RATIONAL_BOUND = 10**MAX_RATIONAL_DIGITS
 PRIOR_TOLERANCE = Fraction(1, 10**12)  # how far a fixed-precision prior may sum from 1
 
+# The simulator's strategies; the command line offers the first three.
+STRATEGY_NAMES = ("canonical-min-lie", "uniform-min-lie", "best-response", "custom-permutation-truthful")
+# Largest K a simulation accepts: each episode holds O(K) arrays and lists.
+MAX_K = 10**7
+
 
 def _cut(text: str) -> str:
     return text if len(text) <= 40 else text[:37] + "..."

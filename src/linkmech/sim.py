@@ -23,6 +23,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .core import (
+    MAX_K,
+    STRATEGY_NAMES,
     EnumerationCapError,
     Message,
     PreferenceVector,
@@ -44,17 +46,8 @@ from .truthfulness import (
 )
 from .optimize import SocialChoiceFunction, best_response_transport
 
-STRATEGY_NAMES = (
-    "canonical-min-lie",
-    "uniform-min-lie",
-    "best-response",
-    "custom-permutation-truthful",
-)
-
 _SEED_MASK = (1 << 64) - 1
 
-# Largest K a simulation accepts: each episode holds O(K) arrays and lists.
-MAX_K = 10**7
 # Most replications per K a simulation accepts: each runs one episode per K.
 MAX_REPS = 10**9
 
