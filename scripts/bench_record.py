@@ -16,7 +16,8 @@ are the ones run.
 Every run is kept.  A run that ends ``incorrect`` counts in ``incorrect``
 and its metrics stay in the summary; a run that prints no result line
 counts in ``errored`` with its exit code and the tail of its stderr.  No
-run is dropped, repeated or re-seeded.
+run is dropped, repeated or re-seeded.  Paths inside the measured checkout
+are written relative to it.
 
 Per metric, ``scaled`` summarizes the values on the result line, which
 ``bench/run.py`` scales to its reference machine, and ``raw`` the wall-time
@@ -50,7 +51,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+    lines = proc.stdout.replace(f"{root.resolve()}/", "").strip().splitlines()  # paths relative to the checkout
     try:
         manifest, result = json.loads(lines[-2])["manifest"], json.loads(lines[-1])
     except (IndexError, ValueError, KeyError):

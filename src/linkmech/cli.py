@@ -10,6 +10,9 @@ Exit codes: 0 success, 1 usage or validation error or unwritable output,
 3 resource cap exceeded.  A reader that closes stdout early (``linkmech
 simulate ... | head -1``) ends the run quietly with exit code 1, since the
 output it got is incomplete.
+
+``optimize`` and ``sim`` are imported by the commands that run them, so a
+one-shot ``quota`` or ``audit`` loads neither.
 """
 
 from __future__ import annotations
