@@ -18,7 +18,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -286,9 +285,7 @@ class PreferenceVector:
         distinct ``types``: unchecked, with both memos filled from the int ``codes``."""
         codes = np.asarray(codes, dtype=np.intp)
         codes.setflags(write=False)
-        tally = np.bincount(codes, minlength=len(types)).tolist()
-        counts = Counter.__new__(Counter)  # empty, without Counter's Python-level __init__
-        dict.update(counts, compress(zip(types, tally), tally) if 0 in tally else zip(types, tally))
+        counts = tuple(np.bincount(codes, minlength=len(types)).tolist())
         return _unchecked(cls, entries=entries, types=types, _codes_memo=codes, _counts_memo=counts)
 
     @property
@@ -296,14 +293,15 @@ class PreferenceVector:
         return len(self.entries)
 
     def counts(self) -> Counter:
-        return Counter(self._type_counts())
+        """Each type that occurs, with its count."""
+        return Counter({t: c for t, c in zip(self.types, self._type_counts()) if c})
 
-    def _type_counts(self) -> Counter:
-        """The type counts, shared: callers must not mutate them.  This memo and
-        the codes' live in the instance dict, outside equality and hashing."""
+    def _type_counts(self) -> tuple[int, ...]:
+        """Each type's count, in ``types`` order, zeros kept: ``Quota.counts``'s layout.  This
+        memo and the codes' live in the instance dict, outside equality and hashing."""
         counts = self.__dict__.get("_counts_memo")
         if counts is None:
-            counts = self.__dict__["_counts_memo"] = Counter(self.entries)
+            counts = self.__dict__["_counts_memo"] = tuple(map(Counter(self.entries).__getitem__, self.types))
         return counts
 
     def _codes(self) -> np.ndarray:
@@ -339,8 +337,7 @@ class Marginal:
 
 def marginal(v: PreferenceVector) -> Marginal:
     """Empirical marginal of ``v``: weight of t is (count of t in v)/K."""
-    counts = v._type_counts()
-    return Marginal(v.types, tuple(Fraction(counts[t], v.K) for t in v.types))
+    return Marginal(v.types, tuple(Fraction(c, v.K) for c in v._type_counts()))
 
 
 @dataclass(frozen=True)
@@ -386,10 +383,10 @@ class Message:
         if self.vector.K != self.quota.K:
             raise ValidationError(f"message: length {self.vector.K} != quota total {self.quota.K}")
         counts = self.vector._type_counts()
-        if tuple(map(counts.__getitem__, self.quota.types)) != self.quota.counts:
-            budget = self.quota.as_dict()
-            over = sorted(t for t in budget if counts[t] > budget[t])
-            under = sorted(t for t in budget if counts[t] < budget[t])
+        if counts != self.quota.counts:
+            cells = list(zip(self.quota.types, counts, self.quota.counts))
+            over = [t for t, c, b in cells if c > b]
+            under = [t for t, c, b in cells if c < b]
             raise ValidationError(
                 f"message violates quota: over-represented {over}, under-represented {under}"
             )

@@ -252,11 +252,11 @@ class _MinCostFlow:
             amount -= bottleneck
 
 
-def _transport_plan(counts: Counter, q: Quota, f: SocialChoiceFunction, p: Problem) -> tuple[tuple[int, ...], ...]:
-    """A best response's flows, one row per true type: solved once per (counts,
-    quota) on the network's plan memo, and checked against both on every call."""
+def _transport_plan(supply: tuple[int, ...], q: Quota, f: SocialChoiceFunction, p: Problem) -> tuple[tuple[int, ...], ...]:
+    """A best response's flows, one row per true type: solved once per (supply,
+    quota) on the network's plan memo, and checked against both on every call.
+    ``supply`` is the truth's type counts aligned with ``q.counts``, and with it the memo key."""
     n = len(q.types)
-    supply = tuple(counts[t] for t in q.types)
     net = _pair_table(f, p, q.types)[3]
     flows = net.plans.get((supply, q.counts))
     if flows is None:
@@ -314,7 +314,7 @@ def best_response_transport(
     write = writes.append
     for i, t in enumerate(types):
         row = flows[i]
-        if row[i] == counts[t]:
+        if row[i] == counts[i]:
             continue
         k = -1  # the lower labels, in canonical order, on the row's first slots
         for j in range(i):

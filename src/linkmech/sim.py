@@ -48,7 +48,8 @@ from .optimize import SocialChoiceFunction, best_response_transport
 
 _SEED_MASK = (1 << 64) - 1
 
-# Most replications per K a simulation accepts: each runs one episode per K.
+# Most replications per K a simulation accepts: each runs one episode per K.  A rep below 2**32 is one seed
+# word, as is K below core's MAX_K, so SeedSequence([seed, K, rep]) holds at most 4 entropy words.
 MAX_REPS = 10**9
 
 StrategyFn = Callable[[PreferenceVector, Quota, np.random.Generator], Message]
@@ -66,10 +67,13 @@ _PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 _SEED_BLOCK = 1024
 
 
-@lru_cache(maxsize=None)
 def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
     """The first n + 1 values of a SeedSequence hash constant, as a uint32 column (read, never written)."""
     return np.array([init * pow(mult, k, 1 << 32) % (1 << 32) for k in range(n + 1)], dtype=np.uint32)[:, None]
+
+
+# The hash constants of a 4-word pool's mixing, and of generate_state's 8 output words.
+_HASH_POOL, _HASH_OUT = _hash_consts(_INIT_A, _MULT_A, 16), _hash_consts(_INIT_B, _MULT_B, 8)
 
 
 def _hashmix(v: np.ndarray, hc: np.ndarray, j: int, n: int) -> np.ndarray:
@@ -84,24 +88,18 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _seed_states(head: list, reps: np.ndarray) -> list[tuple[int, int]]:
-    """The ``(state, inc)`` that ``PCG64(SeedSequence(head + _words(rep)))`` sets, per column of the uint64
-    ``reps`` (each head word is an int or a uint32 column): SeedSequence's mixing of its 4-word pool runs on
-    ``uint32`` arrays, and ``pcg64_set_seed``'s two LCG steps in Python ints."""
-    words = [*head, reps.astype(np.uint32), (reps >> 32).astype(np.uint32)]
-    hc = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(len(words) - 4, 0))
+    """The ``(state, inc)`` that ``PCG64(SeedSequence(head + [rep]))`` sets, per column of the ``reps`` below
+    2**32 (``MAX_REPS``), for at most 3 head words (each an int or a uint32 column): SeedSequence's mixing
+    of its 4-word pool runs on ``uint32`` arrays, and ``pcg64_set_seed``'s two LCG steps in Python ints."""
     pool = np.zeros((4, len(reps)), dtype=np.uint32)  # entropy padded with zero words
-    for i, word in enumerate(words[:4]):
+    for i, word in enumerate([*head, reps.astype(np.uint32)]):
         pool[i] = word
-    pool = _hashmix(pool, hc, 0, 4)
+    pool = _hashmix(pool, _HASH_POOL, 0, 4)
     for src in range(4):
         dst = [d for d in range(4) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], hc, 4 + 3 * src, 3))
-    for i, word in enumerate(words[4:], 4):
-        mixed = _mix(pool, _hashmix(word, hc, 4 * i, 4))
-        # a rep below 2**32 has no high word; inside the pool its zero is the padding
-        pool = np.where(word != 0, mixed, pool) if i == len(words) - 1 else mixed
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_POOL, 4 + 3 * src, 3))
     # generate_state(4, uint64): 8 hashed words, little-endian pairs, seed then inc
-    w = _hashmix(np.concatenate((pool, pool)), _hash_consts(_INIT_B, _MULT_B, 8), 0, 8).astype(np.uint64)
+    w = _hashmix(np.concatenate((pool, pool)), _HASH_OUT, 0, 8).astype(np.uint64)
     out = []
     for s0, s1, i0, i1 in zip(*(w[0::2] | w[1::2] << 32).tolist()):
         inc = (i0 << 64 | i1) << 1 & _MASK128 | 1
@@ -320,7 +318,7 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
     states = chain.from_iterable(_seed_states(_words(seed) + [ks[g // reps]], g % reps) for g in chunks)
     for K in cfg.k_values:
         quota = compute_quota(problem, K)
-        scaled = list(zip(types, quota.counts, [K * p for p in prior_num]))
+        scaled = [K * p for p in prior_num]  # K * P_t
         d_prior_quota = _quota_tv(quota, prior_num, denom)
 
         slot_lies = [0] * K
@@ -344,7 +342,7 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
             lying = list(compress(range(K), map(ne, ue, me)))
             lies = len(lying)
             counts = u._type_counts()
-            excess_q = sum(counts[t] - b for t, b, _ in scaled if counts[t] > b)
+            excess_q = sum(c - b for c, b in zip(counts, quota.counts) if c > b)
             if exact_min and lies != excess_q or enforce_star and lies > (n_types - 1) * excess_q:
                 what = ("minimal-lie strategy missed the minimum" if exact_min and lies != excess_q
                         else "strategy exceeded the relaxed lie budget")
@@ -356,7 +354,7 @@ def run_convergence(cfg: SimConfig) -> tuple[SimStats, ...]:
             sum_lies += lies
             sum_lies_sq += lies * lies
             sum_excess_q += excess_q
-            sum_excess_p += sum(max(counts[t] * denom - p, 0) for t, _, p in scaled)
+            sum_excess_p += sum(max(c * denom - p, 0) for c, p in zip(counts, scaled))
 
         lie_fraction = sum_lies / (reps * K)
         if reps > 1:

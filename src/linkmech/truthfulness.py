@@ -85,8 +85,8 @@ def _check_shapes(u: PreferenceVector, q: Quota) -> None:
         raise ValidationError(f"vector length {u.K} != quota total {q.K}")
 
 
-def _shortfall(u: PreferenceVector, q: Quota) -> tuple[Counter, list[str]]:
-    """The truth's type counts, and each under-supplied type once per missing slot.
+def _shortfall(u: PreferenceVector, q: Quota) -> tuple[tuple[int, ...], list[str]]:
+    """The truth's type counts, aligned with ``q.counts``, and each under-supplied type once per missing slot.
 
     Every minimal-lie message keeps min(count, budget) slots of each type
     and fills the freed slots with ``owed``, which lists the deficit types
@@ -94,20 +94,21 @@ def _shortfall(u: PreferenceVector, q: Quota) -> tuple[Counter, list[str]]:
     """
     _check_shapes(u, q)
     counts = u._type_counts()
-    return counts, [t for t, b in zip(q.types, q.counts) for _ in range(b - counts[t])]
+    return counts, [t for t, c, b in zip(q.types, counts, q.counts) for _ in range(b - c)]
 
 
-def _rewritten(u: PreferenceVector, q: Quota, counts: Counter, writes) -> Message:
+def _rewritten(u: PreferenceVector, q: Quota, counts: tuple[int, ...], writes) -> Message:
     """The truth with each ``(slot, label)`` of ``writes`` written in turn, its
-    ``counts`` (from ``_shortfall``, which checked the shapes) tallied through
-    every write, slots written twice too, and checked against the quota."""
+    ``counts`` (from ``_shortfall``, which checked the shapes, so aligned with
+    ``q.counts``) tallied through every write, slots written twice too, and
+    checked against the quota."""
     entries = list(u.entries)
     net = dict.fromkeys(q.types, 0)
     for k, t in writes:
         net[entries[k]] -= 1
         net[t] = net.get(t, 0) + 1
         entries[k] = t
-    if [counts[t] + net[t] for t in q.types] != list(q.counts):
+    if [c + net[t] for t, c in zip(q.types, counts)] != list(q.counts):
         raise RuntimeError("internal: rewritten message misses the quota")
     return Message._built(tuple(entries), q)
 
@@ -171,7 +172,7 @@ def count_minimal_lie_messages(u: PreferenceVector, q: Quota) -> int:
     """Size of the minimal-lie message set, without enumerating it."""
     counts, owed = _shortfall(u, q)
     total = math.factorial(len(owed)) // math.prod(map(math.factorial, Counter(owed).values()))
-    return total * math.prod(math.comb(counts[t], min(counts[t], b)) for t, b in zip(q.types, q.counts))
+    return total * math.prod(math.comb(c, min(c, b)) for c, b in zip(counts, q.counts))
 
 
 def minimal_lie_messages(u: PreferenceVector, q: Quota, cap: int = 10**6) -> set[Message]:
@@ -183,13 +184,13 @@ def minimal_lie_messages(u: PreferenceVector, q: Quota, cap: int = 10**6) -> set
     ``sample_minimal_message`` in that regime, neither of which enumerates.
     """
     counts, owed = _shortfall(u, q)  # validates shapes
-    kept = [(b, counts[t] - b) for t, b in zip(q.types, q.counts) if counts[t] > b]  # comb(count, budget) each
+    kept = [(b, c - b) for c, b in zip(counts, q.counts) if c > b]  # comb(count, budget) each
     if _exceeds([Counter(owed).values(), *kept], cap):
         raise EnumerationCapError(
             f"more than {cap} minimal-lie messages; "
             "use canonical_minimal_message or sample_minimal_message instead"
         )
-    surplus = [(list(_scan(u.entries, t)), b) for t, b in zip(q.types, q.counts) if counts[t] > b]
+    surplus = [(list(_scan(u.entries, t)), b) for t, c, b in zip(q.types, counts, q.counts) if c > b]
     out: set[Message] = set()
     for keeps in itertools.product(*(itertools.combinations(pos, b) for pos, b in surplus)):
         kept = set().union(*keeps)
@@ -220,10 +221,10 @@ def canonical_minimal_message(u: PreferenceVector, q: Quota) -> Message:
     # its prefix ends at, lying slots].  With no truthful budget the prefix
     # never ends, since fewer than len(owed) slots lie while a lie is left.
     live = []
-    for t, b in zip(q.types, q.counts):
-        if counts[t] > b:
+    for t, c, b in zip(q.types, counts, q.counts):
+        if c > b:
             slots = _scan(ue, t)
-            live.append([next(slots), t, counts[t] - b, bisect.bisect_left(owed, t) if b else len(owed), slots])
+            live.append([next(slots), t, c - b, bisect.bisect_left(owed, t) if b else len(owed), slots])
     lying: list[int] = []
     while live:
         ev = min(live)
@@ -259,10 +260,10 @@ def sample_minimal_message(u: PreferenceVector, q: Quota, rng) -> Message:
     counts, owed = _shortfall(u, q)
     codes = u._codes()
     parts = []
-    for i, (t, b) in enumerate(zip(q.types, q.counts)):
-        if counts[t] > b:
-            freed = np.ones(counts[t], dtype=bool)
-            freed[rng.choice(counts[t], size=b, replace=False)] = False
+    for i, (c, b) in enumerate(zip(counts, q.counts)):
+        if c > b:
+            freed = np.ones(c, dtype=bool)
+            freed[rng.choice(c, size=b, replace=False)] = False
             parts.append((codes == i).nonzero()[0][freed])
     free = np.concatenate(parts).tolist() if parts else []
     if len(parts) > 1:
@@ -540,8 +541,7 @@ def audit(u: PreferenceVector, m: Message) -> Audit:
     ``lie_count``, ``is_permutation_truthful`` and ``permutation_witness``.
     """
     _check_shapes(u, m.quota)
-    counts = u._type_counts()
-    min_lies = sum(max(counts[t] - b, 0) for t, b in zip(m.quota.types, m.quota.counts))
+    min_lies = sum(max(c - b, 0) for c, b in zip(u._type_counts(), m.quota.counts))
     lies = int(np.count_nonzero(u._codes() != m.vector._codes()))
     star_bound = (len(u.types) - 1) * min_lies
     witness = permutation_witness(u, m)

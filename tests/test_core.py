@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -256,6 +258,42 @@ class TestPreferenceVector:
         q = Quota(("A", "B", "C"), (1, 2, 1))
         assert Message(v, q) == Message(fresh, q)
         assert hash(Message(v, q)) == hash(Message(fresh, q))
+
+
+class TestCountLayout:
+    """A vector's type counts are Python ints in ``types`` order, zeros kept: ``Quota.counts``'s layout."""
+
+    TYPES = ("A", "B", "C")
+
+    @staticmethod
+    def check(v):
+        counts = v._type_counts()
+        assert type(counts) is tuple and all(type(c) is int for c in counts)
+        assert counts == tuple(v.entries.count(t) for t in v.types)
+        assert v.counts() == Counter(v.entries) and 0 not in v.counts().values()
+        return counts
+
+    def test_every_construction_path_gives_one_layout(self):
+        problem = validate_problem(UNIFORM3)
+        quota = Quota(self.TYPES, (1, 0, 2))
+        built = [
+            PreferenceVector(("C", "A", "C"), ("C", "B", "A")),
+            cli._parse_vector("C,A,C", problem, "truth"),
+            cli._parse_vector("C, A,C", problem, "truth"),  # a padded part takes the stripped parse
+            Message._built(("C", "A", "C"), quota).vector,
+        ]
+        for v in built:
+            assert v == built[0] and self.check(v) == (1, 0, 2) == quota.counts
+        assert Message(built[1], quota) == Message._built(("C", "A", "C"), quota)
+
+    def test_sampled_vectors_keep_absent_types(self):
+        prior = {"A": Fraction(1, 2), "B": Fraction(0), "C": Fraction(1, 2)}
+        rng = np.random.default_rng(7)
+        for K in (1, 2, 5, 64):
+            v = sim.sample_type_vector(prior, K, rng)
+            counts = self.check(v)
+            assert v.types == self.TYPES and counts[1] == 0 and sum(counts) == K
+            assert PreferenceVector(v.entries, v.types)._type_counts() == counts
 
 
 class TestIntegerPrior:

@@ -581,10 +581,10 @@ class TestSeedWords:
 
     def test_episode_generator_matches_seed_sequence(self):
         # each rep is checked in the block that run_convergence derives it in,
-        # at block edges, and in a block that straddles rep 2**32
+        # at block edges, up to the largest rep a simulation accepts
         B = sim._SEED_BLOCK
-        reps = (0, 1, B - 1, B, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1)
-        blocks = {(r - r % B, r - r % B + B) for r in reps} | {(2**32 - 2, 2**32 + 2)}
+        reps = (0, 1, B - 1, B, sim.MAX_REPS - 1)
+        blocks = {(r - r % B, r - r % B + B) for r in reps}
         got = np.random.Generator(np.random.PCG64())
         for seed, K, (start, stop) in itertools.product(self.SEEDS, (1, 256, 10**7), sorted(blocks)):
             seed &= self.MASK
@@ -612,6 +612,18 @@ class TestSeedWords:
             want = [(K, np.random.default_rng(np.random.SeedSequence([seed & self.MASK, K, rep])).bit_generator.state)
                     for K in (1, 256) for rep in range(3)]
             assert seen == want, seed
+
+
+class TestSeedCaps:
+    def test_caps_keep_entropy_at_four_words(self):
+        # K and a rep are one 32-bit word each, so a two-word seed fills SeedSequence's 4-word pool;
+        # raising either cap past 2**32 would add a fifth word that _seed_states does not mix
+        assert sim.MAX_REPS < 2**32 and sim.MAX_K < 2**32
+        rep = sim.MAX_REPS - 1
+        for seed in (2**32, 2**62 + 12345, 2**64 - 1):
+            (state, inc), = sim._seed_states(sim._words(seed) + [sim.MAX_K], np.array([rep], dtype=np.uint64))
+            want = np.random.PCG64(np.random.SeedSequence([seed, sim.MAX_K, rep])).state["state"]
+            assert {"state": state, "inc": inc} == want, seed
 
 
 class TestCallSeeding:
@@ -656,15 +668,6 @@ class TestCallSeeding:
         run_convergence(cfg_for(binary_problem, k_values=k_values, replications=reps))
         assert len(calls) == passes and sum(calls) == len(k_values) * reps
         assert max(calls) <= sim._SEED_BLOCK
-
-    def test_reps_across_two_to_the_32(self):
-        # a chunk that straddles rep 2**32 mixes 4- and 5-word entropies for a two-word seed
-        for seed in (3, 2**40 + 9):
-            head = sim._words(seed) + [np.array([7, 7, 8, 8], dtype=np.uint32)]
-            reps = np.array([2**32 - 1, 2**32, 2**32 - 1, 2**32 + 5], dtype=np.uint64)
-            for (state, inc), K, rep in zip(sim._seed_states(head, reps), (7, 7, 8, 8), reps.tolist()):
-                want = np.random.PCG64(np.random.SeedSequence([seed, K, rep])).state["state"]
-                assert {"state": state, "inc": inc} == want, (seed, K, rep)
 
 
 class TestRawDraw:
